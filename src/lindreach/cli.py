@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -13,10 +12,10 @@ import numpy as np
 from . import serialize as ser
 from .hormander import lie_closure
 from .linalg import check_density, trace_distance
-from .lindblad import Lindbladian, apply, gamma_form, propagate
+from .lindblad import Lindbladian, gamma_form, propagate
 from .reach import ResourceSetK, porcupine_check, reach_drive
 from .tangent import PathSample, in_tangent_cone, lift, lift_path
-from .transport import execute_plan, plan_diagonal_transport
+from .transport import execute_plan, plan_diagonal_transport, plan_states
 from .dilation import dilation_error_vs_exact
 from .serialize import SchemaError
 
@@ -85,13 +84,7 @@ def _cmd_lift_path(args, out):
     path = ser.path_sample_from_json(ser.load_json(args.path))
     report = lift_path(path)
     if args.csv:
-        rows = []
-        for i, t in enumerate(path.times):
-            L = report["generators"][i]
-            resid = float(np.linalg.norm(
-                apply(L, path.states[i])
-                - (path.derivs[i] if path.derivs is not None else apply(L, path.states[i]))))
-            rows.append([t, report["lambda_min"][i], resid])
+        rows = zip(path.times, report["lambda_min"], report["residual"])
         _write_csv(args.csv, ["t", "lambda_min", "residual"], rows)
     _emit({"integrability": report["integrability"],
            "reconstruction_error": report["reconstruction_error"],
@@ -145,16 +138,13 @@ def _cmd_run_plan(args, out):
     plan = ser.plan_from_json(ser.load_json(args.plan))
     rho = _load_matrix(args.rho)
     if args.csv:
-        state = check_density(rho)
-        rows = [[0.0] + list(np.diag(state).real)]
-        from .transport import apply_step
-        from .linalg import hermitize
-        for i, step in enumerate(plan.steps):
-            state = hermitize(apply_step(state, step, plan.k))
-            rows.append([float(i + 1)] + list(np.diag(state).real))
+        rows = []
+        for i, result in enumerate(plan_states(plan, rho)):
+            rows.append([i] + list(np.diag(result).real))
         _write_csv(args.csv,
                    ["step"] + [f"p{i}" for i in range(plan.dim)], rows)
-    result = execute_plan(plan, rho)
+    else:
+        result = execute_plan(plan, rho)
     _emit(ser.matrix_to_json(result), out)
 
 
@@ -275,11 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("LINDREACH_THREADS")
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -70,16 +70,6 @@ def reduced_generator(a: np.ndarray) -> np.ndarray:
     return superop_from_action(act, d)
 
 
-def gaussian_damped_superop(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(t D_H): eigenprojection blocks damped by e^{-t (l_j - l_l)^2}.
-
-    For Hermitian H the dissipator acts diagonally on eigenblocks, so the
-    semigroup is a pure Gaussian damping of off-diagonal blocks.
-    """
-    L = Lindbladian(H.shape[0], jumps=[JumpTerm(np.asarray(H, dtype=complex), 1.0)])
-    return mat_exp(t * build(L))
-
-
 def unitary_mixture_step(H: np.ndarray, t: float) -> np.ndarray:
     """Superoperator of (Ad_{exp(i sqrt(2t) H)} + Ad_{exp(-i sqrt(2t) H)})/2."""
     if t < 0:
@@ -96,7 +86,7 @@ def unitary_mixture_step(H: np.ndarray, t: float) -> np.ndarray:
 
 def mixture_vs_semigroup_error(H: np.ndarray, t: float) -> float:
     """Choi trace-norm distance between the unitary mixture and exp(t D_H)."""
-    diff = unitary_mixture_step(H, t) - gaussian_damped_superop(H, t)
+    diff = unitary_mixture_step(H, t) - mat_exp(t * dissipator(H))
     return trace_norm(choi(diff))
 
 

@@ -16,7 +16,6 @@ SPAN_DROP_TOL = 1e-9
 class ResourceSet:
     dim: int
     elements: list[np.ndarray] = field(default_factory=list)
-    adjoint_closed: bool = False
 
     def __post_init__(self):
         self.elements = [np.asarray(e, dtype=complex) for e in self.elements]

@@ -32,8 +32,8 @@ class JumpTerm:
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=complex)
-        if self.rate < 0:
-            raise ValueError("jump rate must be nonnegative")
+        if not 0 <= self.rate < np.inf:
+            raise ValueError(f"jump rate {self.rate} is not finite and nonnegative")
 
 
 @dataclass

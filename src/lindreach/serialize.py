@@ -14,7 +14,6 @@ from .tangent import PathSample
 from .transport import (
     AmplitudeDamp,
     ApplyUnitary,
-    DephaseDiagonal,
     TransportPlan,
     Transposition,
 )
@@ -36,10 +35,15 @@ def matrix_from_json(obj) -> np.ndarray:
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise SchemaError(f"matrix object missing field: {exc}") from exc
-    if len(entries) != d * d:
-        raise SchemaError(f"expected {d * d} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(d, d)
+    if not isinstance(entries, list) or len(entries) != d * d:
+        raise SchemaError(f"expected a list of {d * d} entries")
+    try:
+        pairs = np.array(entries)
+    except ValueError as exc:
+        raise SchemaError(f"matrix entries are ragged: {exc}") from exc
+    if pairs.dtype.kind not in "biuf" or pairs.shape != (d * d, 2):
+        raise SchemaError("matrix entries must be [re, im] number pairs")
+    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
 
 
 def lindbladian_to_json(L: Lindbladian) -> dict:
@@ -71,15 +75,13 @@ def lindbladian_from_json(obj) -> Lindbladian:
 
 def resource_set_to_json(S: ResourceSet) -> dict:
     return {"dim": S.dim,
-            "elements": [matrix_to_json(e) for e in S.elements],
-            "adjoint_closed": S.adjoint_closed}
+            "elements": [matrix_to_json(e) for e in S.elements]}
 
 
 def resource_set_from_json(obj) -> ResourceSet:
     try:
         return ResourceSet(dim=int(obj["dim"]),
-                           elements=[matrix_from_json(e) for e in obj["elements"]],
-                           adjoint_closed=bool(obj.get("adjoint_closed", False)))
+                           elements=[matrix_from_json(e) for e in obj["elements"]])
     except (TypeError, KeyError) as exc:
         raise SchemaError(f"ResourceSet object missing field: {exc}") from exc
 
@@ -107,10 +109,7 @@ def step_to_json(step) -> dict:
         return {"kind": "amplitude_damp", "register": int(step.register),
                 "retention": float(step.retention)}
     if isinstance(step, Transposition):
-        return {"kind": "transposition", "i": int(step.i), "j": int(step.j),
-                "sparse_adjacent": bool(step.sparse_adjacent)}
-    if isinstance(step, DephaseDiagonal):
-        return {"kind": "dephase", "registers": [int(r) for r in step.registers]}
+        return {"kind": "transposition", "i": int(step.i), "j": int(step.j)}
     raise SchemaError(f"unknown plan step {step!r}")
 
 
@@ -122,10 +121,7 @@ def step_from_json(obj):
         if kind == "amplitude_damp":
             return AmplitudeDamp(int(obj["register"]), float(obj["retention"]))
         if kind == "transposition":
-            return Transposition(int(obj["i"]), int(obj["j"]),
-                                 bool(obj.get("sparse_adjacent", False)))
-        if kind == "dephase":
-            return DephaseDiagonal([int(r) for r in obj["registers"]])
+            return Transposition(int(obj["i"]), int(obj["j"]))
     except (TypeError, KeyError) as exc:
         raise SchemaError(f"plan step missing field: {exc}") from exc
     raise SchemaError(f"unknown plan step kind {kind!r}")

@@ -271,12 +271,14 @@ def central_differences(path: PathSample) -> list[np.ndarray]:
 
 def lift_path(path: PathSample, path_tol: float = PATH_TOL,
               support_tol: float = 1e-8) -> dict:
-    """Per-sample Lindbladian lifts along a sampled path, with trapezoidal
-    integrability estimates of 1/lambda_min and lambda_min^{-1/2} and a
-    piecewise-constant-generator reconstruction error."""
+    """Per-sample Lindbladian lifts along a sampled path with their lift
+    residuals, trapezoidal integrability estimates of 1/lambda_min and
+    lambda_min^{-1/2} and a piecewise-constant-generator reconstruction
+    error."""
     derivs = path.derivs if path.derivs is not None else central_differences(path)
     lam = []
     gens: list[Lindbladian] = []
+    residual = []
     for idx, (rho_t, xdot) in enumerate(zip(path.states, derivs)):
         xdot = hermitize(xdot)
         xdot = xdot - (np.trace(xdot).real / rho_t.shape[0]) * np.eye(rho_t.shape[0])
@@ -285,8 +287,10 @@ def lift_path(path: PathSample, path_tol: float = PATH_TOL,
         w = np.linalg.eigvalsh(hermitize(rho_t))
         wpos = w[w > support_tol]
         lam.append(float(wpos.min()) if wpos.size else 0.0)
-        gens.append(lift(rho_t, xdot, tol=support_tol,
-                         lift_tol=max(LIFT_TOL, 10 * path_tol)).lindbladian)
+        cert = lift(rho_t, xdot, tol=support_tol,
+                    lift_tol=max(LIFT_TOL, 10 * path_tol))
+        gens.append(cert.lindbladian)
+        residual.append(cert.residual)
     lam = np.asarray(lam)
     t = path.times
     integ = {
@@ -300,5 +304,5 @@ def lift_path(path: PathSample, path_tol: float = PATH_TOL,
         S = channel_superop(gens[i], dt)
         eta = hermitize((S @ eta.reshape(-1, order="F")).reshape(eta.shape, order="F"))
     err = trace_distance(eta, path.states[-1])
-    return {"generators": gens, "integrability": integ,
-            "lambda_min": lam, "reconstruction_error": float(err)}
+    return {"generators": gens, "integrability": integ, "lambda_min": lam,
+            "residual": np.asarray(residual), "reconstruction_error": float(err)}

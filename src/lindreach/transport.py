@@ -1,16 +1,16 @@
 # Amplitude-damping + transposition transport plans on k-qubit diagonal
 # states: pure-state preparation, pair-matching build phase with a ratio
-# ledger, full-state transport and plan execution with gate counts.
+# ledger, full-state transport, closed-form plan execution and gate counts.
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_density, dag, hermitize, trace_distance
-from .lindblad import JumpTerm, Lindbladian, propagate
+from .linalg import check_density, dag, hermitize
 
 PLAN_TOL = 1e-8
 RATIO_TOL = 1e-14
@@ -39,7 +39,6 @@ class AmplitudeDamp:
 class Transposition:
     i: int
     j: int
-    sparse_adjacent: bool = False
     kind: str = "transposition"
 
     def __post_init__(self):
@@ -48,13 +47,7 @@ class Transposition:
             raise ValueError("transposition indices must differ")
 
 
-@dataclass
-class DephaseDiagonal:
-    registers: list[int]
-    kind: str = "dephase"
-
-
-PlanStep = ApplyUnitary | AmplitudeDamp | Transposition | DephaseDiagonal
+PlanStep = ApplyUnitary | AmplitudeDamp | Transposition
 
 
 @dataclass
@@ -82,7 +75,7 @@ class TransportPlan:
     @property
     def counts(self) -> dict:
         c = {"infinite_damps": 0, "finite_damps": 0, "transpositions": 0,
-             "adjacent_transpositions": 0, "unitaries": 0, "dephases": 0}
+             "adjacent_transpositions": 0, "unitaries": 0}
         for s in self.steps:
             if isinstance(s, AmplitudeDamp):
                 key = "infinite_damps" if s.retention == 0.0 else "finite_damps"
@@ -90,33 +83,26 @@ class TransportPlan:
             elif isinstance(s, Transposition):
                 c["transpositions"] += 1
                 c["adjacent_transpositions"] += 2 * abs(s.i - s.j) - 1
-            elif isinstance(s, ApplyUnitary):
-                c["unitaries"] += 1
             else:
-                c["dephases"] += 1
+                c["unitaries"] += 1
         return c
 
 
-def _damp_jump(register: int, k: int) -> np.ndarray:
-    """Jump operator |0><1| on the given register (0 = most significant)."""
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)
-    out = np.ones((1, 1), dtype=complex)
-    for r in range(k):
-        out = np.kron(out, lower if r == register else np.eye(2))
-    return out
+def _register_view(x: np.ndarray, register: int, k: int) -> np.ndarray:
+    """x with every axis split as (higher registers, register bit, lower
+    registers); register 0 is the most significant bit of a basis index."""
+    if not 0 <= register < k:
+        raise ValueError(f"register {register} outside 0..{k - 1}")
+    return x.reshape((2 ** register, 2, 2 ** (k - 1 - register)) * x.ndim)
 
 
 def _damp_diag(d: np.ndarray, register: int, k: int,
                retention: float) -> np.ndarray:
     """Action of an amplitude damp on a diagonal population vector."""
-    d = d.copy()
-    stride = 2 ** (k - 1 - register)
-    for m in range(len(d)):
-        if (m // stride) % 2 == 1:
-            lo = m - stride
-            d[lo] += (1.0 - retention) * d[m]
-            d[m] *= retention
-    return d
+    v = _register_view(d.copy(), register, k)
+    v[:, 0] += (1.0 - retention) * v[:, 1]
+    v[:, 1] *= retention
+    return v.reshape(-1)
 
 
 def apply_step_diag(d: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
@@ -126,8 +112,6 @@ def apply_step_diag(d: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
         d = d.copy()
         d[step.i], d[step.j] = d[step.j], d[step.i]
         return d
-    if isinstance(step, DephaseDiagonal):
-        return d.copy()
     raise ValueError("diagonal simulation supports damp/transposition steps only")
 
 
@@ -269,11 +253,9 @@ def plan_diagonal_transport(lam: np.ndarray, mu: np.ndarray,
     return plan
 
 
-def full_state_transport(rho: np.ndarray, sigma: np.ndarray,
-                         hormander_unitaries: bool = True) -> TransportPlan:
+def full_state_transport(rho: np.ndarray, sigma: np.ndarray) -> TransportPlan:
     """Diagonalize rho, transport spectra, then rotate onto sigma's
-    eigenbasis; hormander_unitaries keeps the conjugations as explicit
-    unitary steps."""
+    eigenbasis; the two conjugations are explicit unitary steps."""
     rho = check_density(rho)
     sigma = check_density(sigma)
     d = rho.shape[0]
@@ -295,57 +277,42 @@ def full_state_transport(rho: np.ndarray, sigma: np.ndarray,
     return plan
 
 
-def _transposition_unitary(i: int, j: int, d: int) -> np.ndarray:
-    U = np.eye(d, dtype=complex)
-    U[[i, j]] = U[[j, i]]
-    return U
-
-
-def _infinite_damp_channel(rho: np.ndarray, register: int,
-                           k: int) -> np.ndarray:
-    """Closed-form t -> infinity amplitude damp: Kraus {|0><0|_j, |0><1|_j}."""
-    lower = _damp_jump(register, k)
-    keep = dag(lower) @ lower        # projector onto the register-1 subspace
-    proj0 = np.eye(2 ** k) - keep    # projector onto the register-0 subspace
-    return proj0 @ rho @ proj0 + lower @ rho @ dag(lower)
-
-
 def apply_step(rho: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
-    d = 2 ** k
+    """One plan step applied in closed form."""
     if isinstance(step, ApplyUnitary):
         return step.U @ rho @ dag(step.U)
     if isinstance(step, Transposition):
-        U = _transposition_unitary(step.i, step.j, d)
-        return U @ rho @ dag(U)
+        d = 2 ** k
+        if not (0 <= step.i < d and 0 <= step.j < d):
+            raise ValueError(f"transposition ({step.i}, {step.j}) outside 0..{d - 1}")
+        perm = np.arange(d)
+        perm[[step.i, step.j]] = step.j, step.i
+        return rho[np.ix_(perm, perm)]
     if isinstance(step, AmplitudeDamp):
-        if step.retention == 0.0:
-            return _infinite_damp_channel(rho, step.register, k)
-        t = -0.5 * math.log(step.retention)
-        L = Lindbladian(d, jumps=[JumpTerm(_damp_jump(step.register, k), 1.0)])
-        return propagate(L, rho, t, eig_tol=1e-8)
-    if isinstance(step, DephaseDiagonal):
-        out = rho
-        for r in step.registers:
-            lower = _damp_jump(r, k)
-            keep = dag(lower) @ lower
-            proj0 = np.eye(d) - keep
-            out = proj0 @ out @ proj0 + keep @ out @ keep
-        return out
+        # Kraus pair K0 = P0 + sqrt(a) P1, K1 = sqrt(1 - a) |0><1| on the
+        # register: exp(t D_{|0><1|}) at a = e^{-2t}, its t -> inf limit at a = 0
+        a = step.retention
+        v = _register_view(rho, step.register, k)
+        s = np.sqrt([1.0, a])
+        out = v * s[:, None, None, None, None] * s[:, None]
+        out[:, 0, :, :, 0] += (1.0 - a) * v[:, 1, :, :, 1]
+        return out.reshape(rho.shape)
     raise ValueError(f"unknown step kind {step!r}")
 
 
-def execute_plan(plan: TransportPlan, rho: np.ndarray,
-                 validate: bool = True) -> np.ndarray:
+def plan_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield rho, then the state after each step, every one validated as a
+    density matrix."""
     rho = check_density(rho)
     if rho.shape[0] != plan.dim:
         raise ValueError("plan and state dimensions differ")
-    out = rho
+    yield rho
     for step in plan.steps:
-        out = hermitize(apply_step(out, step, plan.k))
-        if validate:
-            out = check_density(out, eig_tol=1e-8)
+        rho = check_density(hermitize(apply_step(rho, step, plan.k)), eig_tol=1e-8)
+        yield rho
+
+
+def execute_plan(plan: TransportPlan, rho: np.ndarray) -> np.ndarray:
+    for out in plan_states(plan, rho):
+        pass
     return out
-
-
-def count_report(plan: TransportPlan) -> dict:
-    return plan.counts

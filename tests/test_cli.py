@@ -5,8 +5,9 @@ import pytest
 
 from lindreach import serialize as ser
 from lindreach.cli import main
+from lindreach.linalg import hermitize
 from lindreach.lindblad import JumpTerm, Lindbladian
-from lindreach.tangent import PathSample
+from lindreach.tangent import PathSample, central_differences, lift
 from lindreach.transport import plan_diagonal_transport
 
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -62,7 +63,7 @@ def test_certify_and_lift(files, capsys):
 
 def test_lift_path_csv(files, capsys, tmp_path):
     ts = np.linspace(0, 1, 8)
-    states = [np.diag([0.5 + 0.1 * t, 0.5 - 0.1 * t]) for t in ts]
+    states = [np.diag([0.5 + 0.1 * t, 0.5 - 0.1 * t]).astype(complex) for t in ts]
     path_file = write(tmp_path, "path.json",
                       ser.path_sample_to_json(PathSample(ts, states)))
     csv = str(tmp_path / "path.csv")
@@ -72,6 +73,15 @@ def test_lift_path_csv(files, capsys, tmp_path):
     lines = (tmp_path / "path.csv").read_text().strip().splitlines()
     assert lines[0] == "t,lambda_min,residual"
     assert len(lines) == 9
+    # lift_path differentiates the samples and lifts each traceless derivative
+    expect = []
+    for s, x in zip(states, central_differences(PathSample(ts, states))):
+        x = hermitize(x)
+        x = x - (np.trace(x).real / 2) * np.eye(2)
+        expect.append(lift(s, x, tol=1e-8).residual)
+    column = [float(line.split(",")[2]) for line in lines[1:]]
+    assert any(expect)
+    assert np.allclose(column, expect, rtol=1e-9, atol=0)
 
 
 def test_reach_and_csv(files, capsys, tmp_path):
@@ -109,6 +119,27 @@ def test_plan_roundtrip(files, capsys, tmp_path):
     assert code == 0
     M = ser.matrix_from_json(json.loads(out))
     assert np.allclose(np.diag(M).real, [0.4, 0.3, 0.2, 0.1], atol=1e-8)
+    csv = tmp_path / "plan.csv"
+    code, out_csv, _ = run(capsys, ["run-plan", "--plan", plan_file,
+                                    "--rho", rho4, "--csv", str(csv)])
+    assert code == 0 and out_csv == out
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "step,p0,p1,p2,p3"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert rows[0] == [0.0, 0.7, 0.1, 0.1, 0.1]
+    assert np.allclose(rows[-1][1:], np.diag(M).real, rtol=0, atol=1e-15)
+
+
+def test_run_plan_csv_invalid_step_writes_nothing(files, capsys, tmp_path):
+    plan = write(tmp_path, "bad_plan.json",
+                 {"k": 1, "steps": [{"kind": "unitary",
+                                     "U": ser.matrix_to_json(2 * np.eye(2))}]})
+    csv = tmp_path / "plan.csv"
+    code, _, err = run(capsys, ["run-plan", "--plan", plan,
+                                "--rho", files["rho"], "--csv", str(csv)])
+    assert code == 2
+    assert "trace" in json.loads(err)["message"]
+    assert not csv.exists()
 
 
 def test_plan_rejects_unnormalized(files, capsys):
@@ -178,3 +209,44 @@ def test_csv_17_significant_digits(files, capsys, tmp_path):
     row = (tmp_path / "traj.csv").read_text().splitlines()[2]
     val = row.split(",")[1]
     assert len(val.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+NAN_RATE = {"dim": 2, "jumps": [{"a": ser.matrix_to_json(LOWER), "rate": float("nan")}]}
+INF_RATE = {"dim": 2, "jumps": [{"a": ser.matrix_to_json(LOWER), "rate": float("inf")}]}
+
+
+def one_step_plan(step):
+    return {"k": 1, "steps": [step]}
+
+
+@pytest.mark.parametrize("flag, bad, reason", [
+    ("--rho", {"dim": 2, "entries": None}, "entries"),
+    ("--rho", {"dim": 2, "entries": 7}, "entries"),
+    ("--rho", {"dim": 2, "entries": [["a", "b"]] * 4}, "entries"),
+    ("--rho", {"dim": 2, "entries": [[1, None]] * 4}, "entries"),
+    ("--rho", {"dim": 2, "entries": [[1, 0], [0], [0, 0], [0, 0]]}, "entries"),
+    ("--lindblad", NAN_RATE, "rate"),
+    ("--lindblad", INF_RATE, "rate"),
+    ("--plan", one_step_plan({"kind": "dephase", "registers": [0]}),
+     "unknown plan step kind"),
+    ("--plan", one_step_plan({"kind": "amplitude_damp", "register": 1,
+                              "retention": 0.5}), "register"),
+    ("--plan", one_step_plan({"kind": "transposition", "i": 0, "j": 2}),
+     "transposition"),
+    ("--plan", one_step_plan({"kind": "transposition", "i": -1, "j": 0}),
+     "transposition"),
+], ids=["entries-null", "entries-not-list", "entries-strings",
+        "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
+        "step-dephase", "register-out-of-range", "index-out-of-range",
+        "index-negative"])
+def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
+    plan = write(tmp_path, "plan.json", {"k": 1, "steps": []})
+    argv = (["run-plan", "--plan", plan, "--rho", files["rho"]]
+            if flag == "--plan" else
+            ["simulate", "--lindblad", files["L"], "--rho", files["rho"],
+             "--t", "1"])
+    argv[argv.index(flag) + 1] = write(tmp_path, "bad.json", bad)
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    msg = json.loads(err)
+    assert msg["code"] == "validation_error" and reason in msg["message"]

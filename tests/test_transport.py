@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from lindreach.linalg import check_density, trace_distance
+from lindreach.linalg import check_density, dag, trace_distance
+from lindreach.lindblad import JumpTerm, Lindbladian, propagate
 from lindreach.transport import (
     AmplitudeDamp,
     TransportPlan,
     Transposition,
     apply_step,
+    apply_step_diag,
     base_case_4,
-    count_report,
     execute_plan,
     full_state_transport,
     plan_diagonal_transport,
@@ -145,7 +146,7 @@ def test_intermediate_states_valid(rng):
 
 def test_adjacent_transposition_count():
     plan = TransportPlan(3, steps=[Transposition(0, 5), Transposition(2, 3)])
-    c = count_report(plan)
+    c = plan.counts
     assert c["transpositions"] == 2
     assert c["adjacent_transpositions"] == (2 * 5 - 1) + (2 * 1 - 1)
 
@@ -155,3 +156,60 @@ def test_retention_bounds():
         AmplitudeDamp(0, 1.5)
     with pytest.raises(ValueError):
         Transposition(2, 2)
+
+
+def damp_jump(register, k):
+    """|0><1| on one register; register 0 is the most significant bit."""
+    ops = [np.eye(2)] * k
+    ops[register] = np.array([[0, 1], [0, 0]])
+    out = np.ones((1, 1))
+    for op in ops:
+        out = np.kron(out, op)
+    return out.astype(complex)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_damp_matches_lindblad_propagation(rng, k):
+    for register in range(k):
+        a = damp_jump(register, k)
+        L = Lindbladian(2 ** k, jumps=[JumpTerm(a, 1.0)])
+        for alpha in (0.3, 0.9, 1.0):
+            rho = random_density(rng, 2 ** k)
+            ref = propagate(L, rho, -0.5 * math.log(alpha))
+            out = apply_step(rho, AmplitudeDamp(register, alpha), k)
+            assert np.max(np.abs(out - ref)) <= 1e-12
+        rho = random_density(rng, 2 ** k)
+        p0 = np.eye(2 ** k) - dag(a) @ a
+        ref = p0 @ rho @ p0 + a @ rho @ dag(a)
+        out = apply_step(rho, AmplitudeDamp(register, 0.0), k)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_transposition_matches_permutation_unitary(rng, k):
+    d = 2 ** k
+    rho = random_density(rng, d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            U = np.eye(d)
+            U[[i, j]] = U[[j, i]]
+            out = apply_step(rho, Transposition(i, j), k)
+            assert np.array_equal(out, U @ rho @ dag(U))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_step_diagonal_matches_full_step(rng, k):
+    lam = rng.dirichlet(np.ones(2 ** k))
+    plan = plan_diagonal_transport(lam, rng.dirichlet(np.ones(2 ** k)), k)
+    p = lam
+    for step in plan.steps:
+        full = np.diag(apply_step(diag_density(p), step, k)).real
+        p = apply_step_diag(p, step, k)
+        assert np.max(np.abs(full - p)) <= 1e-15
+
+
+def test_random_plan_k5_reaches_target(rng):
+    mu = rng.dirichlet(np.ones(32))
+    plan = plan_diagonal_transport(rng.dirichlet(np.ones(32)), mu, 5)
+    out = execute_plan(plan, random_density(rng, 32))
+    assert trace_distance(out, diag_density(mu)) <= 1e-8
