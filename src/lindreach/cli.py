@@ -12,9 +12,9 @@ import numpy as np
 from . import serialize as ser
 from .hormander import lie_closure
 from .linalg import check_density, trace_distance
-from .lindblad import Lindbladian, gamma_form, propagate
-from .reach import ResourceSetK, porcupine_check, reach_drive
-from .tangent import PathSample, in_tangent_cone, lift, lift_path
+from .lindblad import gamma_form, propagate
+from .reach import porcupine_check, reach_drive
+from .tangent import in_tangent_cone, lift, lift_path
 from .transport import execute_plan, plan_diagonal_transport, plan_states
 from .dilation import dilation_error_vs_exact
 from .serialize import SchemaError
@@ -50,11 +50,16 @@ def _load_matrix(path: str) -> np.ndarray:
 
 def _parse_probvec(text: str, normalize: bool) -> np.ndarray:
     v = np.array([float(x) for x in text.split(",")])
+    total = v.sum()
     if normalize:
-        return v / v.sum()
-    if abs(v.sum() - 1.0) > 1e-9:
+        if not (np.isfinite(total) and total > 0):
+            raise ValidationError("not_a_distribution",
+                                  f"entries sum to {total}, not a positive number",
+                                  {"vector": text})
+        return v / total
+    if not abs(total - 1.0) <= 1e-9:
         raise ValidationError("not_a_distribution",
-                              f"entries sum to {v.sum()}, not 1",
+                              f"entries sum to {total}, not 1",
                               {"vector": text})
     return v
 

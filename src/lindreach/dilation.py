@@ -11,7 +11,6 @@ import numpy as np
 
 from .linalg import (
     apply_superop,
-    check_density,
     choi,
     dag,
     hermitize,

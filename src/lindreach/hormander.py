@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dag, hermitize, is_hermitian, vectorize
+from .linalg import dag, hermitize, vectorize
 
 SPAN_DROP_TOL = 1e-9
 

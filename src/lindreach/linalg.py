@@ -111,8 +111,9 @@ def pinv_psd(A: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
 
 
 def vectorize(M: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(M, dtype=complex).reshape(-1, order="F")
+    """Column-stacking vectorization; a stack of matrices gives one row each."""
+    M = np.asarray(M, dtype=complex)
+    return M.swapaxes(-1, -2).reshape(*M.shape[:-2], M.shape[-2] * M.shape[-1])
 
 
 def devectorize(v: np.ndarray, d: int) -> np.ndarray:
@@ -141,16 +142,9 @@ def kron_superop(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def choi(S: np.ndarray) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) S(E_ij)."""
+    """Choi matrix sum_ij E_ij (x) S(E_ij); the reshuffle is its own inverse."""
     d = int(round(np.sqrt(S.shape[0])))
-    J = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            out = apply_superop(S, E)
-            J[i * d:(i + 1) * d, j * d:(j + 1) * d] = out
-    return J
+    return S.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def is_cp(S: np.ndarray, tol: float = 1e-9) -> bool:
@@ -159,14 +153,10 @@ def is_cp(S: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def is_tp(S: np.ndarray, tol: float = 1e-9) -> bool:
+    """Trace preservation: vec(I)^* S = vec(I)^*."""
     d = int(round(np.sqrt(S.shape[0])))
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            if abs(np.trace(apply_superop(S, E)) - (1.0 if i == j else 0.0)) > tol:
-                return False
-    return True
+    v = vectorize(np.eye(d))
+    return bool(np.max(np.abs(v @ S - v)) <= tol)
 
 
 def schur_psd_check(A: np.ndarray, B: np.ndarray, C: np.ndarray,

@@ -13,11 +13,11 @@ from .linalg import (
     apply_superop,
     check_density,
     check_unitary,
+    choi,
     dag,
     devectorize,
     hermitize,
     is_hermitian,
-    kron_superop,
     mat_exp,
     vectorize,
 )
@@ -69,13 +69,31 @@ class Lindbladian:
                 raise ValueError("jump operator dimension mismatch")
 
 
+def _gksl(H: np.ndarray, ops: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+    """Superoperator of
+    rho -> -i[H, rho] + sum_jk g_jk (2 a_j rho a_k^* - a_k^*a_j rho - rho a_k^*a_j).
+
+    With G = sum_jk g_jk a_k^*a_j this is rho -> K rho + rho M + 2 sum_jk
+    g_jk a_j rho a_k^* for K = -iH - G and M = iH - G (M = K^* when g is
+    Hermitian). As choi(rho -> a rho b^*) = vec(a) vec(b)^* and choi is its
+    own inverse, it is the choi of vec(K) vec(I)^* + vec(I) vec(M^*)^*
+    + 2 V g V^*, where V has the columns vec(a_j).
+    """
+    H = np.asarray(H, dtype=complex)
+    d = H.shape[0]
+    A = np.asarray(ops, dtype=complex).reshape(-1, d, d)
+    # G = [a_1^* ... a_m^*] @ [b_1; ...; b_m] with b_k = sum_j g_jk a_j
+    G = dag(A.reshape(-1, d)) @ (g.T @ A.reshape(len(A), d * d)).reshape(-1, d)
+    V = vectorize(A).T
+    one = vectorize(np.eye(d))
+    return choi(np.outer(vectorize(-1j * H - G), one)
+                + np.outer(one, vectorize(dag(1j * H - G)).conj())
+                + 2 * V @ g @ dag(V))
+
+
 def dissipator(a: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> 2 a rho a^* - a^*a rho - rho a^*a."""
-    a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    aa = dag(a) @ a
-    I = np.eye(d)
-    return 2 * kron_superop(a, dag(a)) - kron_superop(aa, I) - kron_superop(I, aa)
+    return _gksl(np.zeros_like(a), [a], np.eye(1))
 
 
 def bilinear_dissipator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,34 +103,17 @@ def bilinear_dissipator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of operators is a valid GKSL dissipative part, and the sum rule
     L_{a+b} = L_{a,a} + L_{b,b} + L_{a,b} + L_{b,a} holds.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    d = a.shape[0]
-    ba = dag(b) @ a
-    I = np.eye(d)
-    return 2 * kron_superop(a, dag(b)) - kron_superop(ba, I) - kron_superop(I, ba)
-
-
-def hamiltonian_superop(H: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> -i[H, rho]."""
-    H = np.asarray(H, dtype=complex)
-    I = np.eye(H.shape[0])
-    return -1j * (kron_superop(H, I) - kron_superop(I, H))
+    return _gksl(np.zeros_like(a), [a, b], np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def build(L: Lindbladian) -> np.ndarray:
-    S = hamiltonian_superop(L.hamiltonian)
-    for j in L.jumps:
-        if j.rate != 0:
-            S = S + j.rate * dissipator(j.a)
+    """GKSL superoperator with Kossakowski matrix diag(rates) (+) bilinear."""
+    ops = [j.a for j in L.jumps]
+    g = np.diag([j.rate for j in L.jumps])
     if L.bilinear is not None:
-        g = L.bilinear.kossakowski
-        ops = L.bilinear.ops
-        for j in range(len(ops)):
-            for k in range(len(ops)):
-                if g[j, k] != 0:
-                    S = S + g[j, k] * bilinear_dissipator(ops[j], ops[k])
-    return S
+        ops += L.bilinear.ops
+        g = sla.block_diag(g, L.bilinear.kossakowski)
+    return _gksl(L.hamiltonian, ops, g)
 
 
 def apply(L: Lindbladian, rho: np.ndarray) -> np.ndarray:
@@ -304,4 +305,4 @@ def gamma_span_criterion(a: np.ndarray, basis: list[np.ndarray],
 
 
 def channel_superop(L: Lindbladian, t: float) -> np.ndarray:
-    return sla.expm(t * build(L))
+    return mat_exp(t * build(L))

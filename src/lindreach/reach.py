@@ -5,13 +5,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_density, dag, hermitize, schatten_norm, trace_distance
-from .lindblad import Lindbladian, apply, build, dissipator, propagate
+from .linalg import check_density, dag, hermitize, schatten_norm
+from .lindblad import Lindbladian, apply, propagate
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
@@ -86,19 +85,6 @@ def _alignment_vector(K: ResourceSetK, eta, sigma, p) -> np.ndarray:
     return np.array([alignment(L, eta, sigma, p) for L in K.generators])
 
 
-def _combine(K: ResourceSetK, weights: np.ndarray) -> Lindbladian:
-    jumps = []
-    H = np.zeros((K.dim, K.dim), dtype=complex)
-    for w, L in zip(weights, K.generators):
-        if w <= 0:
-            continue
-        H = H + w * L.hamiltonian
-        jumps.extend(type(j)(j.a, w * j.rate) for j in L.jumps)
-        if L.bilinear is not None:
-            raise ValueError("cone combination of bilinear terms unsupported")
-    return Lindbladian(K.dim, hamiltonian=hermitize(H), jumps=jumps)
-
-
 def _best_choice(K: ResourceSetK, eta, sigma, p):
     """Generator (or budget-scaled cone vertex) with minimal alignment.
 
@@ -108,13 +94,8 @@ def _best_choice(K: ResourceSetK, eta, sigma, p):
     vals = _alignment_vector(K, eta, sigma, p)
     idx = int(np.argmin(vals))
     weights = np.zeros(len(K.generators))
-    if K.cone_combinations:
-        weights[idx] = K.max_total_rate
-        val = K.max_total_rate * vals[idx]
-    else:
-        weights[idx] = 1.0
-        val = vals[idx]
-    return weights, val
+    weights[idx] = K.max_total_rate if K.cone_combinations else 1.0
+    return idx, weights, weights[idx] * vals[idx]
 
 
 def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
@@ -143,15 +124,14 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         if t >= t_max:
             exceeded = True
             break
-        weights, val = _best_choice(K, eta, sigma, p)
+        idx, weights, val = _best_choice(K, eta, sigma, p)
         # normalize by the p-norm gradient scale so stalls are detected
         # uniformly in p and in the distance to the target
         scale = max(schatten_norm(eta - sigma, p) ** (p - 1), 1e-300)
         if val / scale >= -stall_tol:
             stall = (eta, float(val))
             break
-        L = _combine(K, weights)
-        eta = propagate(L, eta, dt)
+        eta = propagate(K.generators[idx], eta, weights[idx] * dt)
         t += dt
         times.append(t)
         states.append(eta)

@@ -5,17 +5,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
+    apply_superop,
     check_density,
-    choi,
     dag,
     hermitize,
-    kron_superop,
     trace_distance,
+    vectorize,
 )
 from .lindblad import JumpTerm, Lindbladian, apply, channel_superop, replacer_lindbladian
 
@@ -163,14 +163,13 @@ def second_order_witness(rho: np.ndarray, x: np.ndarray,
 
 
 def _dissipative_choi_margin(L: Lindbladian) -> float:
-    """lambda_min of the Choi matrix of the CP jump part sum 2 r_j a_j . a_j^*."""
-    d = L.dim
-    S = np.zeros((d * d, d * d), dtype=complex)
-    for j in L.jumps:
-        S = S + 2 * j.rate * kron_superop(j.a, dag(j.a))
+    """lambda_min of the Choi matrix 2 V diag(r) V^* of the CP jump part
+    sum 2 r_j a_j . a_j^*, where V has the columns vec(a_j)."""
     if not L.jumps:
         return 0.0
-    return float(np.linalg.eigvalsh(hermitize(choi(S))).min())
+    V = vectorize([j.a for j in L.jumps]).T
+    r = np.array([j.rate for j in L.jumps])
+    return float(np.linalg.eigvalsh(2 * (V * r) @ dag(V)).min())
 
 
 def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
@@ -302,7 +301,7 @@ def lift_path(path: PathSample, path_tol: float = PATH_TOL,
     for i in range(len(t) - 1):
         dt = t[i + 1] - t[i]
         S = channel_superop(gens[i], dt)
-        eta = hermitize((S @ eta.reshape(-1, order="F")).reshape(eta.shape, order="F"))
+        eta = hermitize(apply_superop(S, eta))
     err = trace_distance(eta, path.states[-1])
     return {"generators": gens, "integrability": integ, "lambda_min": lam,
             "residual": np.asarray(residual), "reconstruction_error": float(err)}

@@ -239,7 +239,8 @@ def plan_diagonal_transport(lam: np.ndarray, mu: np.ndarray,
     mu = np.asarray(mu, dtype=float)
     n = 2 ** k
     for v in (lam, mu):
-        if len(v) != n or np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-9:
+        if (len(v) != n or not np.all(np.isfinite(v)) or np.any(v < -1e-12)
+                or abs(v.sum() - 1.0) > 1e-9):
             raise ValueError("lam and mu must be probability vectors of length 2^k")
     plan = prepare_pure_plan(k)
     pure = np.zeros(n)

@@ -235,18 +235,28 @@ def one_step_plan(step):
      "transposition"),
     ("--plan", one_step_plan({"kind": "transposition", "i": -1, "j": 0}),
      "transposition"),
+    ("plan", ["--lambda", "0.5,0.5", "--mu", "nan,nan"], "sum"),
+    ("plan", ["--lambda", "nan,nan", "--mu", "0.5,0.5"], "sum"),
+    ("plan", ["--lambda", "0.5,0.5", "--mu", "0,0", "--normalize"], "sum"),
+    ("plan", ["--lambda", "1,-1", "--mu", "1,1", "--normalize"], "sum"),
+    ("plan", ["--lambda", "1,nan", "--mu", "1,1", "--normalize"], "sum"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
         "step-dephase", "register-out-of-range", "index-out-of-range",
-        "index-negative"])
+        "index-negative", "mu-nan", "lambda-nan", "normalize-zero-sum",
+        "normalize-cancelling-sum", "normalize-nan"])
 def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
-    plan = write(tmp_path, "plan.json", {"k": 1, "steps": []})
-    argv = (["run-plan", "--plan", plan, "--rho", files["rho"]]
-            if flag == "--plan" else
-            ["simulate", "--lindblad", files["L"], "--rho", files["rho"],
-             "--t", "1"])
-    argv[argv.index(flag) + 1] = write(tmp_path, "bad.json", bad)
+    if flag == "plan":
+        argv = ["plan", "--k", "1"] + bad
+    else:
+        plan = write(tmp_path, "plan.json", {"k": 1, "steps": []})
+        argv = (["run-plan", "--plan", plan, "--rho", files["rho"]]
+                if flag == "--plan" else
+                ["simulate", "--lindblad", files["L"], "--rho", files["rho"],
+                 "--t", "1"])
+        argv[argv.index(flag) + 1] = write(tmp_path, "bad.json", bad)
     code, _, err = run(capsys, argv)
     assert code == 2
     msg = json.loads(err)
-    assert msg["code"] == "validation_error" and reason in msg["message"]
+    code_name = "not_a_distribution" if flag == "plan" else "validation_error"
+    assert msg["code"] == code_name and reason in msg["message"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
     apply_superop,
@@ -121,6 +122,39 @@ def test_choi_identity_and_transpose():
     T = superop_from_action(lambda A: A.T, 2)
     assert not is_cp(T)
     assert np.isclose(np.linalg.eigvalsh(hermitize(choi(T))).min(), -1.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_choi_reshuffle_properties(d, seed):
+    rng = np.random.default_rng(seed)
+    S = random_complex(rng, d * d)
+    assert np.array_equal(choi(choi(S)), S)
+    ref = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            E = np.zeros((d, d))
+            E[i, j] = 1.0
+            ref += np.kron(E, apply_superop(S, E))
+    assert np.max(np.abs(choi(S) - ref)) <= 1e-14 * np.max(np.abs(S))
+    # X -> a X b^* has Choi matrix vec(a) vec(b)^*
+    a, b = random_complex(rng, d), random_complex(rng, d)
+    J = choi(kron_superop(a, dag(b)))
+    assert np.max(np.abs(J - np.outer(vectorize(a), vectorize(b).conj()))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), n_kraus=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_is_tp_random_kraus_channel(d, n_kraus, seed):
+    rng = np.random.default_rng(seed)
+    # an isometry W (n_kraus d x d) splits into Kraus operators with sum K^*K = I
+    W, _ = np.linalg.qr(rng.standard_normal((n_kraus * d, d))
+                        + 1j * rng.standard_normal((n_kraus * d, d)))
+    S = sum(kron_superop(K, dag(K)) for K in W.reshape(n_kraus, d, d))
+    assert is_tp(S)
+    assert not is_tp(S + 1e-6 * random_complex(rng, d * d))
+    assert not is_tp(random_complex(rng, d * d))
 
 
 def test_replacer_channel_cptp(rng):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
     apply_superop,
+    dag,
     hermitize,
     is_cp,
     is_tp,
@@ -85,6 +87,39 @@ def test_bilinear_identity_pairing(rng):
     assert np.max(np.abs(single - single.conj().T)) > 1e-8
     paired = apply_superop(bilinear_dissipator(a, I) + bilinear_dissipator(I, a), rho)
     assert np.max(np.abs(paired - paired.conj().T)) <= 1e-10
+
+
+def pair_dissipator(a, b, rho):
+    return 2 * a @ rho @ dag(b) - dag(b) @ a @ rho - rho @ dag(b) @ a
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), n_jumps=st.integers(0, 3), n_ops=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_build_matches_operator_form(d, n_jumps, n_ops, seed):
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, d)
+    jumps = [JumpTerm(random_complex(rng, d), rng.random()) for _ in range(n_jumps)]
+    B = random_complex(rng, n_ops)
+    g = B @ dag(B)  # PSD with nonzero off-diagonal entries
+    ops = [random_complex(rng, d) for _ in range(n_ops)]
+    L = Lindbladian(d, hamiltonian=H, jumps=jumps, bilinear=BilinearTerm(ops, g))
+
+    def action(rho):
+        out = -1j * (H @ rho - rho @ H)
+        for j in jumps:
+            out = out + j.rate * pair_dissipator(j.a, j.a, rho)
+        for k, a in enumerate(ops):
+            for m, b in enumerate(ops):
+                out = out + g[k, m] * pair_dissipator(a, b, rho)
+        return out
+
+    ref = superop_from_action(action, d)
+    assert np.max(np.abs(build(L) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # one off-diagonal term alone is not Hermiticity preserving
+    a, b = ops[0], random_complex(rng, d)
+    ref = superop_from_action(lambda rho: pair_dissipator(a, b, rho), d)
+    assert np.max(np.abs(bilinear_dissipator(a, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_kossakowski_psd_required():

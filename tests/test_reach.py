@@ -5,6 +5,7 @@ import pytest
 
 from lindreach.linalg import schatten_norm, trace_distance
 from lindreach.lindblad import (
+    BilinearTerm,
     JumpTerm,
     Lindbladian,
     apply,
@@ -78,6 +79,28 @@ def test_reach_trivial_target(rng):
     K = ResourceSetK([replacer_lindbladian(sigma)])
     rep = reach_drive(K, sigma, sigma, target_tol=1e-6)
     assert rep.reached and len(rep.generator_schedule) == 0
+
+
+@pytest.mark.parametrize("cone", [False, True])
+def test_reach_bilinear_generator_matches_jump(cone):
+    a = np.array([[0, 1], [0, 0]], dtype=complex)
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+
+    def run(L):
+        K = ResourceSetK([L], cone_combinations=cone, max_total_rate=2.0)
+        return reach_drive(K, rho0, sigma, dt=0.05, t_max=1.0)
+
+    jump = run(Lindbladian(2, jumps=[JumpTerm(a, 1.0)]))
+    bil = run(Lindbladian(2, bilinear=BilinearTerm([a], [[1.0]])))
+    assert np.array_equal(bil.trajectory.times, jump.trajectory.times)
+    assert len(jump.trajectory.states) > 2
+    for x, y in zip(bil.trajectory.states, jump.trajectory.states):
+        assert np.max(np.abs(x - y)) <= 1e-12
+    # the cone budget scales the rate: populations decay like exp(-2 w t)
+    w = 2.0 if cone else 1.0
+    t = jump.trajectory.times[-1]
+    assert abs(jump.final_state[1, 1].real - np.exp(-2 * w * t)) <= 1e-10
 
 
 def test_example_noise_reach():

@@ -101,6 +101,14 @@ def test_plan_identity_route(rng):
     assert plan.counts["infinite_damps"] >= 1  # routes through the pure state
 
 
+@pytest.mark.parametrize("lam", [[np.nan, np.nan], [np.nan, 1.0]])
+def test_plan_rejects_non_finite_distribution(lam):
+    with pytest.raises(ValueError, match="probability vectors"):
+        plan_diagonal_transport(np.array(lam), np.array([0.5, 0.5]), 1)
+    with pytest.raises(ValueError, match="probability vectors"):
+        plan_diagonal_transport(np.array([0.5, 0.5]), np.array(lam), 1)
+
+
 def test_full_state_transport(rng):
     for d in (2, 4, 8):
         rho = random_density(rng, d)
