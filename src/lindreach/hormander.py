@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dag, hermitize, vectorize
+from .linalg import dag, vectorize
 
 SPAN_DROP_TOL = 1e-9
 
@@ -32,62 +32,53 @@ class LieClosureReport:
     is_hormander: bool
 
 
-def _traceless_antiherm_parts(e: np.ndarray) -> list[np.ndarray]:
-    """Generators contributed by one resource element.
+def _extend(basis: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Extend the (k, d, d) basis, orthonormal under Re tr(A^*B), by the span
+    of the (m, d, d) stack new.
 
-    Hermitian content enters as iH; anti-Hermitian content as-is; identity
-    components are projected out.
+    As real rows of (re, im) pairs the inner product is the dot product: the
+    basis is projected out of the new rows twice (for stability), and the
+    right singular vectors of what is left above SPAN_DROP_TOL are appended.
     """
-    d = e.shape[0]
-    out = []
-    for g in (1j * hermitize(e), (e - dag(e)) / 2):
-        g = g - (np.trace(g) / d) * np.eye(d)
-        if np.linalg.norm(g) > SPAN_DROP_TOL:
-            out.append(g)
-    return out
-
-
-def _orthonormalize(vectors: list[np.ndarray], basis: list[np.ndarray],
-                    d: int) -> int:
-    """Real Gram-Schmidt under Re tr(A^*B); extends basis in place."""
-    added = 0
-    for v in vectors:
-        w = v.copy()
-        for _ in range(2):  # reorthogonalize once for stability
-            for b in basis:
-                w = w - np.real(np.trace(dag(b) @ w)) * b
-        nrm = float(np.sqrt(np.real(np.trace(dag(w) @ w))))
-        if nrm > SPAN_DROP_TOL:
-            basis.append(w / nrm)
-            added += 1
-    return added
+    k, d, _ = basis.shape
+    B = basis.reshape(k, d * d).view(float)
+    W = new.reshape(len(new), d * d).view(float)
+    W = W - (W @ B.T) @ B
+    W = W - (W @ B.T) @ B
+    _, s, Vh = np.linalg.svd(W, full_matrices=False)
+    added = Vh[s > SPAN_DROP_TOL].view(complex).reshape(-1, d, d)
+    return np.concatenate([basis, added])
 
 
 def lie_closure(S: ResourceSet, max_depth: int = 20) -> LieClosureReport:
     """Iterated-commutator closure of the traceless anti-Hermitian parts of S.
 
-    Stops at saturation (three rounds without dimension growth) or max_depth;
-    is_hormander iff the closure spans su(d).
+    Hermitian content of an element enters as iH, anti-Hermitian content as
+    it is, and identity components are projected out. Stops at saturation
+    (three rounds without dimension growth) or max_depth; is_hormander iff
+    the closure spans su(d).
     """
     if not S.elements:
         raise ValueError("resource set is empty")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     d = S.dim
-    generators: list[np.ndarray] = []
-    for e in S.elements:
-        generators.extend(_traceless_antiherm_parts(e))
-    basis: list[np.ndarray] = []
-    _orthonormalize(generators, basis, d)
+    E = np.asarray(S.elements)
+    Es = E.conj().swapaxes(1, 2)
+    gens = np.concatenate([0.5j * (E + Es), 0.5 * (E - Es)])
+    gens -= np.trace(gens, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+    gens = gens[np.linalg.norm(gens, axis=(1, 2)) > SPAN_DROP_TOL]
+    basis = _extend(np.zeros((0, d, d), dtype=complex), gens)
     target = d * d - 1
     depth = 1
     stagnant = 0
     while depth < max_depth and len(basis) < target and stagnant < 3:
-        new = [b @ g - g @ b for b in list(basis) for g in generators]
-        added = _orthonormalize(new, basis, d)
+        b, g = basis[:, None], gens[None]
+        k = len(basis)
+        basis = _extend(basis, (b @ g - g @ b).reshape(-1, d, d))
         depth += 1
-        stagnant = 0 if added else stagnant + 1
-    return LieClosureReport(basis=basis, dim_found=len(basis),
+        stagnant = 0 if len(basis) > k else stagnant + 1
+    return LieClosureReport(basis=list(basis), dim_found=len(basis),
                             depth_used=depth,
                             is_hormander=len(basis) == target)
 

@@ -121,7 +121,11 @@ def devectorize(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def superop_from_action(f, d: int) -> np.ndarray:
-    """Matrix of an operator map, built by applying f to all matrix units."""
+    """Matrix of an operator map, built by applying f to all matrix units.
+
+    The loop reference that tests check closed-form superoperators against;
+    no library code calls it.
+    """
     S = np.zeros((d * d, d * d), dtype=complex)
     for j in range(d):
         for i in range(d):

@@ -43,9 +43,14 @@ class BilinearTerm:
 
     def __post_init__(self):
         self.ops = [np.asarray(a, dtype=complex) for a in self.ops]
-        self.kossakowski = np.asarray(self.kossakowski, dtype=complex)
-        g = hermitize(self.kossakowski)
-        if np.linalg.eigvalsh(g).min() < -EIG_TOL:
+        g = self.kossakowski = np.asarray(self.kossakowski, dtype=complex)
+        m = len(self.ops)
+        if g.shape != (m, m):
+            raise ValueError(f"Kossakowski matrix shape {g.shape} does not "
+                             f"match {m} bilinear ops")
+        if np.any(np.abs(g - dag(g)) > 1e-10 * max(1, m)):
+            raise ValueError("Kossakowski matrix must be Hermitian")
+        if np.any(np.linalg.eigvalsh(g) < -EIG_TOL):
             raise ValueError("Kossakowski matrix must be PSD")
 
 
@@ -67,6 +72,10 @@ class Lindbladian:
         for j in self.jumps:
             if j.a.shape != (self.dim, self.dim):
                 raise ValueError("jump operator dimension mismatch")
+        if self.bilinear is not None:
+            for a in self.bilinear.ops:
+                if a.shape != (self.dim, self.dim):
+                    raise ValueError("bilinear.ops operator dimension mismatch")
 
 
 def _gksl(H: np.ndarray, ops: list[np.ndarray], g: np.ndarray) -> np.ndarray:

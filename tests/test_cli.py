@@ -215,6 +215,12 @@ NAN_RATE = {"dim": 2, "jumps": [{"a": ser.matrix_to_json(LOWER), "rate": float("
 INF_RATE = {"dim": 2, "jumps": [{"a": ser.matrix_to_json(LOWER), "rate": float("inf")}]}
 
 
+def bilinear_generator(ops, g):
+    return {"dim": 2, "bilinear": {
+        "ops": [ser.matrix_to_json(a) for a in ops],
+        "kossakowski": ser.matrix_to_json(np.asarray(g, dtype=float))}}
+
+
 def one_step_plan(step):
     return {"k": 1, "steps": [step]}
 
@@ -227,6 +233,10 @@ def one_step_plan(step):
     ("--rho", {"dim": 2, "entries": [[1, 0], [0], [0, 0], [0, 0]]}, "entries"),
     ("--lindblad", NAN_RATE, "rate"),
     ("--lindblad", INF_RATE, "rate"),
+    ("--lindblad", bilinear_generator([LOWER, LOWER.T], [[1, 2], [0, 1]]),
+     "Hermitian"),
+    ("--lindblad", bilinear_generator([LOWER], np.eye(2)), "Kossakowski"),
+    ("--lindblad", bilinear_generator([np.eye(3)], [[1]]), "bilinear.ops"),
     ("--plan", one_step_plan({"kind": "dephase", "registers": [0]}),
      "unknown plan step kind"),
     ("--plan", one_step_plan({"kind": "amplitude_damp", "register": 1,
@@ -242,6 +252,8 @@ def one_step_plan(step):
     ("plan", ["--lambda", "1,nan", "--mu", "1,1", "--normalize"], "sum"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
+        "kossakowski-not-hermitian", "kossakowski-wrong-size",
+        "bilinear-op-wrong-dim",
         "step-dephase", "register-out-of-range", "index-out-of-range",
         "index-negative", "mu-nan", "lambda-nan", "normalize-zero-sum",
         "normalize-cancelling-sum", "normalize-nan"])

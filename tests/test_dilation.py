@@ -10,10 +10,19 @@ from lindreach.dilation import (
     simulate_dissipator_via_dilation,
     unitary_mixture_step,
 )
-from lindreach.linalg import is_cp, is_tp, partial_trace, tensor
+from lindreach.linalg import (
+    apply_superop,
+    dag,
+    is_cp,
+    is_tp,
+    mat_exp,
+    partial_trace,
+    superop_from_action,
+    tensor,
+)
 from lindreach.lindblad import dissipator
 
-from conftest import random_complex, random_density
+from conftest import random_complex, random_density, random_hermitian
 
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -56,6 +65,35 @@ def test_unitary_mixture_cptp(rng):
     for t in (0.1, 1.0, 4.0):
         S = unitary_mixture_step(H, t)
         assert is_cp(S) and is_tp(S)
+
+
+def mixture_reference(H, t):
+    """Unitary mixture probed on matrix units, as the pipeline once built it."""
+    U = mat_exp(1j * np.sqrt(2 * t) * H)
+    return superop_from_action(
+        lambda rho: 0.5 * (U @ rho @ dag(U) + dag(U) @ rho @ U), H.shape[0])
+
+
+def test_unitary_mixture_matches_action_reference(rng):
+    for d in (2, 3, 4):
+        H = random_hermitian(rng, d)
+        for t in (0.0, 0.01, 0.3, 2.0):
+            ref = mixture_reference(H, t)
+            assert np.max(np.abs(unitary_mixture_step(H, t) - ref)) <= 1e-12
+
+
+def test_trotter_dilation_matches_prep_trace_reference(rng):
+    for d in (2, 3, 4):
+        a = random_complex(rng, d)
+        H = dilated_hamiltonian(a).H_AE
+        for t, n in ((0.4, 1), (1.0, 3), (0.7, 16)):
+            M = mixture_reference(H, t / n)
+            step = superop_from_action(
+                lambda rho: partial_trace(apply_superop(M, prep_channel(rho)),
+                                          [d, 2], [0]), d)
+            ref = np.linalg.matrix_power(step, n)
+            S = simulate_dissipator_via_dilation(a, t, n)
+            assert np.max(np.abs(S - ref)) <= 1e-12
 
 
 def test_mixture_error_slope():

@@ -9,6 +9,8 @@ from lindreach.hormander import (
 )
 from lindreach.linalg import dag, tensor
 
+from conftest import random_complex
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -57,6 +59,45 @@ def test_basis_orthonormal():
         for j, b in enumerate(rep.basis):
             ip = np.real(np.trace(dag(a) @ b))
             assert abs(ip - (1.0 if i == j else 0.0)) <= 1e-10
+
+
+def _closure_sets(rng, d, kind):
+    """Three resource sets of one kind, and the dim_found each must give."""
+    for i in range(3):
+        if kind == "generic":
+            yield [random_complex(rng, d) for _ in range(2)], d * d - 1
+        elif kind == "diagonal":
+            V = rng.standard_normal((3, d))
+            if i == 2:  # a dependent element, up to the identity
+                V[2] = V[0] - 2 * V[1] + 0.5
+            rank = np.linalg.matrix_rank(V - V.mean(axis=1, keepdims=True))
+            yield [np.diag(v) for v in V], rank
+        else:
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            yield [c[0] * np.eye(d), c[1] * np.eye(d)], 0
+
+
+@pytest.mark.parametrize("kind", ["generic", "diagonal", "identity"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_closure_basis_properties(rng, d, kind):
+    for els, dim in _closure_sets(rng, d, kind):
+        rep = lie_closure(ResourceSet(d, els))
+        assert rep.dim_found == dim == len(rep.basis)
+        assert rep.is_hormander == (dim == d * d - 1)
+        if dim == 0:  # nothing to close: three stagnant rounds after depth 1
+            assert rep.depth_used == 4
+            continue
+        B = np.array(rep.basis)
+        # orthonormal under Re tr(A^*B), anti-Hermitian and traceless
+        gram = np.real(np.einsum("kij,lij->kl", B.conj(), B))
+        assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
+        assert np.max(np.abs(B + B.conj().swapaxes(1, 2))) <= 1e-12
+        assert np.max(np.abs(np.trace(B, axis1=1, axis2=2))) <= 1e-12
+        # closed under commutators: [b_k, b_l] lies in the real span
+        C = (B[:, None] @ B[None] - B[None] @ B[:, None]).reshape(-1, d, d)
+        coef = np.real(np.einsum("kij,nij->nk", B.conj(), C))
+        resid = C - np.einsum("nk,kij->nij", coef, B)
+        assert np.max(np.linalg.norm(resid, axis=(1, 2))) <= 1e-8
 
 
 def test_haar_seeded_reproducible():

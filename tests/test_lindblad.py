@@ -127,6 +127,16 @@ def test_kossakowski_psd_required():
         BilinearTerm([LOWER, Z], np.diag([1.0, -1.0]))
 
 
+def test_bilinear_term_shapes_and_hermiticity_required():
+    with pytest.raises(ValueError, match="Hermitian"):
+        BilinearTerm([LOWER, Z], [[1.0, 2.0], [0.0, 1.0]])
+    for g in ([1.0], np.eye(3), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="Kossakowski matrix shape"):
+            BilinearTerm([LOWER, Z], g)
+    with pytest.raises(ValueError, match="bilinear.ops"):
+        Lindbladian(2, bilinear=BilinearTerm([np.eye(3)], [[1.0]]))
+
+
 def test_hamiltonian_phase_rotation():
     plus = np.full((2, 2), 0.5, dtype=complex)
     L = Lindbladian(2, hamiltonian=Z)
