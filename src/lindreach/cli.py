@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -180,7 +181,9 @@ def _cmd_gamma_check(args, out):
            "norm": float(np.linalg.norm(G))}, out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(prog="lindreach",
                                 description="Controllability analysis for "
                                 "Markovian open quantum systems")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dag, vectorize
+from .linalg import dag, hermitize, vectorize
 
 SPAN_DROP_TOL = 1e-9
 
@@ -64,8 +64,7 @@ def lie_closure(S: ResourceSet, max_depth: int = 20) -> LieClosureReport:
         raise ValueError("max_depth must be >= 1")
     d = S.dim
     E = np.asarray(S.elements)
-    Es = E.conj().swapaxes(1, 2)
-    gens = np.concatenate([0.5j * (E + Es), 0.5 * (E - Es)])
+    gens = np.concatenate([1j * hermitize(E), E - hermitize(E)])
     gens -= np.trace(gens, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
     gens = gens[np.linalg.norm(gens, axis=(1, 2)) > SPAN_DROP_TOL]
     basis = _extend(np.zeros((0, d, d), dtype=complex), gens)

@@ -12,8 +12,8 @@ EIG_TOL = 1e-10
 
 
 def dag(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return A.conj().T
+    """Conjugate transpose; a stack of matrices gives one per matrix."""
+    return A.conj().swapaxes(-1, -2)
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
@@ -117,7 +117,9 @@ def vectorize(M: np.ndarray) -> np.ndarray:
 
 
 def devectorize(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(d, d, order="F")
+    """Inverse of vectorize; a stack of rows gives one matrix each."""
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 def superop_from_action(f, d: int) -> np.ndarray:
@@ -184,11 +186,11 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.abs(w).sum())
 
 
-def schatten_norm(A: np.ndarray, p: float) -> float:
+def schatten_norm(A: np.ndarray, p: float) -> float | np.ndarray:
+    """Schatten p-norm; a stack of matrices gives an array of norms."""
     s = np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False)
-    if np.isinf(p):
-        return float(s.max()) if s.size else 0.0
-    return float((s ** p).sum() ** (1.0 / p))
+    n = s.max(-1, initial=0.0) if np.isinf(p) else (s ** p).sum(-1) ** (1.0 / p)
+    return float(n) if n.ndim == 0 else n
 
 
 def trace_norm(A: np.ndarray) -> float:

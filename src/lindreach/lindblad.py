@@ -282,22 +282,15 @@ def unital_fixed_point_check(L: Lindbladian, tol: float = 1e-11) -> bool:
     return bool(np.max(np.abs(apply(L, np.eye(d) / d))) <= tol)
 
 
-def heisenberg_superop(L: Lindbladian) -> np.ndarray:
-    """Adjoint generator with respect to the trace pairing <A,B> = tr(A^*B)."""
-    return dag(build(L))
-
-
 def gamma_form(L: Lindbladian, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient form Gamma(x, y) = L(x^*y) - L(x)^*y - x^*L(y) with L acting
-    in the Heisenberg picture."""
-    Sh = heisenberg_superop(L)
+    in the Heisenberg picture: dag(build(L)), the adjoint under the trace
+    pairing <A,B> = tr(A^*B)."""
+    Sh = dag(build(L))
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-
-    def act(M):
-        return apply_superop(Sh, M)
-
-    return act(dag(x) @ y) - dag(act(x)) @ y - dag(x) @ act(y)
+    return (apply_superop(Sh, dag(x) @ y) - dag(apply_superop(Sh, x)) @ y
+            - dag(x) @ apply_superop(Sh, y))
 
 
 def gamma_span_criterion(a: np.ndarray, basis: list[np.ndarray],

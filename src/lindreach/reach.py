@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_density, dag, hermitize, schatten_norm
-from .lindblad import Lindbladian, apply, propagate
+from .linalg import (check_density, dag, devectorize, hermitize,
+                     schatten_norm, vectorize)
+from .lindblad import JumpTerm, Lindbladian, apply, build, propagate
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
@@ -58,44 +59,40 @@ class PorcupineReport:
     obstruction_evidence: bool
 
 
-def _abs_power_weight(delta: np.ndarray, p: float) -> np.ndarray:
-    """(eta - sigma)|eta - sigma|^{p-2} via eigendecomposition.
-
-    Zero eigenvalues contribute 0, the continuity convention for p < 2.
-    """
-    w, V = np.linalg.eigh(hermitize(delta))
+def _trace_against_weight(Leta: np.ndarray, eta: np.ndarray,
+                          sigma: np.ndarray, p: float) -> np.ndarray:
+    """tr(L(eta) W), W = (eta - sigma)|eta - sigma|^{p-2}, for (..., d, d)
+    stacks of L(eta) and eta that broadcast; W is 0 on the kernel of
+    eta - sigma, the continuity convention for p < 2."""
+    if not (1.0 < p < math.inf):
+        raise ValueError("p must lie in (1, inf)")
+    delta = hermitize(np.asarray(eta, dtype=complex) - np.asarray(sigma, dtype=complex))
+    if np.any(np.max(np.abs(delta), axis=(-2, -1)) < EQ_TOL):
+        raise ValueError("eta equals sigma within tolerance")
+    w, V = np.linalg.eigh(delta)
     f = np.where(np.abs(w) > 0, np.sign(w) * np.abs(w) ** (p - 1), 0.0)
-    return (V * f) @ dag(V)
+    W = (V * f[..., None, :]) @ dag(V)
+    return np.einsum("...ij,...ji->...", Leta, W).real
 
 
 def alignment(L: Lindbladian, eta: np.ndarray, sigma: np.ndarray,
               p: float) -> float:
     """tr(L(eta)(eta - sigma)|eta - sigma|^{p-2}), the derivative of
     (1/p)||eta - sigma||_p^p along the flow of L."""
-    if not (1.0 < p < math.inf):
-        raise ValueError("p must lie in (1, inf)")
-    delta = hermitize(np.asarray(eta, dtype=complex) - np.asarray(sigma, dtype=complex))
-    if np.max(np.abs(delta)) < EQ_TOL:
-        raise ValueError("eta equals sigma within tolerance")
-    W = _abs_power_weight(delta, p)
-    return float(np.trace(apply(L, eta) @ W).real)
+    return float(_trace_against_weight(apply(L, eta), eta, sigma, p))
 
 
-def _alignment_vector(K: ResourceSetK, eta, sigma, p) -> np.ndarray:
-    return np.array([alignment(L, eta, sigma, p) for L in K.generators])
+def _require_positive(**values: float) -> None:
+    for name, x in values.items():
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {x}")
 
 
-def _best_choice(K: ResourceSetK, eta, sigma, p):
-    """Generator (or budget-scaled cone vertex) with minimal alignment.
-
-    The objective is linear in L, so over the rate-budget simplex the optimum
-    sits at a vertex: full budget on the single best generator.
-    """
-    vals = _alignment_vector(K, eta, sigma, p)
-    idx = int(np.argmin(vals))
-    weights = np.zeros(len(K.generators))
-    weights[idx] = K.max_total_rate if K.cone_combinations else 1.0
-    return idx, weights, weights[idx] * vals[idx]
+def _check_state(K: ResourceSetK, name: str, rho: np.ndarray) -> np.ndarray:
+    rho = check_density(rho)
+    if rho.shape[0] != K.dim:
+        raise ValueError(f"{name} has dimension {rho.shape[0]}, K has dimension {K.dim}")
+    return rho
 
 
 def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
@@ -109,10 +106,9 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
     target_tol proximity in the Schatten p-norm, on stall (no strictly
     descending choice) or at t_max.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    eta = check_density(rho0)
-    sigma = check_density(sigma)
+    _require_positive(dt=dt, t_max=t_max, target_tol=target_tol)
+    eta = _check_state(K, "rho0", rho0)
+    sigma = _check_state(K, "sigma", sigma)
     times = [0.0]
     states = [eta]
     schedule: list[tuple[float, float, np.ndarray]] = []
@@ -124,7 +120,12 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         if t >= t_max:
             exceeded = True
             break
-        idx, weights, val = _best_choice(K, eta, sigma, p)
+        # linear in L: the best point of the rate-budget simplex is a vertex
+        vals = [alignment(L, eta, sigma, p) for L in K.generators]
+        idx = int(np.argmin(vals))
+        budget = K.max_total_rate if K.cone_combinations else 1.0
+        weights = budget * np.eye(len(vals))[idx]
+        val = budget * vals[idx]
         # normalize by the p-norm gradient scale so stalls are detected
         # uniformly in p and in the distance to the target
         scale = max(schatten_norm(eta - sigma, p) ** (p - 1), 1e-300)
@@ -147,29 +148,31 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
 
 def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
                     n_samples: int, rng: np.random.Generator,
-                    diagonal_slice: bool, eig_tol: float = 1e-10):
-    """States on the radius-epsilon p-sphere around sigma that remain inside
-    the state space; boundary sigma keeps only the intersected part."""
+                    diagonal_slice: bool, eig_tol: float = 1e-10) -> np.ndarray:
+    """(n, d, d) stack of states on the radius-epsilon p-sphere around sigma
+    that remain inside the state space; boundary sigma keeps only the
+    intersected part. At most 50 chunks of n_samples draws consume the random
+    stream as one draw at a time would, so the first n_samples accepted are
+    the ones a per-draw loop with a cap of 50 n_samples draws keeps."""
     d = sigma.shape[0]
-    out = []
-    attempts = 0
-    while len(out) < n_samples and attempts < 50 * max(n_samples, 1):
-        attempts += 1
+    m = max(n_samples, 1)
+    kept = []
+    for _ in range(50):
         if diagonal_slice:
-            g = rng.standard_normal(d)
-            g -= g.mean()
-            X = np.diag(g).astype(complex)
+            g = rng.standard_normal((m, d))
+            X = np.zeros((m, d, d), dtype=complex)
+            X.reshape(m, d * d)[:, ::d + 1] = g - g.mean(axis=1, keepdims=True)
         else:
-            G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            X = hermitize(G)
-            X -= (np.trace(X).real / d) * np.eye(d)
+            G = rng.standard_normal((m, 2, d, d))
+            X = hermitize(G[:, 0] + 1j * G[:, 1])
+            X -= (np.trace(X, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
         nrm = schatten_norm(X, p)
-        if nrm < 1e-12:
-            continue
-        eta = sigma + (epsilon / nrm) * X
-        if np.linalg.eigvalsh(hermitize(eta)).min() >= -eig_tol:
-            out.append(hermitize(eta))
-    return out
+        X, nrm = X[nrm >= 1e-12], nrm[nrm >= 1e-12]
+        eta = hermitize(sigma + (epsilon / nrm)[:, None, None] * X)
+        kept.append(eta[np.linalg.eigvalsh(eta).min(axis=1) >= -eig_tol])
+        if sum(map(len, kept)) >= n_samples:
+            break
+    return np.concatenate(kept)[:n_samples]
 
 
 def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
@@ -184,9 +187,8 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive; a vacuous report is invalid")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    sigma = check_density(sigma)
+    _require_positive(epsilon=epsilon)
+    sigma = _check_state(K, "sigma", sigma)
     rng = np.random.default_rng(seed)
     lmin = float(np.linalg.eigvalsh(hermitize(sigma)).min())
     # norm-equivalence margin translating the p-ball radius into a 2-norm one
@@ -194,15 +196,15 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     margin = epsilon if p >= 2 else epsilon * d ** (1.0 / p - 0.5)
     interior_ball = lmin > margin
     samples = _sphere_samples(sigma, epsilon, p, n_samples, rng, diagonal_slice)
-    if not samples:
+    if not len(samples):
         raise ValueError("ball lies outside the state space and the sphere "
                          "does not intersect it")
     if not interior_ball and len(samples) < n_samples // 10:
         raise ValueError("too few sphere points intersect the state space")
-    best = math.inf
-    for eta in samples:
-        vals = _alignment_vector(K, eta, sigma, p)
-        best = min(best, float(vals.min()))
+    # L(eta) for every (generator, sample) pair in one stacked product
+    S = np.stack([build(L) for L in K.generators])
+    Leta = devectorize(vectorize(samples) @ S.swapaxes(1, 2), d)
+    best = float(_trace_against_weight(Leta, samples, sigma, p).min())
     return PorcupineReport(sigma=sigma, epsilon=epsilon, p=p,
                            samples=len(samples),
                            min_alignment_over_samples=best,
@@ -272,5 +274,4 @@ def lowering_jump(r: int, s: int, d: int) -> Lindbladian:
     """Single-jump generator with jump |r><s| at unit rate."""
     a = np.zeros((d, d), dtype=complex)
     a[r, s] = 1.0
-    from .lindblad import JumpTerm
     return Lindbladian(d, jumps=[JumpTerm(a, 1.0)])

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -23,6 +24,26 @@ class SchemaError(ValueError):
     """Raised when a JSON document does not match the expected schema."""
 
 
+_KINDS = {int: "an integer", float: "a finite number", bool: "a boolean",
+          str: "a string", dict: "an object"}
+
+
+def _field(obj, name: str, kind: type, default=None):
+    """obj[name], required to be of the JSON kind named in _KINDS; obj must be
+    a JSON object. int excludes booleans, and float admits any finite JSON
+    number and returns it as a float."""
+    if type(obj) is not dict:
+        raise SchemaError(f"expected a JSON object with field {name!r}, got {obj!r}")
+    x = obj.get(name, default)
+    if kind is float:
+        ok = type(x) in (int, float) and abs(x) <= sys.float_info.max
+    else:
+        ok = type(x) is kind
+    if not ok:
+        raise SchemaError(f"field {name!r} must be {_KINDS[kind]}, got {x!r}")
+    return float(x) if kind is float else x
+
+
 def matrix_to_json(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
     return {"dim": M.shape[0],
@@ -30,11 +51,8 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    try:
-        d = int(obj["dim"])
-        entries = obj["entries"]
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"matrix object missing field: {exc}") from exc
+    d = _field(obj, "dim", int)
+    entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != d * d:
         raise SchemaError(f"expected a list of {d * d} entries")
     try:
@@ -59,9 +77,10 @@ def lindbladian_to_json(L: Lindbladian) -> dict:
 
 def lindbladian_from_json(obj) -> Lindbladian:
     try:
-        dim = int(obj["dim"])
+        dim = _field(obj, "dim", int)
         H = matrix_from_json(obj["hamiltonian"]) if "hamiltonian" in obj else None
-        jumps = [JumpTerm(matrix_from_json(j["a"]), float(j["rate"]))
+        jumps = [JumpTerm(matrix_from_json(_field(j, "a", dict)),
+                          _field(j, "rate", float))
                  for j in obj.get("jumps", [])]
         bil = None
         if obj.get("bilinear") is not None:
@@ -73,31 +92,20 @@ def lindbladian_from_json(obj) -> Lindbladian:
     return Lindbladian(dim, hamiltonian=H, jumps=jumps, bilinear=bil)
 
 
-def resource_set_to_json(S: ResourceSet) -> dict:
-    return {"dim": S.dim,
-            "elements": [matrix_to_json(e) for e in S.elements]}
-
-
 def resource_set_from_json(obj) -> ResourceSet:
     try:
-        return ResourceSet(dim=int(obj["dim"]),
+        return ResourceSet(dim=_field(obj, "dim", int),
                            elements=[matrix_from_json(e) for e in obj["elements"]])
     except (TypeError, KeyError) as exc:
         raise SchemaError(f"ResourceSet object missing field: {exc}") from exc
-
-
-def resource_set_k_to_json(K: ResourceSetK) -> dict:
-    return {"generators": [lindbladian_to_json(L) for L in K.generators],
-            "cone_combinations": K.cone_combinations,
-            "max_total_rate": K.max_total_rate}
 
 
 def resource_set_k_from_json(obj) -> ResourceSetK:
     try:
         return ResourceSetK(
             generators=[lindbladian_from_json(L) for L in obj["generators"]],
-            cone_combinations=bool(obj.get("cone_combinations", False)),
-            max_total_rate=float(obj.get("max_total_rate", 1.0)))
+            cone_combinations=_field(obj, "cone_combinations", bool, False),
+            max_total_rate=_field(obj, "max_total_rate", float, 1.0))
     except (TypeError, KeyError) as exc:
         raise SchemaError(f"ResourceSetK object missing field: {exc}") from exc
 
@@ -114,14 +122,15 @@ def step_to_json(step) -> dict:
 
 
 def step_from_json(obj):
-    kind = obj.get("kind")
+    kind = _field(obj, "kind", str)
     try:
         if kind == "unitary":
             return ApplyUnitary(matrix_from_json(obj["U"]))
         if kind == "amplitude_damp":
-            return AmplitudeDamp(int(obj["register"]), float(obj["retention"]))
+            return AmplitudeDamp(_field(obj, "register", int),
+                                 _field(obj, "retention", float))
         if kind == "transposition":
-            return Transposition(int(obj["i"]), int(obj["j"]))
+            return Transposition(_field(obj, "i", int), _field(obj, "j", int))
     except (TypeError, KeyError) as exc:
         raise SchemaError(f"plan step missing field: {exc}") from exc
     raise SchemaError(f"unknown plan step kind {kind!r}")
@@ -135,7 +144,7 @@ def plan_to_json(plan: TransportPlan) -> dict:
 
 def plan_from_json(obj) -> TransportPlan:
     try:
-        plan = TransportPlan(int(obj["k"]))
+        plan = TransportPlan(_field(obj, "k", int))
         plan.steps.extend(step_from_json(s) for s in obj["steps"])
     except (TypeError, KeyError) as exc:
         raise SchemaError(f"plan object missing field: {exc}") from exc

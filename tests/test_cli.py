@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lindreach import serialize as ser
-from lindreach.cli import main
+from lindreach.cli import build_parser, main
 from lindreach.linalg import hermitize
 from lindreach.lindblad import JumpTerm, Lindbladian
 from lindreach.tangent import PathSample, central_differences, lift
@@ -14,8 +14,9 @@ LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def write(tmp_path, name, obj):
+    """Write obj as JSON; a string is written as it is."""
     p = tmp_path / name
-    p.write_text(json.dumps(obj))
+    p.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(p)
 
 
@@ -199,6 +200,46 @@ def test_unknown_subcommand_exit_2(files, capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_parser_built_once_serves_bad_then_good_argv(files, capsys):
+    assert build_parser() is build_parser()
+    assert main(["simulate", "--rho", files["rho"], "--t", "x"]) == 2
+    assert main(["simulate", "--lindblad", files["L"], "--rho", files["rho"],
+                 "--t", "1"]) == 0
+
+
+@pytest.mark.parametrize("command, extra, name", [
+    ("reach", ["--t-max", "nan"], "t_max"),
+    ("reach", ["--t-max", "inf"], "t_max"),
+    ("reach", ["--dt", "nan"], "dt"),
+    ("reach", ["--dt", "0"], "dt"),
+    ("reach", ["--target-tol", "nan"], "target_tol"),
+    ("reach", ["--target-tol", "-1"], "target_tol"),
+    ("reach", ["--rho", "rho3", "--sigma", "rho3"], "rho0"),
+    ("reach", ["--sigma", "rho3"], "sigma"),
+    ("porcupine", ["--epsilon", "nan"], "epsilon"),
+    ("porcupine", ["--epsilon", "inf"], "epsilon"),
+    ("porcupine", ["--sigma", "rho3"], "sigma"),
+], ids=["t-max-nan", "t-max-inf", "dt-nan", "dt-zero", "target-tol-nan",
+        "target-tol-negative", "rho-dim", "sigma-dim", "epsilon-nan",
+        "epsilon-inf", "porcupine-sigma-dim"])
+def test_reach_porcupine_reject_bad_scalars_and_dims(files, capsys, tmp_path,
+                                                      command, extra, name):
+    rho3 = write(tmp_path, "rho3.json", ser.matrix_to_json(np.eye(3) / 3))
+    extra = [rho3 if x == "rho3" else x for x in extra]
+    argv = {"reach": ["reach", "--K", files["K"], "--rho", files["rho"],
+                      "--sigma", files["sigma"]],
+            "porcupine": ["porcupine", "--K", files["K"], "--sigma",
+                          files["sigma"], "--epsilon", "0.05"]}[command]
+    for flag, value in zip(extra[::2], extra[1::2]):
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert name in json.loads(err)["message"]
+
+
 def test_csv_17_significant_digits(files, capsys, tmp_path):
     csv = str(tmp_path / "traj.csv")
     code, _, _ = run(capsys, ["reach", "--K", files["K"],
@@ -223,6 +264,16 @@ def bilinear_generator(ops, g):
 
 def one_step_plan(step):
     return {"k": 1, "steps": [step]}
+
+
+def resource_set(**fields):
+    L = Lindbladian(2, jumps=[JumpTerm(LOWER, 1.0)])
+    return {"generators": [ser.lindbladian_to_json(L)], **fields}
+
+
+MATRIX_2 = ser.matrix_to_json(np.eye(2) / 2)
+TRANSPOSITION = {"kind": "transposition", "i": 0, "j": 1}
+DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
 
 
 @pytest.mark.parametrize("flag, bad, reason", [
@@ -250,22 +301,44 @@ def one_step_plan(step):
     ("plan", ["--lambda", "0.5,0.5", "--mu", "0,0", "--normalize"], "sum"),
     ("plan", ["--lambda", "1,-1", "--mu", "1,1", "--normalize"], "sum"),
     ("plan", ["--lambda", "1,nan", "--mu", "1,1", "--normalize"], "sum"),
+    ("--rho", '{"dim": 1e400, "entries": []}', "'dim'"),
+    ("--rho", {**MATRIX_2, "dim": 2.5}, "'dim'"),
+    ("--rho", {**MATRIX_2, "dim": True}, "'dim'"),
+    ("--plan", '{"k": 1e400, "steps": []}', "'k'"),
+    ("--plan", {"k": 2.9, "steps": []}, "'k'"),
+    ("--plan", {"k": 1, "steps": [3]}, "JSON object"),
+    ("--plan", one_step_plan({**TRANSPOSITION, "i": 0.7}), "'i'"),
+    ("--plan", one_step_plan({**TRANSPOSITION, "j": True}), "'j'"),
+    ("--plan", one_step_plan({**DAMP, "register": 0.0}), "'register'"),
+    ("--plan", one_step_plan({**DAMP, "retention": "0.5"}), "'retention'"),
+    ("--lindblad", {"dim": 2, "jumps": [{"a": ser.matrix_to_json(LOWER),
+                                         "rate": "0.5"}]}, "'rate'"),
+    ("--lindblad", {"dim": 2, "jumps": [3]}, "JSON object"),
+    ("--K", resource_set(cone_combinations="false"), "'cone_combinations'"),
+    ("--K", resource_set(max_total_rate="1"), "'max_total_rate'"),
+    ("--K", resource_set(max_total_rate=float("nan")), "'max_total_rate'"),
+    ("--K", {"generators": [3]}, "JSON object"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
         "kossakowski-not-hermitian", "kossakowski-wrong-size",
         "bilinear-op-wrong-dim",
         "step-dephase", "register-out-of-range", "index-out-of-range",
         "index-negative", "mu-nan", "lambda-nan", "normalize-zero-sum",
-        "normalize-cancelling-sum", "normalize-nan"])
+        "normalize-cancelling-sum", "normalize-nan", "dim-1e400", "dim-float",
+        "dim-bool", "k-1e400", "k-float", "step-not-object", "i-float",
+        "j-bool", "register-float", "retention-string", "rate-string",
+        "jump-not-object", "cone-combinations-string", "max-rate-string",
+        "max-rate-nan", "generator-not-object"])
 def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     if flag == "plan":
         argv = ["plan", "--k", "1"] + bad
     else:
         plan = write(tmp_path, "plan.json", {"k": 1, "steps": []})
-        argv = (["run-plan", "--plan", plan, "--rho", files["rho"]]
-                if flag == "--plan" else
-                ["simulate", "--lindblad", files["L"], "--rho", files["rho"],
-                 "--t", "1"])
+        argv = {"--plan": ["run-plan", "--plan", plan, "--rho", files["rho"]],
+                "--K": ["reach", "--K", files["K"], "--rho", files["rho"],
+                        "--sigma", files["sigma"]]}.get(
+            flag, ["simulate", "--lindblad", files["L"], "--rho", files["rho"],
+                   "--t", "1"])
         argv[argv.index(flag) + 1] = write(tmp_path, "bad.json", bad)
     code, _, err = run(capsys, argv)
     assert code == 2

@@ -15,6 +15,7 @@ from lindreach.linalg import (
     mat_sqrt_psd,
     partial_trace,
     pinv_psd,
+    schatten_norm,
     schur_psd_check,
     superop_from_action,
     tensor,
@@ -100,6 +101,23 @@ def test_mat_sqrt_and_pinv():
 def test_vectorize_round_trip(rng):
     M = random_complex(rng, 3)
     assert np.allclose(devectorize(vectorize(M), 3), M)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, np.inf])
+def test_stack_primitives_match_per_matrix(rng, p):
+    A = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    mats = A.reshape(-1, 4, 4)
+    assert np.array_equal(dag(A).reshape(-1, 4, 4), [M.conj().T for M in mats])
+    assert np.array_equal(hermitize(A).reshape(-1, 4, 4),
+                          [hermitize(M) for M in mats])
+    assert np.array_equal(vectorize(A).reshape(-1, 16), [vectorize(M) for M in mats])
+    assert np.array_equal(devectorize(vectorize(A), 4), A)
+    norms = schatten_norm(A, p)
+    assert norms.shape == (2, 3)
+    single = [schatten_norm(M, p) for M in mats]
+    assert all(type(n) is float for n in single)
+    assert np.allclose(norms.reshape(-1), single, rtol=1e-14, atol=0)
+    assert schatten_norm(np.zeros((0, 0)), p) == 0.0
 
 
 def test_superop_from_action_identity():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lindreach.linalg import schatten_norm, trace_distance
+from lindreach.linalg import hermitize, schatten_norm, trace_distance
 from lindreach.lindblad import (
     BilinearTerm,
     JumpTerm,
@@ -12,7 +12,9 @@ from lindreach.lindblad import (
     replacer_lindbladian,
 )
 from lindreach.reach import (
+    OBSTRUCTION_TOL,
     ResourceSetK,
+    _sphere_samples,
     alignment,
     lowering_jump,
     porcupine_check,
@@ -146,6 +148,86 @@ def test_porcupine_reproducible():
     r2 = porcupine_check(K, sigma, 0.05, n_samples=100, seed=11,
                          diagonal_slice=True)
     assert r1.min_alignment_over_samples == r2.min_alignment_over_samples
+
+
+def _sphere_samples_loop(sigma, epsilon, p, n_samples, rng, diagonal_slice,
+                        eig_tol=1e-10):
+    """One draw at a time: the reference the chunked sampler must match."""
+    d = sigma.shape[0]
+    out = []
+    attempts = 0
+    while len(out) < n_samples and attempts < 50 * max(n_samples, 1):
+        attempts += 1
+        if diagonal_slice:
+            g = rng.standard_normal(d)
+            g -= g.mean()
+            X = np.diag(g).astype(complex)
+        else:
+            G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            X = hermitize(G)
+            X -= (np.trace(X).real / d) * np.eye(d)
+        nrm = schatten_norm(X, p)
+        if nrm < 1e-12:
+            continue
+        eta = sigma + (epsilon / nrm) * X
+        if np.linalg.eigvalsh(hermitize(eta)).min() >= -eig_tol:
+            out.append(hermitize(eta))
+    return out
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+@pytest.mark.parametrize("diagonal_slice", [False, True], ids=["full", "diag"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_porcupine_matches_per_draw_reference(d, p, diagonal_slice, pure):
+    rng = np.random.default_rng([d, int(2 * p), diagonal_slice, pure])
+    sigma = (np.diag(np.eye(d)[int(rng.integers(d))]).astype(complex) if pure
+             else random_density(rng, d))
+    K = ResourceSetK([Lindbladian(d, hamiltonian=random_hermitian(rng, d)),
+                      Lindbladian(d, jumps=[JumpTerm(random_complex(rng, d), 0.3)]),
+                      replacer_lindbladian(random_density(rng, d)),
+                      lowering_jump(0, 1, d)])
+    eps, n, seed = 0.05, 40, int(rng.integers(2 ** 31))
+    ref = _sphere_samples_loop(sigma, eps, p, n, np.random.default_rng(seed),
+                               diagonal_slice)
+    samples = _sphere_samples(sigma, eps, p, n, np.random.default_rng(seed),
+                              diagonal_slice)
+    assert samples.shape == (len(ref), d, d)
+    if ref:
+        assert np.max(np.abs(samples - np.array(ref))) <= 1e-15
+    try:
+        rep = porcupine_check(K, sigma, eps, p=p, n_samples=n, seed=seed,
+                              diagonal_slice=diagonal_slice)
+    except ValueError:
+        # an empty or (around a boundary sigma) too thin intersection
+        assert len(ref) < n // 10
+        return
+    best = min(alignment(L, eta, sigma, p) for eta in ref for L in K.generators)
+    assert rep.samples == len(ref)
+    assert rep.obstruction_evidence == (best >= -OBSTRUCTION_TOL)
+    # exact zeros (a generator commuting with every sample) may come out
+    # as rounding-level values
+    assert math.isclose(rep.min_alignment_over_samples, best,
+                        rel_tol=1e-12, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("diagonal_slice", [False, True], ids=["full", "diag"])
+def test_sphere_samples_zero_norm_draws_count_toward_cap(diagonal_slice):
+    class ZeroDraws:
+        drawn = 0
+
+        def standard_normal(self, shape):
+            self.drawn += math.prod(np.atleast_1d(shape))
+            return np.zeros(shape)
+
+    sigma = np.eye(3, dtype=complex) / 3
+    counts = []
+    for sampler in (_sphere_samples_loop, _sphere_samples):
+        rng = ZeroDraws()
+        assert len(sampler(sigma, 0.05, 2.0, 7, rng, diagonal_slice)) == 0
+        counts.append(rng.drawn)
+    per_draw = 3 if diagonal_slice else 2 * 3 * 3
+    assert counts == [50 * 7 * per_draw] * 2
 
 
 def test_porcupine_rejects_degenerate_inputs(rng):
