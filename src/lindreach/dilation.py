@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (choi, dag, hermitize, kron_superop, mat_exp, tensor,
-                     trace_norm)
+from .linalg import (choi, dag, hermitize, kron_superop, mat_exp,
+                     require_nonnegative, tensor, trace_norm)
 from .lindblad import dissipator
 
 
@@ -63,8 +63,7 @@ def reduced_generator(a: np.ndarray) -> np.ndarray:
 
 def unitary_mixture_step(H: np.ndarray, t: float) -> np.ndarray:
     """Superoperator of (Ad_{exp(i sqrt(2t) H)} + Ad_{exp(-i sqrt(2t) H)})/2."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    require_nonnegative(t=t)
     U = mat_exp(1j * math.sqrt(2 * t) * np.asarray(H, dtype=complex))
     return 0.5 * (kron_superop(U, dag(U)) + kron_superop(dag(U), U))
 
@@ -89,6 +88,7 @@ def simulate_dissipator_via_dilation(a: np.ndarray, t: float,
 def dilation_error_vs_exact(a: np.ndarray, t: float, n_trotter: int) -> float:
     """Choi trace-norm distance of the Trotterized dilation from the closed
     form exp(t dissipator(a))."""
-    exact = mat_exp(t * dissipator(np.asarray(a, dtype=complex)))
+    # the dilation first: it rejects a bad t before exp(t D) is formed
     approx = simulate_dissipator_via_dilation(a, t, n_trotter)
+    exact = mat_exp(t * dissipator(np.asarray(a, dtype=complex)))
     return trace_norm(choi(approx - exact))

@@ -4,6 +4,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -33,6 +35,14 @@ def is_hermitian(A: np.ndarray, tol: float | None = None) -> bool:
 def check_finite(A: np.ndarray) -> None:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
+
+
+def require_nonnegative(**values: float) -> None:
+    """Raise naming the first value that is not finite and nonnegative; NaN
+    fails."""
+    for name, x in values.items():
+        if not 0 <= x < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {x}")
 
 
 def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:

@@ -19,6 +19,7 @@ from .linalg import (
     hermitize,
     is_hermitian,
     mat_exp,
+    require_nonnegative,
     vectorize,
 )
 
@@ -132,8 +133,7 @@ def apply(L: Lindbladian, rho: np.ndarray) -> np.ndarray:
 def propagate(L: Lindbladian, rho: np.ndarray, t: float,
               eig_tol: float = 1e-8) -> np.ndarray:
     """exp(t L) applied to rho, revalidated as a density matrix."""
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
+    require_nonnegative(t=t)
     rho = check_density(rho)
     out = devectorize(mat_exp(t * build(L)) @ vectorize(rho), L.dim)
     return check_density(hermitize(out), eig_tol=eig_tol)
@@ -183,14 +183,10 @@ def replacer_lindbladian(sigma: np.ndarray) -> Lindbladian:
     sigma = check_density(sigma)
     d = sigma.shape[0]
     w, V = np.linalg.eigh(hermitize(sigma))
-    jumps = []
-    for i in range(d):
-        if w[i] <= 1e-15:
-            continue
-        for j in range(d):
-            K = np.sqrt(w[i]) * np.outer(V[:, i], np.eye(d)[j].conj())
-            jumps.append(JumpTerm(K, 0.5))
-    return Lindbladian(d, jumps=jumps)
+    keep = w > 1e-15
+    # K[i, j] = sqrt(l_i) |v_i><j|, i-major over the kept eigenvalues
+    K = np.einsum("ai,jb->ijab", V[:, keep] * np.sqrt(w[keep]), np.eye(d))
+    return Lindbladian(d, jumps=[JumpTerm(k, 0.5) for k in K.reshape(-1, d, d)])
 
 
 def _kernel_basis(S: np.ndarray, null_tol: float) -> np.ndarray:

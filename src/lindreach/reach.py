@@ -59,13 +59,17 @@ class PorcupineReport:
     obstruction_evidence: bool
 
 
+def _check_p(p: float) -> None:
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"p must lie in (1, inf), got {p}")
+
+
 def _trace_against_weight(Leta: np.ndarray, eta: np.ndarray,
                           sigma: np.ndarray, p: float) -> np.ndarray:
     """tr(L(eta) W), W = (eta - sigma)|eta - sigma|^{p-2}, for (..., d, d)
     stacks of L(eta) and eta that broadcast; W is 0 on the kernel of
     eta - sigma, the continuity convention for p < 2."""
-    if not (1.0 < p < math.inf):
-        raise ValueError("p must lie in (1, inf)")
+    _check_p(p)
     delta = hermitize(np.asarray(eta, dtype=complex) - np.asarray(sigma, dtype=complex))
     if np.any(np.max(np.abs(delta), axis=(-2, -1)) < EQ_TOL):
         raise ValueError("eta equals sigma within tolerance")
@@ -107,6 +111,7 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
     descending choice) or at t_max.
     """
     _require_positive(dt=dt, t_max=t_max, target_tol=target_tol)
+    _check_p(p)
     eta = _check_state(K, "rho0", rho0)
     sigma = _check_state(K, "sigma", sigma)
     times = [0.0]
@@ -188,6 +193,7 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     if n_samples <= 0:
         raise ValueError("n_samples must be positive; a vacuous report is invalid")
     _require_positive(epsilon=epsilon)
+    _check_p(p)
     sigma = _check_state(K, "sigma", sigma)
     rng = np.random.default_rng(seed)
     lmin = float(np.linalg.eigvalsh(hermitize(sigma)).min())
@@ -225,8 +231,8 @@ def replacer_overshoot(rho: np.ndarray, sigma: np.ndarray, eps: float,
                          "decrease eps")
     s = math.log(1.0 + 1.0 / eps)
     ts = np.linspace(0.0, s, n_steps)
-    states = [hermitize(math.exp(-t) * rho + (1 - math.exp(-t)) * sigma_t)
-              for t in ts]
+    u = np.exp(-ts)[:, None, None]
+    states = hermitize(u * rho + (1 - u) * sigma_t)
     return {"trajectory": PathSample(ts, states), "hit_time": s}
 
 
@@ -238,20 +244,15 @@ def tan_schedule(rho: np.ndarray, sigma: np.ndarray, n_steps: int) -> dict:
     rho = check_density(rho)
     sigma = check_density(sigma)
     ts = np.linspace(0.0, math.pi / 2, n_steps)
-    states = []
-    gen_norms = []
-    for t in ts:
-        if t >= math.pi / 2:
-            states.append(sigma.copy())
-            gen_norms.append(0.0)
-            continue
-        u = math.exp(-math.tan(t))
-        states.append(hermitize(u * rho + (1 - u) * sigma))
-        # generator scale of the reparameterized replacer flow
-        gen_norms.append(1.0 / math.cos(t) ** 2 * u
-                         * float(np.linalg.norm(rho - sigma)))
-    return {"trajectory": PathSample(ts, states),
-            "generator_norms": np.array(gen_norms)}
+    # every time but the last, which linspace puts exactly at pi/2: there
+    # the state is sigma and the generator norm 0
+    t = ts[:-1]
+    u = np.exp(-np.tan(t))
+    states = hermitize(u[:, None, None] * rho + (1 - u)[:, None, None] * sigma)
+    # generator scale of the reparameterized replacer flow
+    gen_norms = 1.0 / np.cos(t) ** 2 * u * np.linalg.norm(rho - sigma)
+    return {"trajectory": PathSample(ts, np.concatenate([states, sigma[None]])),
+            "generator_norms": np.append(gen_norms, 0.0)}
 
 
 def sparse_alignment_diagonal(rho: np.ndarray, sigma: np.ndarray,

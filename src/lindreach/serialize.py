@@ -29,12 +29,16 @@ _KINDS = {int: "an integer", float: "a finite number", bool: "a boolean",
 
 
 def _field(obj, name: str, kind: type, default=None):
-    """obj[name], required to be of the JSON kind named in _KINDS; obj must be
-    a JSON object. int excludes booleans, and float admits any finite JSON
-    number and returns it as a float."""
+    """obj[name], checked by _value; obj must be a JSON object."""
     if type(obj) is not dict:
         raise SchemaError(f"expected a JSON object with field {name!r}, got {obj!r}")
-    x = obj.get(name, default)
+    return _value(obj.get(name, default), name, kind)
+
+
+def _value(x, name: str, kind: type):
+    """x, required to be of the JSON kind named in _KINDS. int excludes
+    booleans, and float admits any finite JSON number and returns it as a
+    float."""
     if kind is float:
         ok = type(x) in (int, float) and abs(x) <= sys.float_info.max
     else:
@@ -47,7 +51,7 @@ def _field(obj, name: str, kind: type, default=None):
 def matrix_to_json(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
     return {"dim": M.shape[0],
-            "entries": [[float(z.real), float(z.imag)] for z in M.reshape(-1)]}
+            "entries": np.stack([M.real, M.imag], -1).reshape(-1, 2).tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -61,6 +65,8 @@ def matrix_from_json(obj) -> np.ndarray:
         raise SchemaError(f"matrix entries are ragged: {exc}") from exc
     if pairs.dtype.kind not in "biuf" or pairs.shape != (d * d, 2):
         raise SchemaError("matrix entries must be [re, im] number pairs")
+    if not np.all(np.isfinite(pairs)):
+        raise SchemaError("matrix entries must be finite numbers")
     return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
 
 
@@ -162,7 +168,7 @@ def path_sample_to_json(path: PathSample) -> dict:
 def path_sample_from_json(obj) -> PathSample:
     try:
         return PathSample(
-            times=np.array([float(t) for t in obj["times"]]),
+            times=[_value(t, "times", float) for t in obj["times"]],
             states=[matrix_from_json(s) for s in obj["states"]],
             derivs=[matrix_from_json(x) for x in obj["derivs"]]
             if obj.get("derivs") is not None else None)

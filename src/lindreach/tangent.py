@@ -14,6 +14,7 @@ from .linalg import (
     check_density,
     dag,
     hermitize,
+    require_nonnegative,
     trace_distance,
     vectorize,
 )
@@ -49,17 +50,27 @@ class LiftCertificate:
 @dataclass
 class PathSample:
     times: np.ndarray
-    states: list[np.ndarray]
-    derivs: list[np.ndarray] | None = None
+    states: np.ndarray            # (n, d, d) complex stack
+    derivs: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) != len(self.states):
+        try:
+            self.states = np.asarray(self.states, dtype=complex)
+            if self.derivs is not None:
+                self.derivs = np.asarray(self.derivs, dtype=complex)
+        except ValueError as exc:
+            raise ValueError(f"path matrices are ragged: {exc}") from exc
+        n = len(self.states)
+        if self.states.ndim != 3 or self.states.shape[1] != self.states.shape[2]:
+            raise ValueError("states must be square matrices of one dimension")
+        if self.times.shape != (n,):
             raise ValueError("times and states length mismatch")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if self.derivs is not None and len(self.derivs) != len(self.states):
-            raise ValueError("derivs length mismatch")
+        if self.derivs is not None and self.derivs.shape != self.states.shape:
+            raise ValueError(f"derivs have shape {self.derivs.shape}, "
+                             f"states {self.states.shape}")
 
 
 def support_projection(rho: np.ndarray, tol: float = SUPPORT_TOL) -> SupportDecomposition:
@@ -74,6 +85,7 @@ def support_projection(rho: np.ndarray, tol: float = SUPPORT_TOL) -> SupportDeco
 
 def in_tangent_cone(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL) -> bool:
     """Membership in T+_rho: tr x = 0 and the doubly-perp block of x is PSD."""
+    require_nonnegative(tol=tol)
     x = np.asarray(x, dtype=complex)
     if np.max(np.abs(x - dag(x))) > max(1e-10, tol):
         raise ValueError("tangent candidate must be Hermitian")
@@ -145,15 +157,14 @@ def second_order_witness(rho: np.ndarray, x: np.ndarray,
         Vker = V22[:, w22 <= tol]          # doubly-perp directions
         if Vker.size:
             x13 = xb[:r, r:] @ Vker        # support -> kernel cross block
-            B = 2.0 * dag(x13) @ np.linalg.solve(dec.rho11, x13)
+            B = 2.0 * dag(x13) @ (x13 / np.diag(dec.rho11)[:, None])
             x2b[r:, r:] += Vker @ B @ dag(Vker)
             x2b[:r, :r] -= (np.trace(B) / r) * np.eye(r)
     x2 = V @ x2b @ dag(V)
     # certify: largest eps with the curve PSD on a refinement grid
     def curve_ok(eps):
-        ts = np.linspace(eps / 32, eps, 32)
-        return all(np.linalg.eigvalsh(rho + t * x + t * t * x2).min() >= -1e-11
-                   for t in ts)
+        ts = np.linspace(eps / 32, eps, 32)[:, None, None]
+        return np.linalg.eigvalsh(rho + ts * x + ts * ts * x2).min() >= -1e-11
     eps = 1.0
     while eps > 1e-8 and not curve_ok(eps):
         eps *= 0.5
@@ -187,48 +198,36 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
     dec = support_projection(rho, tol=tol)
     r, d = dec.rank, rho.shape[0]
     V = dec.basis
+    p = np.diag(dec.rho11).real       # descending, so p[0] is the largest
     xb = dag(V) @ x @ V
-    # clip tiny cone violations coming from sampled derivatives
-    if r < d:
-        w22, V22 = np.linalg.eigh(hermitize(xb[r:, r:]))
-        xb[r:, r:] = (V22 * np.clip(w22, 0.0, None)) @ dag(V22)
-        xb = hermitize(xb)
-        xb[:r, :r] -= (np.trace(xb).real / r) * np.eye(r)
-
     H = np.zeros((d, d), dtype=complex)
     jumps: list[JumpTerm] = []
-    correction = np.zeros((r, r), dtype=complex)
     if r < d:
-        x21 = xb[r:, :r]
-        h = 1j * x21 @ np.linalg.solve(dec.rho11, np.eye(r))
+        # clip tiny cone violations coming from sampled derivatives
+        w22, V22 = np.linalg.eigh(hermitize(xb[r:, r:]))
+        w22 = np.clip(w22, 0.0, None)
+        xb[r:, r:] = (V22 * w22) @ dag(V22)
+        xb = hermitize(xb)
+        xb[:r, :r] -= (np.trace(xb).real / r) * np.eye(r)
+        # Hamiltonian cross term i x21 rho11^{-1}, rho11 being diagonal
+        h = 1j * xb[r:, :r] / p
         Hb = np.zeros((d, d), dtype=complex)
         Hb[r:, :r] = h
         Hb[:r, r:] = dag(h)
         H = V @ Hb @ dag(V)
-        # spectral jumps for the perp block
-        x22 = hermitize(xb[r:, r:])
-        w22, V22 = np.linalg.eigh(x22)
-        pvals = np.diag(dec.rho11).real
-        p = float(pvals.max())
-        phi = V[:, int(np.argmax(pvals))]
-        phi_b = np.zeros(r)
-        phi_b[int(np.argmax(pvals))] = 1.0
-        for m in range(len(w22)):
-            s = float(w22[m])
-            if s <= tol:
-                continue
-            e_full = V[:, r:] @ V22[:, m]
-            c = np.outer(e_full, phi.conj())
-            jumps.append(JumpTerm(c, s / (2 * p)))
-            correction -= s * np.outer(phi_b, phi_b.conj())
+        # spectral jumps |e_m><phi| at rate s_m / 2p_0 for the perp block's
+        # eigenpairs (s_m, e_m) with s_m > tol, phi the top support vector;
+        # they draw sum s_m out of phi, which the replacer puts back
+        keep = w22 > tol
+        E = V[:, r:] @ V22[:, keep]
+        jumps = [JumpTerm(np.outer(e, V[:, 0].conj()), s / (2 * p[0]))
+                 for e, s in zip(E.T, w22[keep])]
+        xb[0, 0] += w22[keep].sum()
     # in-support remainder through a replacer generator
-    y_b = xb[:r, :r] - correction
-    y = V[:, :r] @ y_b @ dag(V[:, :r])
-    y = hermitize(y)
+    y = hermitize(V[:, :r] @ xb[:r, :r] @ dag(V[:, :r]))
     ynorm = float(np.linalg.norm(y, ord=2))
     if ynorm > tol:
-        lmin = float(np.linalg.eigvalsh(dec.rho11).min().real)
-        eps = 0.5 * lmin / ynorm
+        eps = 0.5 * float(p.min()) / ynorm
         if eps < 1e-12:
             raise ValueError("replacer step underflow: lambda_min(rho11) too "
                              "small relative to the in-support target")
@@ -244,28 +243,20 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
     return cert
 
 
-def central_differences(path: PathSample) -> list[np.ndarray]:
-    """Second-order differences; one-sided second order at the endpoints."""
+def central_differences(path: PathSample) -> np.ndarray:
+    """Second-order differences; one-sided second order at the endpoints.
+    Sample i differentiates the Lagrange interpolant through the samples
+    c - 1, c, c + 1 at t_i, where c = clip(i, 1, n - 2)."""
     t, s = path.times, path.states
     n = len(t)
     if n < 3:
         raise ValueError("need at least three samples to differentiate")
-    out = []
-    for i in range(n):
-        if i == 0:
-            i0, i1, i2 = 0, 1, 2
-        elif i == n - 1:
-            i0, i1, i2 = n - 3, n - 2, n - 1
-        else:
-            i0, i1, i2 = i - 1, i, i + 1
-        t0, t1, t2 = t[i0], t[i1], t[i2]
-        ti = t[i]
-        # derivative of the Lagrange interpolant at t_i
-        d0 = (2 * ti - t1 - t2) / ((t0 - t1) * (t0 - t2))
-        d1 = (2 * ti - t0 - t2) / ((t1 - t0) * (t1 - t2))
-        d2 = (2 * ti - t0 - t1) / ((t2 - t0) * (t2 - t1))
-        out.append(hermitize(d0 * s[i0] + d1 * s[i1] + d2 * s[i2]))
-    return out
+    c = np.clip(np.arange(n), 1, n - 2)
+    ti, t0, t1, t2 = (u[:, None, None] for u in (t, t[c - 1], t[c], t[c + 1]))
+    d0 = (2 * ti - t1 - t2) / ((t0 - t1) * (t0 - t2))
+    d1 = (2 * ti - t0 - t2) / ((t1 - t0) * (t1 - t2))
+    d2 = (2 * ti - t0 - t1) / ((t2 - t0) * (t2 - t1))
+    return hermitize(d0 * s[c - 1] + d1 * s[c] + d2 * s[c + 1])
 
 
 def lift_path(path: PathSample, path_tol: float = PATH_TOL,
@@ -275,33 +266,33 @@ def lift_path(path: PathSample, path_tol: float = PATH_TOL,
     lambda_min^{-1/2} and a piecewise-constant-generator reconstruction
     error."""
     derivs = path.derivs if path.derivs is not None else central_differences(path)
-    lam = []
+    d = path.states.shape[1]
+    xdot = hermitize(derivs)
+    xdot = xdot - (np.trace(xdot, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
+    # one lift per sample: the support rank, and with it the block
+    # structure of the lift, can change from sample to sample
     gens: list[Lindbladian] = []
     residual = []
-    for idx, (rho_t, xdot) in enumerate(zip(path.states, derivs)):
-        xdot = hermitize(xdot)
-        xdot = xdot - (np.trace(xdot).real / rho_t.shape[0]) * np.eye(rho_t.shape[0])
-        if not in_tangent_cone(rho_t, xdot, path_tol):
+    for idx, (rho_t, x) in enumerate(zip(path.states, xdot)):
+        if not in_tangent_cone(rho_t, x, path_tol):
             raise ValueError(f"sample {idx} fails tangent-cone membership")
-        w = np.linalg.eigvalsh(hermitize(rho_t))
-        wpos = w[w > support_tol]
-        lam.append(float(wpos.min()) if wpos.size else 0.0)
-        cert = lift(rho_t, xdot, tol=support_tol,
+        cert = lift(rho_t, x, tol=support_tol,
                     lift_tol=max(LIFT_TOL, 10 * path_tol))
         gens.append(cert.lindbladian)
         residual.append(cert.residual)
-    lam = np.asarray(lam)
+    w = np.linalg.eigvalsh(hermitize(path.states))
+    lam = np.min(w, axis=1, where=w > support_tol, initial=np.inf)
+    lam[np.isinf(lam)] = 0.0         # no eigenvalue above support_tol
     t = path.times
     integ = {
         "int_inv_lambda": float(np.trapezoid(1.0 / lam, t)),
         "int_inv_sqrt_lambda": float(np.trapezoid(lam ** -0.5, t)),
     }
-    # piecewise-constant reconstruction from the initial sample
+    # piecewise-constant reconstruction from the initial sample: a sequential
+    # composition of channels, one step at a time
     eta = path.states[0]
     for i in range(len(t) - 1):
-        dt = t[i + 1] - t[i]
-        S = channel_superop(gens[i], dt)
-        eta = hermitize(apply_superop(S, eta))
+        eta = hermitize(apply_superop(channel_superop(gens[i], t[i + 1] - t[i]), eta))
     err = trace_distance(eta, path.states[-1])
     return {"generators": gens, "integrability": integ, "lambda_min": lam,
             "residual": np.asarray(residual), "reconstruction_error": float(err)}

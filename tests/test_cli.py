@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindreach import serialize as ser
 from lindreach.cli import build_parser, main
@@ -9,6 +12,8 @@ from lindreach.linalg import hermitize
 from lindreach.lindblad import JumpTerm, Lindbladian
 from lindreach.tangent import PathSample, central_differences, lift
 from lindreach.transport import plan_diagonal_transport
+
+from conftest import random_complex
 
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -240,6 +245,35 @@ def test_reach_porcupine_reject_bad_scalars_and_dims(files, capsys, tmp_path,
     assert name in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["certify-tangent", "--rho", "sigma", "--x", "z", "--tol", "-1"], "tol"),
+    (["certify-tangent", "--rho", "sigma", "--x", "z", "--tol", "inf"], "tol"),
+    (["certify-tangent", "--rho", "sigma", "--x", "z", "--tol", "nan"], "tol"),
+    (["simulate", "--lindblad", "L", "--rho", "rho", "--t", "nan"], "t"),
+    (["simulate", "--lindblad", "L", "--rho", "rho", "--t", "inf"], "t"),
+    (["simulate", "--lindblad", "L", "--rho", "rho", "--t", "-1"], "t"),
+    (["dilate", "--a", "a", "--n", "4", "--t", "nan"], "t"),
+    (["dilate", "--a", "a", "--n", "4", "--t", "inf"], "t"),
+    (["porcupine", "--K", "K", "--sigma", "sigma", "--epsilon", "0.05",
+      "--p", "nan"], "p"),
+    (["porcupine", "--K", "K", "--sigma", "sigma", "--epsilon", "0.05",
+      "--p", "inf"], "p"),
+    (["reach", "--K", "K", "--rho", "sigma", "--sigma", "sigma", "--p", "nan"],
+     "p"),
+], ids=["tol-negative", "tol-inf", "tol-nan", "simulate-t-nan",
+        "simulate-t-inf", "simulate-t-negative", "dilate-t-nan",
+        "dilate-t-inf", "porcupine-p-nan", "porcupine-p-inf", "reach-p-nan"])
+def test_scalar_argument_ranges(files, capsys, tmp_path, argv, name):
+    # Z = diag(1, -1) at |0><0| leaves the state space: a tolerance that
+    # admitted it would certify a false tangent
+    files = {**files, "z": write(tmp_path, "z.json",
+                                 ser.matrix_to_json(np.diag([1.0, -1.0])))}
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"].startswith(f"{name} must")
+
+
 def test_csv_17_significant_digits(files, capsys, tmp_path):
     csv = str(tmp_path / "traj.csv")
     code, _, _ = run(capsys, ["reach", "--K", files["K"],
@@ -318,6 +352,19 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
     ("--K", resource_set(max_total_rate="1"), "'max_total_rate'"),
     ("--K", resource_set(max_total_rate=float("nan")), "'max_total_rate'"),
     ("--K", {"generators": [3]}, "JSON object"),
+    ("--x", '{"dim": 2, "entries": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}',
+     "finite"),
+    ("--x", '{"dim": 2, "entries": [[0, Infinity], [0, 0], [0, 0], [0, 0]]}',
+     "finite"),
+    ("--x", '{"dim": 2, "entries": [[1e400, 0], [0, 0], [0, 0], [0, 0]]}',
+     "finite"),
+    ("--path", {"times": ["0", "0.5", True], "states": [MATRIX_2] * 3},
+     "'times'"),
+    ("--path", {"times": [0, 1, 2], "states": [MATRIX_2, MATRIX_2,
+                                               ser.matrix_to_json(np.eye(3) / 3)]},
+     "ragged"),
+    ("--path", {"times": [0, 1, 2], "states": [MATRIX_2] * 3,
+                "derivs": [MATRIX_2] * 2}, "derivs"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
         "kossakowski-not-hermitian", "kossakowski-wrong-size",
@@ -328,7 +375,9 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "dim-bool", "k-1e400", "k-float", "step-not-object", "i-float",
         "j-bool", "register-float", "retention-string", "rate-string",
         "jump-not-object", "cone-combinations-string", "max-rate-string",
-        "max-rate-nan", "generator-not-object"])
+        "max-rate-nan", "generator-not-object", "matrix-nan",
+        "matrix-infinity", "matrix-1e400", "times-not-numbers",
+        "states-ragged", "derivs-wrong-length"])
 def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     if flag == "plan":
         argv = ["plan", "--k", "1"] + bad
@@ -336,7 +385,10 @@ def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
         plan = write(tmp_path, "plan.json", {"k": 1, "steps": []})
         argv = {"--plan": ["run-plan", "--plan", plan, "--rho", files["rho"]],
                 "--K": ["reach", "--K", files["K"], "--rho", files["rho"],
-                        "--sigma", files["sigma"]]}.get(
+                        "--sigma", files["sigma"]],
+                "--path": ["lift-path", "--path", None],
+                "--x": ["gamma-check", "--lindblad", files["L"], "--x", None,
+                        "--y", files["x"]]}.get(
             flag, ["simulate", "--lindblad", files["L"], "--rho", files["rho"],
                    "--t", "1"])
         argv[argv.index(flag) + 1] = write(tmp_path, "bad.json", bad)
@@ -345,3 +397,127 @@ def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     msg = json.loads(err)
     code_name = "not_a_distribution" if flag == "plan" else "validation_error"
     assert msg["code"] == code_name and reason in msg["message"]
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"report contains {name}")
+
+
+def _matrix(rng, d, density=False):
+    if density:
+        p = rng.uniform(0.01, 1.0, d)
+        return ser.matrix_to_json(np.diag(p / p.sum()))
+    return ser.matrix_to_json(rng.uniform(-1, 1, (d, d))
+                              + 1j * rng.uniform(-1, 1, (d, d)))
+
+
+def _lindbladian(rng, d):
+    return {"dim": d,
+            "hamiltonian": ser.matrix_to_json(hermitize(random_complex(rng, d))),
+            "jumps": [{"a": _matrix(rng, d), "rate": rng.uniform(0, 2)}
+                      for _ in range(rng.integers(0, 3))]}
+
+
+def _documents(rng, command):
+    """Valid input files (by CLI flag) and scalar flags for one command,
+    following the README file formats."""
+    d = int(rng.integers(1, 4))
+    if command == "simulate":
+        return ({"--lindblad": _lindbladian(rng, d),
+                 "--rho": _matrix(rng, d, density=True)}, {"--t": "0.5"})
+    if command == "gamma-check":
+        return ({"--lindblad": _lindbladian(rng, d), "--x": _matrix(rng, d),
+                 "--y": _matrix(rng, d)}, {})
+    if command == "porcupine":
+        K = {"generators": [_lindbladian(rng, d)],
+             "cone_combinations": bool(rng.integers(2)), "max_total_rate": 1.0}
+        return ({"--K": K, "--sigma": _matrix(rng, d, density=True)},
+                {"--epsilon": "0.05", "--n-samples": "20"})
+    if command == "lift-path":
+        A, B = (ser.matrix_from_json(_matrix(rng, d, density=True))
+                for _ in range(2))
+        ts = np.linspace(0.0, 1.0, rng.integers(3, 5))
+        return ({"--path": {"times": ts.tolist(), "states": [
+            ser.matrix_to_json((1 - t) * A + t * B) for t in ts]}}, {})
+    k = int(rng.integers(1, 3))
+    steps = [{"kind": "amplitude_damp", "register": 0, "retention": 0.5},
+             {"kind": "transposition", "i": 0, "j": 1},
+             {"kind": "unitary", "U": ser.matrix_to_json(np.eye(2 ** k)[::-1])}]
+    return ({"--plan": {"k": k, "steps": list(rng.permutation(steps))},
+             "--rho": _matrix(rng, 2 ** k, density=True)}, {})
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+WRONG_KINDS = ["x", True, None, [], {}, 10 ** 400, [[0, 0]], {"dim": 2}]
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+BAD_SCALARS = ["nan", "inf", "-inf", "-1", "0", "1e400", "x"]
+
+
+def _pick(rng, seq):
+    return seq[rng.integers(len(seq))]
+
+
+def _mutate(rng, doc):
+    """doc with one mutation: a node of the wrong kind, a number made
+    non-finite, a list grown or shrunk by one element, or a field removed."""
+    nodes = list(_nodes(doc))
+    how = _pick(rng, ["kind", "non-finite", "size", "missing"])
+    if how == "kind":
+        path, _ = _pick(rng, nodes)
+        value = _pick(rng, WRONG_KINDS)
+    elif how == "non-finite":
+        path, _ = _pick(rng, [(p, v) for p, v in nodes
+                              if type(v) in (int, float)])
+        value = _pick(rng, NON_FINITE)
+    elif how == "size":
+        path, v = _pick(rng, [(p, v) for p, v in nodes if type(v) is list and v])
+        value = v + v[-1:] if rng.integers(2) else v[:-1]
+    else:
+        path, _ = _pick(rng, [(p, v) for p, v in nodes if p and type(p[-1]) is str])
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "missing":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["simulate", "gamma-check", "porcupine",
+                                "lift-path", "run-plan"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cli_fuzz_exit_0_or_2_and_valid_json(tmp_path_factory, command, seed):
+    """README documents, valid or with one mutation, never make the CLI exit
+    1, and no report it prints contains NaN or Infinity."""
+    rng = np.random.default_rng(seed)
+    docs, scalars = _documents(rng, command)
+    target = _pick(rng, [None] + sorted(docs) + sorted(scalars))
+    if target in scalars:
+        scalars[target] = _pick(rng, BAD_SCALARS)
+    elif target is not None:
+        docs[target] = _mutate(rng, docs[target])
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv = [command]
+    for flag, doc in docs.items():
+        # a string document is written as JSON, not as raw text
+        argv += [flag, write(tmp, flag.strip("-") + ".json", json.dumps(doc))]
+    for flag, value in scalars.items():
+        argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_raise_on_constant)

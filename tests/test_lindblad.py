@@ -159,6 +159,28 @@ def test_replacer_closed_form(rng):
         assert trace_distance(propagate(L, rho, t), expected) <= 1e-10
 
 
+def replacer_jumps_loop(sigma):
+    """The double loop that replacer_lindbladian replaces."""
+    d = sigma.shape[0]
+    w, V = np.linalg.eigh(hermitize(sigma))
+    jumps = []
+    for i in range(d):
+        if w[i] <= 1e-15:
+            continue
+        for j in range(d):
+            jumps.append(np.sqrt(w[i]) * np.outer(V[:, i], np.eye(d)[j].conj()))
+    return jumps
+
+
+@pytest.mark.parametrize("d, rank", [(2, 1), (3, 2), (4, 1), (4, 3), (5, 5)])
+def test_replacer_jumps_match_loop(rng, d, rank):
+    sigma = random_density(rng, d, rank)
+    jumps = replacer_lindbladian(sigma).jumps
+    ref = replacer_jumps_loop(sigma)
+    assert len(jumps) == len(ref) == d * rank
+    assert all(np.array_equal(j.a, a) and j.rate == 0.5 for j, a in zip(jumps, ref))
+
+
 def test_detailed_balance_pair(rng):
     L = detailed_balance_pair(4.0)
     target = np.diag([0.8, 0.2]).astype(complex)

@@ -11,6 +11,7 @@ from lindreach.lindblad import (
     channel_superop,
 )
 from lindreach.tangent import (
+    LIFT_TOL,
     PathSample,
     central_differences,
     in_tangent_cone,
@@ -161,6 +162,75 @@ def test_central_differences_quadratic():
     derivs = central_differences(PathSample(ts, states))
     for t, d in zip(ts, derivs):
         assert np.max(np.abs(d - np.diag([2 * t, -2 * t]))) <= 1e-10
+
+
+def central_differences_loop(path):
+    """The per-sample loop that central_differences replaces."""
+    t, s = path.times, path.states
+    n = len(t)
+    out = []
+    for i in range(n):
+        if i == 0:
+            i0, i1, i2 = 0, 1, 2
+        elif i == n - 1:
+            i0, i1, i2 = n - 3, n - 2, n - 1
+        else:
+            i0, i1, i2 = i - 1, i, i + 1
+        t0, t1, t2 = t[i0], t[i1], t[i2]
+        ti = t[i]
+        d0 = (2 * ti - t1 - t2) / ((t0 - t1) * (t0 - t2))
+        d1 = (2 * ti - t0 - t2) / ((t1 - t0) * (t1 - t2))
+        d2 = (2 * ti - t0 - t1) / ((t2 - t0) * (t2 - t1))
+        out.append(hermitize(d0 * s[i0] + d1 * s[i1] + d2 * s[i2]))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 24])
+def test_central_differences_match_loop_bitwise(rng, n):
+    ts = np.cumsum(rng.uniform(0.05, 1.0, n))
+    path = PathSample(ts, [random_density(rng, 3) for _ in range(n)])
+    out = central_differences(path)
+    assert out.shape == (n, 3, 3)
+    assert np.array_equal(out, np.stack(central_differences_loop(path)))
+
+
+def _perp_block_direction(rng, x22):
+    """Tangent direction at diag(0.7, 0.3, 0, 0) with perp block x22, a
+    random cross block and a compensating support block."""
+    x = np.zeros((4, 4), dtype=complex)
+    x[2:, 2:] = x22
+    x[2:, :2] = random_complex(rng, 2)
+    x[:2, 2:] = dag(x[2:, :2])
+    x[:2, :2] = random_hermitian(rng, 2)
+    x[:2, :2] -= (np.trace(x).real / 2) * np.eye(2)
+    return np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex), x
+
+
+@pytest.mark.parametrize("eigs, n_spectral", [((0.2, 0.2), 2),
+                                              ((0.3, -1e-9), 1)],
+                         ids=["repeated", "clipped"])
+def test_lift_perp_block_spectral_jumps(rng, eigs, n_spectral):
+    U = haar_unitary(2, rng)
+    rho, x = _perp_block_direction(rng, U @ np.diag(eigs) @ dag(U))
+    cert = lift(rho, x)
+    assert cert.residual <= LIFT_TOL
+    assert cert.cp_margin >= -1e-9
+    # spectral jumps map into the kernel of rho; replacer jumps into its support
+    into_kernel = [np.max(np.abs(j.a[:2])) <= 1e-12 for j in cert.lindbladian.jumps]
+    assert sum(into_kernel) == n_spectral
+
+
+@pytest.mark.parametrize("states, derivs, match", [
+    ([np.eye(2) / 2, np.eye(2) / 2, [[1.0, 0.0], [0.0]]], None, "ragged"),
+    ([np.eye(2) / 2, np.eye(2) / 2, np.eye(3) / 3], None, "ragged"),
+    ([np.ones((2, 3)) / 2] * 3, None, "square"),
+    ([np.eye(2) / 2] * 3, [np.zeros((2, 2))] * 2, "derivs"),
+    ([np.eye(2) / 2] * 3, [np.zeros((3, 3))] * 3, "derivs"),
+], ids=["ragged-rows", "mixed-dims", "not-square", "derivs-length",
+        "derivs-dim"])
+def test_path_sample_rejects_bad_shapes(states, derivs, match):
+    with pytest.raises(ValueError, match=match):
+        PathSample([0.0, 0.5, 1.0], states, derivs)
 
 
 def test_lift_path_constant():
