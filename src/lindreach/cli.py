@@ -279,7 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args.func(args, args.out)
+        # overflow in a report surfaces as the non-finite error of dump_json,
+        # so stderr holds nothing but the JSON error
+        with np.errstate(all="ignore"):
+            args.func(args, args.out)
         return 0
     except ValidationError as exc:
         print(json.dumps({"code": exc.code, "message": str(exc),

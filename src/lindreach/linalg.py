@@ -11,6 +11,8 @@ import scipy.linalg as sla
 
 HERM_TOL_PER_DIM = 1e-12
 EIG_TOL = 1e-10
+SPAN_DROP_TOL = 1e-9
+SPAN_TOL = 1e-8
 
 
 def dag(A: np.ndarray) -> np.ndarray:
@@ -45,6 +47,14 @@ def require_nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be finite and nonnegative, got {x}")
 
 
+def require_dim(d: int, **operands) -> None:
+    """Raise naming the first operand that is not a d x d matrix."""
+    for name, M in operands.items():
+        if np.shape(M) != (d, d):
+            raise ValueError(f"{name} has shape {np.shape(M)}, not ({d}, {d}); "
+                             "all operands must share one dimension")
+
+
 def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     """Validate Hermitian, PSD (up to eig_tol) and unit trace; return rho."""
     rho = np.asarray(rho, dtype=complex)
@@ -62,9 +72,9 @@ def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     return rho
 
 
-def check_unitary(U: np.ndarray, tol: float = 1e-10) -> None:
+def check_unitary(U: np.ndarray) -> None:
     d = U.shape[0]
-    if np.max(np.abs(dag(U) @ U - np.eye(d))) > tol:
+    if np.max(np.abs(dag(U) @ U - np.eye(d))) > 1e-10:
         raise ValueError("matrix is not unitary within tolerance")
 
 
@@ -100,23 +110,23 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
     return sla.expm(np.asarray(A, dtype=complex))
 
 
-def _clamped_eigh(A: np.ndarray, eig_tol: float):
+def _clamped_eigh(A: np.ndarray):
     w, V = np.linalg.eigh(hermitize(np.asarray(A, dtype=complex)))
-    if w.min() < -eig_tol:
-        raise ValueError(f"matrix has eigenvalue {w.min()} below -{eig_tol}; not PSD")
+    if w.min() < -EIG_TOL:
+        raise ValueError(f"matrix has eigenvalue {w.min()} below -{EIG_TOL}; not PSD")
     return np.clip(w, 0.0, None), V
 
 
-def mat_sqrt_psd(A: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
-    """PSD square root; eigenvalues in [-eig_tol, 0) are clamped to 0."""
-    w, V = _clamped_eigh(A, eig_tol)
+def mat_sqrt_psd(A: np.ndarray) -> np.ndarray:
+    """PSD square root; eigenvalues in [-EIG_TOL, 0) are clamped to 0."""
+    w, V = _clamped_eigh(A)
     return (V * np.sqrt(w)) @ dag(V)
 
 
-def pinv_psd(A: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
+def pinv_psd(A: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a PSD matrix, restricted to its support."""
-    w, V = _clamped_eigh(A, eig_tol)
-    winv = np.where(w > eig_tol, 1.0 / np.where(w > eig_tol, w, 1.0), 0.0)
+    w, V = _clamped_eigh(A)
+    winv = np.where(w > EIG_TOL, 1.0 / np.where(w > EIG_TOL, w, 1.0), 0.0)
     return (V * winv) @ dag(V)
 
 
@@ -163,20 +173,19 @@ def choi(S: np.ndarray) -> np.ndarray:
     return S.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-def is_cp(S: np.ndarray, tol: float = 1e-9) -> bool:
+def is_cp(S: np.ndarray) -> bool:
     J = hermitize(choi(S))
-    return bool(np.linalg.eigvalsh(J).min() >= -tol)
+    return bool(np.linalg.eigvalsh(J).min() >= -1e-9)
 
 
-def is_tp(S: np.ndarray, tol: float = 1e-9) -> bool:
+def is_tp(S: np.ndarray) -> bool:
     """Trace preservation: vec(I)^* S = vec(I)^*."""
     d = int(round(np.sqrt(S.shape[0])))
     v = vectorize(np.eye(d))
-    return bool(np.max(np.abs(v @ S - v)) <= tol)
+    return bool(np.max(np.abs(v @ S - v)) <= 1e-9)
 
 
-def schur_psd_check(A: np.ndarray, B: np.ndarray, C: np.ndarray,
-                    tol: float = EIG_TOL) -> bool:
+def schur_psd_check(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> bool:
     """PSD test for the block matrix [[A, B], [B^*, C]] with invertible A."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
@@ -184,10 +193,38 @@ def schur_psd_check(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     if abs(np.linalg.det(A)) < 1e-300:
         raise ValueError("A block is singular")
     wA = np.linalg.eigvalsh(hermitize(A))
-    if wA.min() < -tol:
+    if wA.min() < -EIG_TOL:
         return False
     comp = hermitize(C - dag(B) @ np.linalg.solve(A, B))
-    return bool(np.linalg.eigvalsh(comp).min() >= -tol)
+    return bool(np.linalg.eigvalsh(comp).min() >= -EIG_TOL)
+
+
+def extend_basis(basis: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Extend the (k, d, d) basis, orthonormal under Re tr(A^*B), by the real
+    span of the (m, d, d) stack new.
+
+    As real rows of (re, im) pairs the inner product is the dot product: the
+    basis is projected out of the new rows twice (for stability), and the
+    right singular vectors of what is left above SPAN_DROP_TOL are appended.
+    """
+    k, d, _ = basis.shape
+    B = basis.reshape(k, d * d).view(float)
+    W = np.ascontiguousarray(new, dtype=complex).reshape(len(new), d * d).view(float)
+    W = W - (W @ B.T) @ B
+    W = W - (W @ B.T) @ B
+    _, s, Vh = np.linalg.svd(W, full_matrices=False)
+    added = Vh[s > SPAN_DROP_TOL].view(complex).reshape(-1, d, d)
+    return np.concatenate([basis, added])
+
+
+def span_residual(basis: np.ndarray, M: np.ndarray) -> float:
+    """Hilbert-Schmidt distance of M from the real span of the (k, d, d)
+    basis, orthonormal under Re tr(A^*B); M is in the span when the distance
+    is below SPAN_TOL."""
+    k, d, _ = basis.shape
+    B = basis.reshape(k, d * d).view(float)
+    m = np.ascontiguousarray(M, dtype=complex).reshape(d * d).view(float)
+    return float(np.linalg.norm(m - (B @ m) @ B))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

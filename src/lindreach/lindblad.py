@@ -10,16 +10,20 @@ import scipy.linalg as sla
 
 from .linalg import (
     EIG_TOL,
+    SPAN_TOL,
     apply_superop,
     check_density,
     check_unitary,
     choi,
     dag,
     devectorize,
+    extend_basis,
     hermitize,
     is_hermitian,
     mat_exp,
+    require_dim,
     require_nonnegative,
+    span_residual,
     vectorize,
 )
 
@@ -130,13 +134,13 @@ def apply(L: Lindbladian, rho: np.ndarray) -> np.ndarray:
     return apply_superop(build(L), rho)
 
 
-def propagate(L: Lindbladian, rho: np.ndarray, t: float,
-              eig_tol: float = 1e-8) -> np.ndarray:
+def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
     """exp(t L) applied to rho, revalidated as a density matrix."""
     require_nonnegative(t=t)
     rho = check_density(rho)
+    require_dim(L.dim, rho=rho)
     out = devectorize(mat_exp(t * build(L)) @ vectorize(rho), L.dim)
-    return check_density(hermitize(out), eig_tol=eig_tol)
+    return check_density(hermitize(out), eig_tol=1e-8)
 
 
 def _lower(i: int, j: int, d: int) -> np.ndarray:
@@ -158,12 +162,10 @@ def detailed_balance_pair(beta: float) -> Lindbladian:
     ])
 
 
-def chain_lindbladian(mu: np.ndarray, d: int | None = None) -> Lindbladian:
+def chain_lindbladian(mu: np.ndarray) -> Lindbladian:
     """Nearest-neighbour detailed-balance chain with stationary state diag(mu)."""
     mu = np.asarray(mu, dtype=float)
-    d = len(mu) if d is None else d
-    if len(mu) != d:
-        raise ValueError("mu length must equal dim")
+    d = len(mu)
     if np.any(mu <= 0):
         raise ValueError("mu entries must be strictly positive")
     jumps = []
@@ -189,20 +191,19 @@ def replacer_lindbladian(sigma: np.ndarray) -> Lindbladian:
     return Lindbladian(d, jumps=[JumpTerm(k, 0.5) for k in K.reshape(-1, d, d)])
 
 
-def _kernel_basis(S: np.ndarray, null_tol: float) -> np.ndarray:
+def _kernel_basis(S: np.ndarray) -> np.ndarray:
     _, s, Vh = np.linalg.svd(S)
     d2 = S.shape[0]
-    mask = np.concatenate([s, np.zeros(d2 - len(s))]) <= null_tol * max(1.0, s[0] if len(s) else 1.0)
+    mask = np.concatenate([s, np.zeros(d2 - len(s))]) <= NULL_TOL * max(1.0, s[0] if len(s) else 1.0)
     return Vh[mask].conj().T  # columns span the kernel
 
 
-def stationary_states(L: Lindbladian, null_tol: float = NULL_TOL,
-                      max_iter: int = 500) -> list[np.ndarray]:
+def stationary_states(L: Lindbladian) -> list[np.ndarray]:
     """Extreme stationary densities: kernel of the superoperator intersected
     with the density cone by iterated projection from matrix-unit seeds."""
     S = build(L)
     d = L.dim
-    K = _kernel_basis(S, null_tol)
+    K = _kernel_basis(S)
     if K.shape[1] == 0:
         return []
     # orthogonal projector onto the kernel, as acting on vectorized operators
@@ -220,7 +221,7 @@ def stationary_states(L: Lindbladian, null_tol: float = NULL_TOL,
     for seed in seeds:
         M = proj_kernel(seed)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(500):
             M = hermitize(M)
             w, V = np.linalg.eigh(M)
             Mp = (V * np.clip(w, 0, None)) @ dag(V)
@@ -241,29 +242,26 @@ def stationary_states(L: Lindbladian, null_tol: float = NULL_TOL,
             found.append(M)
     # keep a linearly independent basis, preferring extreme (low-rank) states
     found.sort(key=lambda F: int(np.sum(np.linalg.eigvalsh(F) > 1e-8)))
-    basis: list[np.ndarray] = []
+    kept: list[np.ndarray] = []
+    basis = np.zeros((0, d, d), dtype=complex)
     for F in found:
-        if not basis:
-            basis.append(F)
-            continue
-        A = np.stack([vectorize(B) for B in basis], axis=1)
-        coef, *_ = np.linalg.lstsq(A, vectorize(F), rcond=None)
-        if np.linalg.norm(A @ coef - vectorize(F)) > 1e-8:
-            basis.append(F)
-    return basis
+        if span_residual(basis, F) > SPAN_TOL:
+            kept.append(F)
+            basis = extend_basis(basis, F[None])
+    return kept
 
 
-def spectral_gap(L: Lindbladian, null_tol: float = NULL_TOL) -> float:
+def spectral_gap(L: Lindbladian) -> float:
     ev = np.linalg.eigvals(build(L))
-    nz = ev[np.abs(ev) > null_tol]
+    nz = ev[np.abs(ev) > NULL_TOL]
     if nz.size == 0:
         return 0.0
     return float(np.min(-nz.real))
 
 
-def conjugate(L: Lindbladian, U: np.ndarray, tol: float = 1e-10) -> Lindbladian:
+def conjugate(L: Lindbladian, U: np.ndarray) -> Lindbladian:
     """Generator of the conjugated evolution: a -> U^* a U, H -> U^* H U."""
-    check_unitary(U, tol)
+    check_unitary(U)
     H = dag(U) @ L.hamiltonian @ U
     jumps = [JumpTerm(dag(U) @ j.a @ U, j.rate) for j in L.jumps]
     bil = None
@@ -273,15 +271,16 @@ def conjugate(L: Lindbladian, U: np.ndarray, tol: float = 1e-10) -> Lindbladian:
     return Lindbladian(L.dim, hamiltonian=hermitize(H), jumps=jumps, bilinear=bil)
 
 
-def unital_fixed_point_check(L: Lindbladian, tol: float = 1e-11) -> bool:
+def unital_fixed_point_check(L: Lindbladian) -> bool:
     d = L.dim
-    return bool(np.max(np.abs(apply(L, np.eye(d) / d))) <= tol)
+    return bool(np.max(np.abs(apply(L, np.eye(d) / d))) <= 1e-11)
 
 
 def gamma_form(L: Lindbladian, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient form Gamma(x, y) = L(x^*y) - L(x)^*y - x^*L(y) with L acting
     in the Heisenberg picture: dag(build(L)), the adjoint under the trace
     pairing <A,B> = tr(A^*B)."""
+    require_dim(L.dim, x=x, y=y)
     Sh = dag(build(L))
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -289,17 +288,15 @@ def gamma_form(L: Lindbladian, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             - dag(x) @ apply_superop(Sh, y))
 
 
-def gamma_span_criterion(a: np.ndarray, basis: list[np.ndarray],
-                         tol: float = 1e-8) -> bool:
-    """Whether a lies in span{1, b_1, ..., b_m} (least-squares residual)."""
+def gamma_span_criterion(a: np.ndarray, basis: list[np.ndarray]) -> bool:
+    """Whether a lies in the complex span of {1, b_1, ..., b_m}, which is the
+    real span of {1, b_i, i 1, i b_i}."""
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
-    cols = [vectorize(np.eye(d))] + [vectorize(np.asarray(b, dtype=complex))
-                                     for b in basis]
-    A = np.stack(cols, axis=1)
-    v = vectorize(a)
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    return bool(np.linalg.norm(A @ coef - v) < tol)
+    ops = np.concatenate([np.eye(d)[None], np.reshape(basis, (-1, d, d))])
+    span = extend_basis(np.zeros((0, d, d), dtype=complex),
+                        np.concatenate([ops, 1j * ops]))
+    return span_residual(span, a) < SPAN_TOL
 
 
 def channel_superop(L: Lindbladian, t: float) -> np.ndarray:

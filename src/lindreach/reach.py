@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (check_density, dag, devectorize, hermitize,
-                     schatten_norm, vectorize)
+from .linalg import (EIG_TOL, check_density, dag, devectorize, hermitize,
+                     require_dim, schatten_norm, vectorize)
 from .lindblad import JumpTerm, Lindbladian, apply, build, propagate
 from .tangent import PathSample
 
@@ -94,15 +94,13 @@ def _require_positive(**values: float) -> None:
 
 def _check_state(K: ResourceSetK, name: str, rho: np.ndarray) -> np.ndarray:
     rho = check_density(rho)
-    if rho.shape[0] != K.dim:
-        raise ValueError(f"{name} has dimension {rho.shape[0]}, K has dimension {K.dim}")
+    require_dim(K.dim, **{name: rho})
     return rho
 
 
 def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
                 p: float = 2.0, dt: float = 0.01, t_max: float = 50.0,
-                target_tol: float = 1e-4,
-                stall_tol: float = STALL_TOL) -> ReachReport:
+                target_tol: float = 1e-4) -> ReachReport:
     """Greedy closed-loop steering of rho0 toward sigma.
 
     At each step the generator (or budgeted cone weight vector) minimizing
@@ -134,7 +132,7 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         # normalize by the p-norm gradient scale so stalls are detected
         # uniformly in p and in the distance to the target
         scale = max(schatten_norm(eta - sigma, p) ** (p - 1), 1e-300)
-        if val / scale >= -stall_tol:
+        if val / scale >= -STALL_TOL:
             stall = (eta, float(val))
             break
         eta = propagate(K.generators[idx], eta, weights[idx] * dt)
@@ -144,16 +142,14 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         schedule.append((t - dt, t, weights))
         reached = schatten_norm(eta - sigma, p) <= target_tol
     return ReachReport(reached=reached, final_state=eta,
-                       trajectory=PathSample(np.array(times), states)
-                       if len(times) > 1 else PathSample(np.array([0.0, dt]),
-                                                         [states[0], states[0]]),
+                       trajectory=PathSample(np.array(times), states),
                        generator_schedule=schedule,
                        stall_certificate=stall, t_max_exceeded=exceeded)
 
 
 def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
                     n_samples: int, rng: np.random.Generator,
-                    diagonal_slice: bool, eig_tol: float = 1e-10) -> np.ndarray:
+                    diagonal_slice: bool) -> np.ndarray:
     """(n, d, d) stack of states on the radius-epsilon p-sphere around sigma
     that remain inside the state space; boundary sigma keeps only the
     intersected part. At most 50 chunks of n_samples draws consume the random
@@ -174,7 +170,7 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
         nrm = schatten_norm(X, p)
         X, nrm = X[nrm >= 1e-12], nrm[nrm >= 1e-12]
         eta = hermitize(sigma + (epsilon / nrm)[:, None, None] * X)
-        kept.append(eta[np.linalg.eigvalsh(eta).min(axis=1) >= -eig_tol])
+        kept.append(eta[np.linalg.eigvalsh(eta).min(axis=1) >= -EIG_TOL])
         if sum(map(len, kept)) >= n_samples:
             break
     return np.concatenate(kept)[:n_samples]
@@ -182,12 +178,11 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
 
 def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
                     p: float = 2.0, n_samples: int = 2000, seed: int = 0,
-                    diagonal_slice: bool = False,
-                    obstruction_tol: float = OBSTRUCTION_TOL) -> PorcupineReport:
+                    diagonal_slice: bool = False) -> PorcupineReport:
     """Sampled obstruction test on the epsilon-sphere around sigma.
 
     obstruction_evidence is true when the best available alignment is
-    nonnegative (within obstruction_tol) at every sampled sphere point, so no
+    nonnegative (within OBSTRUCTION_TOL) at every sampled sphere point, so no
     admissible generator points inward anywhere on the sphere.
     """
     if n_samples <= 0:
@@ -214,11 +209,10 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     return PorcupineReport(sigma=sigma, epsilon=epsilon, p=p,
                            samples=len(samples),
                            min_alignment_over_samples=best,
-                           obstruction_evidence=best >= -obstruction_tol)
+                           obstruction_evidence=best >= -OBSTRUCTION_TOL)
 
 
-def replacer_overshoot(rho: np.ndarray, sigma: np.ndarray, eps: float,
-                       n_steps: int = 64) -> dict:
+def replacer_overshoot(rho: np.ndarray, sigma: np.ndarray, eps: float) -> dict:
     """Replacer trajectory with overshoot target sigma_tilde = sigma +
     eps (sigma - rho); hits sigma exactly at s = ln(1 + 1/eps)."""
     rho = check_density(rho)
@@ -230,7 +224,7 @@ def replacer_overshoot(rho: np.ndarray, sigma: np.ndarray, eps: float,
         raise ValueError("overshoot target is not positive semidefinite; "
                          "decrease eps")
     s = math.log(1.0 + 1.0 / eps)
-    ts = np.linspace(0.0, s, n_steps)
+    ts = np.linspace(0.0, s, 64)
     u = np.exp(-ts)[:, None, None]
     states = hermitize(u * rho + (1 - u) * sigma_t)
     return {"trajectory": PathSample(ts, states), "hit_time": s}

@@ -25,7 +25,7 @@ class SchemaError(ValueError):
 
 
 _KINDS = {int: "an integer", float: "a finite number", bool: "a boolean",
-          str: "a string", dict: "an object"}
+          str: "a string", dict: "an object", list: "a list"}
 
 
 def _field(obj, name: str, kind: type, default=None):
@@ -82,38 +82,32 @@ def lindbladian_to_json(L: Lindbladian) -> dict:
 
 
 def lindbladian_from_json(obj) -> Lindbladian:
-    try:
-        dim = _field(obj, "dim", int)
-        H = matrix_from_json(obj["hamiltonian"]) if "hamiltonian" in obj else None
-        jumps = [JumpTerm(matrix_from_json(_field(j, "a", dict)),
-                          _field(j, "rate", float))
-                 for j in obj.get("jumps", [])]
-        bil = None
-        if obj.get("bilinear") is not None:
-            b = obj["bilinear"]
-            bil = BilinearTerm([matrix_from_json(m) for m in b["ops"]],
-                               matrix_from_json(b["kossakowski"]))
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"Lindbladian object missing field: {exc}") from exc
+    dim = _field(obj, "dim", int)
+    H = (matrix_from_json(_field(obj, "hamiltonian", dict))
+         if "hamiltonian" in obj else None)
+    jumps = [JumpTerm(matrix_from_json(_field(j, "a", dict)),
+                      _field(j, "rate", float))
+             for j in _field(obj, "jumps", list, [])]
+    bil = None
+    if obj.get("bilinear") is not None:
+        b = obj["bilinear"]
+        bil = BilinearTerm([matrix_from_json(m) for m in _field(b, "ops", list)],
+                           matrix_from_json(_field(b, "kossakowski", dict)))
     return Lindbladian(dim, hamiltonian=H, jumps=jumps, bilinear=bil)
 
 
 def resource_set_from_json(obj) -> ResourceSet:
-    try:
-        return ResourceSet(dim=_field(obj, "dim", int),
-                           elements=[matrix_from_json(e) for e in obj["elements"]])
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"ResourceSet object missing field: {exc}") from exc
+    return ResourceSet(dim=_field(obj, "dim", int),
+                       elements=[matrix_from_json(e)
+                                 for e in _field(obj, "elements", list)])
 
 
 def resource_set_k_from_json(obj) -> ResourceSetK:
-    try:
-        return ResourceSetK(
-            generators=[lindbladian_from_json(L) for L in obj["generators"]],
-            cone_combinations=_field(obj, "cone_combinations", bool, False),
-            max_total_rate=_field(obj, "max_total_rate", float, 1.0))
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"ResourceSetK object missing field: {exc}") from exc
+    return ResourceSetK(
+        generators=[lindbladian_from_json(L)
+                    for L in _field(obj, "generators", list)],
+        cone_combinations=_field(obj, "cone_combinations", bool, False),
+        max_total_rate=_field(obj, "max_total_rate", float, 1.0))
 
 
 def step_to_json(step) -> dict:
@@ -129,16 +123,13 @@ def step_to_json(step) -> dict:
 
 def step_from_json(obj):
     kind = _field(obj, "kind", str)
-    try:
-        if kind == "unitary":
-            return ApplyUnitary(matrix_from_json(obj["U"]))
-        if kind == "amplitude_damp":
-            return AmplitudeDamp(_field(obj, "register", int),
-                                 _field(obj, "retention", float))
-        if kind == "transposition":
-            return Transposition(_field(obj, "i", int), _field(obj, "j", int))
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"plan step missing field: {exc}") from exc
+    if kind == "unitary":
+        return ApplyUnitary(matrix_from_json(_field(obj, "U", dict)))
+    if kind == "amplitude_damp":
+        return AmplitudeDamp(_field(obj, "register", int),
+                             _field(obj, "retention", float))
+    if kind == "transposition":
+        return Transposition(_field(obj, "i", int), _field(obj, "j", int))
     raise SchemaError(f"unknown plan step kind {kind!r}")
 
 
@@ -149,11 +140,8 @@ def plan_to_json(plan: TransportPlan) -> dict:
 
 
 def plan_from_json(obj) -> TransportPlan:
-    try:
-        plan = TransportPlan(_field(obj, "k", int))
-        plan.steps.extend(step_from_json(s) for s in obj["steps"])
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"plan object missing field: {exc}") from exc
+    plan = TransportPlan(_field(obj, "k", int))
+    plan.steps.extend(step_from_json(s) for s in _field(obj, "steps", list))
     return plan
 
 
@@ -166,14 +154,12 @@ def path_sample_to_json(path: PathSample) -> dict:
 
 
 def path_sample_from_json(obj) -> PathSample:
-    try:
-        return PathSample(
-            times=[_value(t, "times", float) for t in obj["times"]],
-            states=[matrix_from_json(s) for s in obj["states"]],
-            derivs=[matrix_from_json(x) for x in obj["derivs"]]
-            if obj.get("derivs") is not None else None)
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"path sample missing field: {exc}") from exc
+    times = [_value(t, "times", float) for t in _field(obj, "times", list)]
+    states = [matrix_from_json(s) for s in _field(obj, "states", list)]
+    derivs = None
+    if obj.get("derivs") is not None:
+        derivs = [matrix_from_json(x) for x in _field(obj, "derivs", list)]
+    return PathSample(times, states, derivs)
 
 
 def load_json(path: str):
@@ -189,7 +175,12 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """obj as indented JSON text, also written to path when one is given; a
+    report holding NaN or Infinity raises ValueError, as JSON has neither."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"report contains a non-finite number: {exc}") from exc
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -14,6 +14,7 @@ from .linalg import (
     check_density,
     dag,
     hermitize,
+    require_dim,
     require_nonnegative,
     trace_distance,
     vectorize,
@@ -86,6 +87,7 @@ def support_projection(rho: np.ndarray, tol: float = SUPPORT_TOL) -> SupportDeco
 def in_tangent_cone(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL) -> bool:
     """Membership in T+_rho: tr x = 0 and the doubly-perp block of x is PSD."""
     require_nonnegative(tol=tol)
+    require_dim(len(rho), x=x)
     x = np.asarray(x, dtype=complex)
     if np.max(np.abs(x - dag(x))) > max(1e-10, tol):
         raise ValueError("tangent candidate must be Hermitian")
@@ -98,36 +100,36 @@ def in_tangent_cone(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL) ->
     return bool(np.linalg.eigvalsh(hermitize(x22)).min() >= -tol)
 
 
-def linear_admissible(rho: np.ndarray, x: np.ndarray,
-                      tol: float = SUPPORT_TOL) -> float | None:
+def linear_admissible(rho: np.ndarray, x: np.ndarray) -> float | None:
     """Largest eps with rho + eps x PSD; None if no eps > 0 exists;
     math.inf when the direction never leaves the cone."""
     rho = check_density(rho)
+    require_dim(len(rho), x=x)
     x = hermitize(np.asarray(x, dtype=complex))
-    if np.max(np.abs(x)) <= tol:
+    if np.max(np.abs(x)) <= SUPPORT_TOL:
         return math.inf
-    dec = support_projection(rho, tol=tol)
+    dec = support_projection(rho)
     r, d = dec.rank, rho.shape[0]
     if r < d:
         # feasibility for small eps: perp block PSD and cross block ranging
         # into the support of the perp block
         _, _, x21, x22 = dec.blocks(x)
         w22, V22 = np.linalg.eigh(hermitize(x22))
-        if w22.min() < -tol:
+        if w22.min() < -SUPPORT_TOL:
             return None
-        kernel = V22[:, w22 <= tol]
+        kernel = V22[:, w22 <= SUPPORT_TOL]
         if kernel.size and np.max(np.abs(dag(kernel) @ x21)) > 1e-8:
             return None
-    if np.linalg.eigvalsh(x).min() >= -tol:
+    if np.linalg.eigvalsh(x).min() >= -SUPPORT_TOL:
         return math.inf
     # bracket then bisect on lambda_min(rho + eps x) >= 0
     hi = 1.0
-    while np.linalg.eigvalsh(rho + hi * x).min() >= -tol and hi < 1e12:
+    while np.linalg.eigvalsh(rho + hi * x).min() >= -SUPPORT_TOL and hi < 1e12:
         hi *= 2.0
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.linalg.eigvalsh(rho + mid * x).min() >= -tol:
+        if np.linalg.eigvalsh(rho + mid * x).min() >= -SUPPORT_TOL:
             lo = mid
         else:
             hi = mid
@@ -143,6 +145,7 @@ def second_order_witness(rho: np.ndarray, x: np.ndarray,
     eigenchecks on a t-grid.
     """
     rho = check_density(rho)
+    require_dim(len(rho), x=x)
     x = hermitize(np.asarray(x, dtype=complex))
     if not in_tangent_cone(rho, x, tol):
         raise ValueError("x is not in the tangent cone at rho")
@@ -192,6 +195,7 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
     in-support remainder.
     """
     rho = check_density(rho)
+    require_dim(len(rho), x=x)
     x = hermitize(np.asarray(x, dtype=complex))
     if not in_tangent_cone(rho, x, max(tol, PATH_TOL)):
         raise ValueError("x is not in the tangent cone at rho")
@@ -259,8 +263,7 @@ def central_differences(path: PathSample) -> np.ndarray:
     return hermitize(d0 * s[c - 1] + d1 * s[c] + d2 * s[c + 1])
 
 
-def lift_path(path: PathSample, path_tol: float = PATH_TOL,
-              support_tol: float = 1e-8) -> dict:
+def lift_path(path: PathSample) -> dict:
     """Per-sample Lindbladian lifts along a sampled path with their lift
     residuals, trapezoidal integrability estimates of 1/lambda_min and
     lambda_min^{-1/2} and a piecewise-constant-generator reconstruction
@@ -274,15 +277,14 @@ def lift_path(path: PathSample, path_tol: float = PATH_TOL,
     gens: list[Lindbladian] = []
     residual = []
     for idx, (rho_t, x) in enumerate(zip(path.states, xdot)):
-        if not in_tangent_cone(rho_t, x, path_tol):
+        if not in_tangent_cone(rho_t, x, PATH_TOL):
             raise ValueError(f"sample {idx} fails tangent-cone membership")
-        cert = lift(rho_t, x, tol=support_tol,
-                    lift_tol=max(LIFT_TOL, 10 * path_tol))
+        cert = lift(rho_t, x, tol=1e-8, lift_tol=10 * PATH_TOL)
         gens.append(cert.lindbladian)
         residual.append(cert.residual)
     w = np.linalg.eigvalsh(hermitize(path.states))
-    lam = np.min(w, axis=1, where=w > support_tol, initial=np.inf)
-    lam[np.isinf(lam)] = 0.0         # no eigenvalue above support_tol
+    lam = np.min(w, axis=1, where=w > 1e-8, initial=np.inf)
+    lam[np.isinf(lam)] = 0.0         # no eigenvalue above the 1e-8 cut
     t = path.times
     integ = {
         "int_inv_lambda": float(np.trapezoid(1.0 / lam, t)),

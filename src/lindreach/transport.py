@@ -57,8 +57,8 @@ class RatioLedger:
     def record(self, ratios: list[float]):
         self.entries.append(list(ratios))
 
-    def is_nondecreasing(self, tol: float = 1e-12) -> bool:
-        return all(all(e[i] <= e[i + 1] + tol for i in range(len(e) - 1))
+    def is_nondecreasing(self) -> bool:
+        return all(all(e[i] <= e[i + 1] + 1e-12 for i in range(len(e) - 1))
                    for e in self.entries)
 
 

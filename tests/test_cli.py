@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ def files(tmp_path):
                      ser.matrix_to_json(np.diag([0.0, 1.0]))),
         "sigma": write(tmp_path, "sigma.json",
                        ser.matrix_to_json(np.diag([1.0, 0.0]))),
+        "mixed": write(tmp_path, "mixed.json", ser.matrix_to_json(np.eye(2) / 2)),
         "x": write(tmp_path, "x.json",
                    ser.matrix_to_json(np.array([[0, 1], [1, 0]], dtype=float))),
         "K": write(tmp_path, "K.json",
@@ -100,6 +102,30 @@ def test_reach_and_csv(files, capsys, tmp_path):
     assert code == 0 and json.loads(out)["reached"] is True
     header = (tmp_path / "traj.csv").read_text().splitlines()[0]
     assert header == "t,trace_distance,chosen_generator"
+
+
+def test_reach_csv_without_steps_has_one_row(files, capsys, tmp_path):
+    """rho0 already at the target: the CSV holds the one computed sample."""
+    csv = tmp_path / "traj.csv"
+    code, out, _ = run(capsys, ["reach", "--K", files["K"],
+                                "--rho", files["sigma"],
+                                "--sigma", files["sigma"], "--csv", str(csv)])
+    assert code == 0 and json.loads(out)["n_steps"] == 0
+    assert csv.read_text().splitlines() == ["t,trace_distance,chosen_generator",
+                                            "0,0,-1"]
+
+
+def test_non_finite_report_exits_2(files, capsys, tmp_path):
+    """Finite entries whose Gamma form overflows give a report with NaN in
+    it: exit 2, and stderr holds only the JSON error."""
+    big = write(tmp_path, "big.json", ser.matrix_to_json(np.full((2, 2), 1e200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # an overflow warning would exit 1
+        code, out, err = run(capsys, ["gamma-check", "--lindblad", files["L"],
+                                      "--x", big, "--y", big])
+    assert code == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["code"] == "validation_error" and "non-finite" in msg["message"]
 
 
 def test_porcupine_reproducible(files, capsys):
@@ -306,6 +332,8 @@ def resource_set(**fields):
 
 
 MATRIX_2 = ser.matrix_to_json(np.eye(2) / 2)
+MATRIX_3 = ser.matrix_to_json(np.eye(3) / 3)
+TRACELESS_3 = ser.matrix_to_json(np.diag([1.0, -1.0, 0.0]))
 TRANSPOSITION = {"kind": "transposition", "i": 0, "j": 1}
 DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
 
@@ -365,6 +393,26 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
      "ragged"),
     ("--path", {"times": [0, 1, 2], "states": [MATRIX_2] * 3,
                 "derivs": [MATRIX_2] * 2}, "derivs"),
+    ("--K", {"generators": 3}, "'generators' must be a list"),
+    ("--lindblad", {"dim": 2, "jumps": {"a": 1}}, "'jumps' must be a list"),
+    ("--lindblad", {"dim": 2, "bilinear": {"ops": 1, "kossakowski": MATRIX_2}},
+     "'ops' must be a list"),
+    ("--lindblad", {"dim": 2, "bilinear": {"ops": []}}, "'kossakowski'"),
+    ("--lindblad", {"dim": 2, "hamiltonian": 3}, "'hamiltonian'"),
+    ("--plan", {"k": 1, "steps": {"kind": "transposition"}},
+     "'steps' must be a list"),
+    ("--plan", {"k": 1}, "'steps' must be a list"),
+    ("--plan", one_step_plan({"kind": "unitary"}), "'U'"),
+    ("--path", {"times": 0, "states": [MATRIX_2]}, "'times' must be a list"),
+    ("--path", {"times": [0], "states": MATRIX_2}, "'states' must be a list"),
+    ("--path", {"times": [0, 1, 2], "states": [MATRIX_2] * 3,
+                "derivs": MATRIX_2}, "'derivs' must be a list"),
+    ("--rho", MATRIX_3, "rho has shape (3, 3)"),
+    ("--x", TRACELESS_3, "x has shape (3, 3)"),
+    ("reach --sigma", MATRIX_3, "sigma has shape (3, 3)"),
+    ("certify-tangent --x", TRACELESS_3, "x has shape (3, 3)"),
+    ("certify-tangent --rho", MATRIX_3, "x has shape (2, 2)"),
+    ("lift --x", TRACELESS_3, "x has shape (3, 3)"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
         "kossakowski-not-hermitian", "kossakowski-wrong-size",
@@ -377,21 +425,32 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "jump-not-object", "cone-combinations-string", "max-rate-string",
         "max-rate-nan", "generator-not-object", "matrix-nan",
         "matrix-infinity", "matrix-1e400", "times-not-numbers",
-        "states-ragged", "derivs-wrong-length"])
+        "states-ragged", "derivs-wrong-length", "generators-not-list",
+        "jumps-not-list", "ops-not-list", "kossakowski-missing",
+        "hamiltonian-not-object", "steps-not-list", "steps-missing",
+        "unitary-missing", "times-not-list", "states-not-list",
+        "derivs-not-list", "simulate-rho-dim", "gamma-x-dim",
+        "reach-sigma-dim", "tangent-x-dim", "tangent-rho-dim", "lift-x-dim"])
 def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     if flag == "plan":
         argv = ["plan", "--k", "1"] + bad
     else:
         plan = write(tmp_path, "plan.json", {"k": 1, "steps": []})
+        # a flag alone names the command below; "command --flag" names both
+        reach = ["reach", "--K", files["K"], "--rho", files["rho"],
+                 "--sigma", files["sigma"]]
+        tangent = ["--rho", files["mixed"], "--x", files["x"]]
         argv = {"--plan": ["run-plan", "--plan", plan, "--rho", files["rho"]],
-                "--K": ["reach", "--K", files["K"], "--rho", files["rho"],
-                        "--sigma", files["sigma"]],
+                "--K": reach, "reach --sigma": reach,
                 "--path": ["lift-path", "--path", None],
                 "--x": ["gamma-check", "--lindblad", files["L"], "--x", None,
-                        "--y", files["x"]]}.get(
+                        "--y", files["x"]],
+                "certify-tangent --x": ["certify-tangent"] + tangent,
+                "certify-tangent --rho": ["certify-tangent"] + tangent,
+                "lift --x": ["lift"] + tangent}.get(
             flag, ["simulate", "--lindblad", files["L"], "--rho", files["rho"],
                    "--t", "1"])
-        argv[argv.index(flag) + 1] = write(tmp_path, "bad.json", bad)
+        argv[argv.index(flag.split()[-1]) + 1] = write(tmp_path, "bad.json", bad)
     code, _, err = run(capsys, argv)
     assert code == 2
     msg = json.loads(err)

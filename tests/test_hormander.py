@@ -7,7 +7,7 @@ from lindreach.hormander import (
     lie_closure,
     orbit_span_probe,
 )
-from lindreach.linalg import dag, tensor
+from lindreach.linalg import dag, hermitize, tensor, vectorize
 
 from conftest import random_complex
 
@@ -133,3 +133,50 @@ def test_orbit_probe_reproducible():
     r1 = orbit_span_probe(a, seed=42)
     r2 = orbit_span_probe(a, seed=42)
     assert r1 == r2
+
+
+def _orbit_probe_reference(a, seed):
+    """The probe as a rank loop: the real rank of all samples so far after
+    each one (matrix_rank, tol 1e-10), then one least-squares residual."""
+    a = np.asarray(a, dtype=complex)
+    d = a.shape[0]
+    a = a - (np.trace(a) / d) * np.eye(d)
+    rng = np.random.default_rng(seed)
+    e01 = np.zeros((d, d), dtype=complex)
+    e01[0, 1] = 1.0
+    cols, span_dim, stagnant, used = [], 0, 0, 0
+    for _ in range(200):
+        U = haar_unitary(d, rng)
+        cols += [vectorize(dag(U) @ a @ U), vectorize(dag(U) @ dag(a) @ U)]
+        used += 1
+        A = np.stack(cols, axis=1)
+        new_dim = int(np.linalg.matrix_rank(np.concatenate([A.real, A.imag]),
+                                            tol=1e-10))
+        stagnant = 0 if new_dim > span_dim else stagnant + 1
+        span_dim = new_dim
+        if stagnant >= 5 or span_dim >= 2 * d * d:
+            break
+    A = np.stack(cols, axis=1)
+    AR = np.concatenate([A.real, A.imag])
+    target = np.concatenate([vectorize(e01).real, vectorize(e01).imag])
+    coef, *_ = np.linalg.lstsq(AR, target, rcond=None)
+    residual = float(np.linalg.norm(AR @ coef - target))
+    return {"contains_e01": residual < 1e-8, "span_dim": span_dim,
+            "residual": residual, "samples_used": used}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_orbit_probe_matches_rank_reference(d, seed):
+    rng = np.random.default_rng(d)
+    G = random_complex(rng, d)
+    A = rng.standard_normal((d, d))
+    e = np.eye(d)
+    ops = [G, hermitize(G), np.diag(rng.standard_normal(d)),
+           np.outer(e[0], e[1]), np.outer(e[1], e[0]), e,
+           haar_unitary(d, rng), A - A.T]
+    for a in ops:
+        got, ref = orbit_span_probe(a, seed=seed), _orbit_probe_reference(a, seed)
+        for key in ("contains_e01", "span_dim", "samples_used"):
+            assert got[key] == ref[key], key
+        assert abs(got["residual"] - ref["residual"]) <= 1e-10

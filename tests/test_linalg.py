@@ -7,6 +7,7 @@ from lindreach.linalg import (
     choi,
     dag,
     devectorize,
+    extend_basis,
     hermitize,
     is_cp,
     is_tp,
@@ -17,6 +18,7 @@ from lindreach.linalg import (
     pinv_psd,
     schatten_norm,
     schur_psd_check,
+    span_residual,
     superop_from_action,
     tensor,
     trace_distance,
@@ -203,3 +205,25 @@ def test_schur_agrees_with_full_eigencheck(rng):
 
 def test_trace_distance():
     assert np.isclose(trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_span_residual_matches_lstsq(rng, d):
+    """Distance from the real span against a least-squares reference, with
+    a dependent element among the spanning set."""
+    for m in range(5):
+        ops = np.array([random_complex(rng, d) for _ in range(m)]).reshape(m, d, d)
+        if m >= 2:
+            ops = np.concatenate([ops, (ops[0] - 3 * ops[1])[None]])
+        basis = extend_basis(np.zeros((0, d, d), dtype=complex), ops)
+        assert len(basis) == min(m, 2 * d * d)
+        gram = np.real(np.einsum("kij,lij->kl", basis.conj(), basis))
+        assert np.abs(gram - np.eye(len(basis))).max(initial=0.0) <= 1e-12
+        # the real span as real columns (re, im) of the spanning set
+        A = np.concatenate([vectorize(ops).real, vectorize(ops).imag], axis=1).T
+        for M in (random_complex(rng, d),
+                  np.tensordot(rng.standard_normal(len(ops)), ops, 1)):
+            b = np.concatenate([vectorize(M).real, vectorize(M).imag])
+            coef = np.linalg.lstsq(A, b, rcond=None)[0]
+            ref = float(np.linalg.norm(A @ coef - b))
+            assert abs(span_residual(basis, M) - ref) <= 1e-10

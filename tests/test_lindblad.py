@@ -214,6 +214,19 @@ def test_chain_stationary_random(rng):
         assert trace_distance(ss[0], np.diag(mu)) <= 1e-10
 
 
+def test_dark_state_damping_stationary_states():
+    """a = |0>(<1| + <2|) leaves |-> = (|1> - |2>)/sqrt(2) dark: the extreme
+    stationary states are the two rank-1 states |0><0| and |-><-|."""
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 1] = a[0, 2] = 1.0
+    ss = stationary_states(Lindbladian(3, jumps=[JumpTerm(a, 1.0)]))
+    minus = np.array([0.0, 1.0, -1.0]) / np.sqrt(2)
+    expect = [np.diag([1.0, 0.0, 0.0]), np.outer(minus, minus)]
+    assert len(ss) == 2
+    for s, e in zip(ss, expect):
+        assert np.max(np.abs(s - e)) <= 1e-10
+
+
 def test_dephasing_stationary_structure():
     ss = stationary_states(Lindbladian(2, jumps=[JumpTerm(Z, 1.0)]))
     assert len(ss) == 2  # kernel dimension 2: all diagonal densities
@@ -310,3 +323,15 @@ def test_gamma_span_criterion(rng):
     b1 = b1 + 1j * b1 @ b1  # make it non-normal
     assert gamma_span_criterion(b1 + 2 * np.eye(3), [b1])
     assert not gamma_span_criterion(b1.conj().T, [b1])
+
+
+def test_gamma_span_criterion_dependent_basis(rng):
+    """A dependent basis, the identity among it, spans what its independent
+    part spans over the complex numbers."""
+    b1, b2, off = (random_complex(rng, 3) for _ in range(3))
+    basis = [b1, b2, b1 - (0.5 + 2j) * b2, 3 * np.eye(3)]
+    inside = 1j * b1 + (2 - 1j) * b2 + (0.5 - 0.5j) * np.eye(3)
+    assert gamma_span_criterion(inside, basis)
+    assert gamma_span_criterion(inside + 1e-11 * off, basis)
+    assert not gamma_span_criterion(inside + 1e-6 * off, basis)
+    assert not gamma_span_criterion(b1.conj().T, basis)

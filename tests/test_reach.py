@@ -83,6 +83,22 @@ def test_reach_trivial_target(rng):
     assert rep.reached and len(rep.generator_schedule) == 0
 
 
+def test_reach_without_steps_reports_one_sample():
+    """At the target, or stalled at once, the trajectory is the one computed
+    sample at t = 0."""
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+    at_target = reach_drive(ResourceSetK([replacer_lindbladian(sigma)]),
+                            sigma, sigma)
+    # a diagonal Hamiltonian leaves diagonal states in place: alignment 0
+    stalled = reach_drive(ResourceSetK([Lindbladian(2, hamiltonian=np.diag(
+        [1.0, -1.0]))]), rho0, sigma)
+    assert at_target.reached and stalled.stall_certificate is not None
+    for rep, eta in ((at_target, sigma), (stalled, rho0)):
+        assert np.array_equal(rep.trajectory.times, [0.0])
+        assert np.array_equal(rep.trajectory.states, eta[None])
+
+
 @pytest.mark.parametrize("cone", [False, True])
 def test_reach_bilinear_generator_matches_jump(cone):
     a = np.array([[0, 1], [0, 0]], dtype=complex)

@@ -278,3 +278,14 @@ def test_converse_lindblad_applications_in_cone(rng):
         rho = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
         x = random_cone_element(rng, rho, d)
         assert in_tangent_cone(rho, x, 1e-8)
+
+
+@pytest.mark.parametrize("check", [in_tangent_cone, lift, linear_admissible,
+                                   second_order_witness])
+def test_operands_share_one_dimension(check):
+    """x of another dimension than rho is rejected by name, whether rho has
+    full rank or not."""
+    for rho, x in ((np.eye(2) / 2, np.diag([1.0, -1.0, 0.0])),
+                   (np.eye(3) / 3, X), (GROUND, np.diag([1.0, -1.0, 0.0]))):
+        with pytest.raises(ValueError, match=r"x has shape"):
+            check(rho, x)
