@@ -65,6 +65,17 @@ def _parse_probvec(text: str, normalize: bool) -> np.ndarray:
     return v
 
 
+def _parse_counts(text: str) -> list[int]:
+    try:
+        ns = [int(x) for x in text.split(",")]
+    except ValueError:
+        ns = []
+    if not ns or min(ns) < 1:
+        raise ValueError("--n must be a comma-separated list of positive "
+                         f"integers, got {text!r}")
+    return ns
+
+
 def _cmd_simulate(args, out):
     L = ser.lindbladian_from_json(ser.load_json(args.lindblad))
     rho = _load_matrix(args.rho)
@@ -164,7 +175,7 @@ def _cmd_check_hormander(args, out):
 
 def _cmd_dilate(args, out):
     a = _load_matrix(args.a)
-    ns = [int(x) for x in args.n.split(",")]
+    ns = _parse_counts(args.n)
     rows = [[float(n), dilation_error_vs_exact(a, args.t, n)] for n in ns]
     if args.csv:
         _write_csv(args.csv, ["n", "choi_trace_norm_error"], rows)

@@ -3,7 +3,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,25 +31,33 @@ from .linalg import (
 NULL_TOL = 1e-9
 
 
-@dataclass
+def _frozen(a) -> np.ndarray:
+    """A read-only complex copy of a; the caller's array stays writable."""
+    a = np.array(a, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
 class JumpTerm:
     a: np.ndarray
     rate: float
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=complex)
+        object.__setattr__(self, "a", _frozen(self.a))
         if not 0 <= self.rate < np.inf:
             raise ValueError(f"jump rate {self.rate} is not finite and nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BilinearTerm:
-    ops: list[np.ndarray]
+    ops: tuple[np.ndarray, ...]
     kossakowski: np.ndarray
 
     def __post_init__(self):
-        self.ops = [np.asarray(a, dtype=complex) for a in self.ops]
-        g = self.kossakowski = np.asarray(self.kossakowski, dtype=complex)
+        object.__setattr__(self, "ops", tuple(_frozen(a) for a in self.ops))
+        object.__setattr__(self, "kossakowski", _frozen(self.kossakowski))
+        g = self.kossakowski
         m = len(self.ops)
         if g.shape != (m, m):
             raise ValueError(f"Kossakowski matrix shape {g.shape} does not "
@@ -59,17 +68,20 @@ class BilinearTerm:
             raise ValueError("Kossakowski matrix must be PSD")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lindbladian:
+    """An immutable GKSL generator: every operator is a read-only copy, so
+    the superoperator computed on first use stays valid for its lifetime."""
     dim: int
     hamiltonian: np.ndarray | None = None
-    jumps: list[JumpTerm] = field(default_factory=list)
+    jumps: tuple[JumpTerm, ...] = ()
     bilinear: BilinearTerm | None = None
 
     def __post_init__(self):
-        if self.hamiltonian is None:
-            self.hamiltonian = np.zeros((self.dim, self.dim), dtype=complex)
-        self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
+        H = self.hamiltonian
+        object.__setattr__(self, "hamiltonian", _frozen(
+            np.zeros((self.dim, self.dim)) if H is None else H))
+        object.__setattr__(self, "jumps", tuple(self.jumps))
         if self.hamiltonian.shape != (self.dim, self.dim):
             raise ValueError("Hamiltonian dimension mismatch")
         if not is_hermitian(self.hamiltonian, 1e-10 * max(1, self.dim)):
@@ -81,6 +93,19 @@ class Lindbladian:
             for a in self.bilinear.ops:
                 if a.shape != (self.dim, self.dim):
                     raise ValueError("bilinear.ops operator dimension mismatch")
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """Read-only GKSL superoperator with Kossakowski matrix diag(rates)
+        (+) bilinear, computed on first use."""
+        ops = [j.a for j in self.jumps]
+        g = np.diag([j.rate for j in self.jumps])
+        if self.bilinear is not None:
+            ops += self.bilinear.ops
+            g = sla.block_diag(g, self.bilinear.kossakowski)
+        S = _gksl(self.hamiltonian, ops, g)
+        S.setflags(write=False)
+        return S
 
 
 def _gksl(H: np.ndarray, ops: list[np.ndarray], g: np.ndarray) -> np.ndarray:
@@ -121,13 +146,8 @@ def bilinear_dissipator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build(L: Lindbladian) -> np.ndarray:
-    """GKSL superoperator with Kossakowski matrix diag(rates) (+) bilinear."""
-    ops = [j.a for j in L.jumps]
-    g = np.diag([j.rate for j in L.jumps])
-    if L.bilinear is not None:
-        ops += L.bilinear.ops
-        g = sla.block_diag(g, L.bilinear.kossakowski)
-    return _gksl(L.hamiltonian, ops, g)
+    """L's superoperator, built once per generator (Lindbladian.superop)."""
+    return L.superop
 
 
 def apply(L: Lindbladian, rho: np.ndarray) -> np.ndarray:
@@ -139,7 +159,11 @@ def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
     require_nonnegative(t=t)
     rho = check_density(rho)
     require_dim(L.dim, rho=rho)
-    out = devectorize(mat_exp(t * build(L)) @ vectorize(rho), L.dim)
+    P = mat_exp(t * build(L))
+    if not np.all(np.isfinite(P)):
+        raise ValueError("t must be small enough for exp(t L) to be finite; "
+                         f"t = {t} overflows")
+    out = devectorize(P @ vectorize(rho), L.dim)
     return check_density(hermitize(out), eig_tol=1e-8)
 
 

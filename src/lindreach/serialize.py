@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -67,6 +68,9 @@ def matrix_from_json(obj) -> np.ndarray:
         raise SchemaError("matrix entries must be [re, im] number pairs")
     if not np.all(np.isfinite(pairs)):
         raise SchemaError("matrix entries must be finite numbers")
+    # numpy reads true as 1, so booleans are found by type, not by dtype
+    if bool in set(map(type, itertools.chain.from_iterable(entries))):
+        raise SchemaError("matrix entries must be finite numbers, not booleans")
     return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
 
 

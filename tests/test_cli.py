@@ -250,9 +250,10 @@ def test_parser_built_once_serves_bad_then_good_argv(files, capsys):
     ("porcupine", ["--epsilon", "nan"], "epsilon"),
     ("porcupine", ["--epsilon", "inf"], "epsilon"),
     ("porcupine", ["--sigma", "rho3"], "sigma"),
+    ("reach", ["--dt", "1e300"], "t = 1e+300 overflows"),
 ], ids=["t-max-nan", "t-max-inf", "dt-nan", "dt-zero", "target-tol-nan",
         "target-tol-negative", "rho-dim", "sigma-dim", "epsilon-nan",
-        "epsilon-inf", "porcupine-sigma-dim"])
+        "epsilon-inf", "porcupine-sigma-dim", "dt-overflow"])
 def test_reach_porcupine_reject_bad_scalars_and_dims(files, capsys, tmp_path,
                                                       command, extra, name):
     rho3 = write(tmp_path, "rho3.json", ser.matrix_to_json(np.eye(3) / 3))
@@ -278,8 +279,13 @@ def test_reach_porcupine_reject_bad_scalars_and_dims(files, capsys, tmp_path,
     (["simulate", "--lindblad", "L", "--rho", "rho", "--t", "nan"], "t"),
     (["simulate", "--lindblad", "L", "--rho", "rho", "--t", "inf"], "t"),
     (["simulate", "--lindblad", "L", "--rho", "rho", "--t", "-1"], "t"),
+    (["simulate", "--lindblad", "L", "--rho", "rho", "--t", "1e300"], "t"),
     (["dilate", "--a", "a", "--n", "4", "--t", "nan"], "t"),
     (["dilate", "--a", "a", "--n", "4", "--t", "inf"], "t"),
+    (["dilate", "--a", "a", "--n", "x", "--t", "1"], "--n"),
+    (["dilate", "--a", "a", "--n", "2.5", "--t", "1"], "--n"),
+    (["dilate", "--a", "a", "--n", "1e400", "--t", "1"], "--n"),
+    (["dilate", "--a", "a", "--n", "4,0", "--t", "1"], "--n"),
     (["porcupine", "--K", "K", "--sigma", "sigma", "--epsilon", "0.05",
       "--p", "nan"], "p"),
     (["porcupine", "--K", "K", "--sigma", "sigma", "--epsilon", "0.05",
@@ -287,8 +293,10 @@ def test_reach_porcupine_reject_bad_scalars_and_dims(files, capsys, tmp_path,
     (["reach", "--K", "K", "--rho", "sigma", "--sigma", "sigma", "--p", "nan"],
      "p"),
 ], ids=["tol-negative", "tol-inf", "tol-nan", "simulate-t-nan",
-        "simulate-t-inf", "simulate-t-negative", "dilate-t-nan",
-        "dilate-t-inf", "porcupine-p-nan", "porcupine-p-inf", "reach-p-nan"])
+        "simulate-t-inf", "simulate-t-negative", "simulate-t-overflow",
+        "dilate-t-nan", "dilate-t-inf", "dilate-n-word", "dilate-n-float",
+        "dilate-n-1e400", "dilate-n-zero", "porcupine-p-nan",
+        "porcupine-p-inf", "reach-p-nan"])
 def test_scalar_argument_ranges(files, capsys, tmp_path, argv, name):
     # Z = diag(1, -1) at |0><0| leaves the state space: a tolerance that
     # admitted it would certify a false tangent
@@ -386,6 +394,11 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
      "finite"),
     ("--x", '{"dim": 2, "entries": [[1e400, 0], [0, 0], [0, 0], [0, 0]]}',
      "finite"),
+    ("certify-tangent --x",
+     '{"dim": 2, "entries": [[true, 0], [0, 0], [0, 0], [0, 0]]}', "entries"),
+    ("--rho", '{"dim": 2, "entries": [[0.5, false], [0, 0], [0, 0], [0.5, 0]]}',
+     "entries"),
+    ("--rho", {"dim": 2, "entries": [[True, False]] * 4}, "entries"),
     ("--path", {"times": ["0", "0.5", True], "states": [MATRIX_2] * 3},
      "'times'"),
     ("--path", {"times": [0, 1, 2], "states": [MATRIX_2, MATRIX_2,
@@ -424,7 +437,8 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "j-bool", "register-float", "retention-string", "rate-string",
         "jump-not-object", "cone-combinations-string", "max-rate-string",
         "max-rate-nan", "generator-not-object", "matrix-nan",
-        "matrix-infinity", "matrix-1e400", "times-not-numbers",
+        "matrix-infinity", "matrix-1e400", "entries-bool-with-int",
+        "entries-bool-with-float", "entries-all-bool", "times-not-numbers",
         "states-ragged", "derivs-wrong-length", "generators-not-list",
         "jumps-not-list", "ops-not-list", "kossakowski-missing",
         "hamiltonian-not-object", "steps-not-list", "steps-missing",

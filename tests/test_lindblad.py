@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
@@ -17,6 +20,7 @@ from lindreach.lindblad import (
     BilinearTerm,
     JumpTerm,
     Lindbladian,
+    _gksl,
     apply,
     bilinear_dissipator,
     build,
@@ -120,6 +124,42 @@ def test_build_matches_operator_form(d, n_jumps, n_ops, seed):
     a, b = ops[0], random_complex(rng, d)
     ref = superop_from_action(lambda rho: pair_dissipator(a, b, rho), d)
     assert np.max(np.abs(bilinear_dissipator(a, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 4), n_jumps=st.integers(0, 3), n_ops=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generator_is_immutable_and_builds_once(d, n_jumps, n_ops, seed):
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, d)
+    A = [random_complex(rng, d) for _ in range(n_jumps)]
+    rates = rng.random(n_jumps)
+    ops = [random_complex(rng, d) for _ in range(n_ops)]
+    B = random_complex(rng, n_ops)
+    g = B @ dag(B)
+    inputs = [H, g, *A, *ops]
+    copies = [M.copy() for M in inputs]
+    L = Lindbladian(d, hamiltonian=H,
+                    jumps=[JumpTerm(a, r) for a, r in zip(A, rates)],
+                    bilinear=BilinearTerm(ops, g) if n_ops else None)
+    S = build(L)
+    assert np.array_equal(S, _gksl(H, A + ops, sla.block_diag(np.diag(rates), g)))
+    assert build(L) is S and L.superop is S and not S.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        S[0, 0] = 0
+    assert isinstance(L.jumps, tuple)
+    held = [L.hamiltonian, *(j.a for j in L.jumps)]
+    if n_ops:
+        assert isinstance(L.bilinear.ops, tuple)
+        held += [L.bilinear.kossakowski, *L.bilinear.ops]
+    assert not any(M.flags.writeable for M in held)
+    for obj, name in [(L, "dim"), (L, "hamiltonian"), (L, "jumps"),
+                      (L, "bilinear"), (JumpTerm(H, 1.0), "rate"),
+                      (BilinearTerm([H], [[1.0]]), "ops")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    assert all(M.flags.writeable and np.array_equal(M, M0)
+               for M, M0 in zip(inputs, copies))
 
 
 def test_kossakowski_psd_required():

@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from lindreach.linalg import hermitize, schatten_norm, trace_distance
+from lindreach.linalg import (apply_superop, check_density, devectorize,
+                              hermitize, mat_exp, schatten_norm,
+                              trace_distance, vectorize)
 from lindreach.lindblad import (
     BilinearTerm,
     JumpTerm,
     Lindbladian,
+    _gksl,
     apply,
+    chain_lindbladian,
     replacer_lindbladian,
 )
 from lindreach.reach import (
     OBSTRUCTION_TOL,
+    STALL_TOL,
     ResourceSetK,
     _sphere_samples,
+    _trace_against_weight,
     alignment,
     lowering_jump,
     porcupine_check,
@@ -119,6 +125,53 @@ def test_reach_bilinear_generator_matches_jump(cone):
     w = 2.0 if cone else 1.0
     t = jump.trajectory.times[-1]
     assert abs(jump.final_state[1, 1].real - np.exp(-2 * w * t)) <= 1e-10
+
+
+def greedy_reference(gens, eta, sigma, p, dt, t_max, tol):
+    """reach_drive's greedy loop with unit weights, rebuilding every
+    superoperator from _gksl at every step; returns the states and the
+    (t0, t1, generator index) schedule."""
+    def superop(L):
+        return _gksl(L.hamiltonian, [j.a for j in L.jumps],
+                     np.diag([j.rate for j in L.jumps]))
+
+    states, schedule, t = [eta], [], 0.0
+    while schatten_norm(eta - sigma, p) > tol and t < t_max:
+        vals = [float(_trace_against_weight(apply_superop(superop(L), eta),
+                                            eta, sigma, p)) for L in gens]
+        idx = int(np.argmin(vals))
+        scale = max(schatten_norm(eta - sigma, p) ** (p - 1), 1e-300)
+        if vals[idx] / scale >= -STALL_TOL:
+            break
+        out = mat_exp(dt * superop(gens[idx])) @ vectorize(eta)
+        eta = check_density(hermitize(devectorize(out, len(eta))), eig_tol=1e-8)
+        t += dt
+        states.append(eta)
+        schedule.append((t - dt, t, idx))
+    return states, schedule
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("d", [4, 8])
+def test_reach_matches_rebuilding_reference(rng, d, p):
+    """Generators that build their superoperator once give the same reach,
+    bit for bit, as rebuilding it for every alignment and propagation."""
+    rho0, sigma = random_density(rng, d), random_density(rng, d)
+    lower = np.zeros((d, d), dtype=complex)
+    lower[0, d - 1] = 1.0
+    gens = [replacer_lindbladian(sigma),
+            chain_lindbladian(rng.random(d) + 0.1),
+            Lindbladian(d, hamiltonian=random_hermitian(rng, d),
+                        jumps=[JumpTerm(lower, 1.0)])]
+    rep = reach_drive(ResourceSetK(gens), rho0, sigma, p=p, dt=0.05,
+                      t_max=1.0, target_tol=1e-4)
+    states, schedule = greedy_reference(gens, rho0, sigma, p, 0.05, 1.0, 1e-4)
+    assert len(states) > 2
+    assert np.array_equal(rep.trajectory.states, states)
+    assert np.array_equal(rep.final_state, states[-1])
+    assert [(t0, t1, int(np.argmax(w))) for t0, t1, w in
+            rep.generator_schedule] == schedule
+    assert all(np.count_nonzero(w) == 1 for _, _, w in rep.generator_schedule)
 
 
 def test_example_noise_reach():
