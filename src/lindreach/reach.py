@@ -116,7 +116,9 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
     states = [eta]
     schedule: list[tuple[float, float, np.ndarray]] = []
     t = 0.0
-    reached = schatten_norm(eta - sigma, p) <= target_tol
+    # one p-distance per state: it decides reached and scales the stall test
+    dist = schatten_norm(eta - sigma, p)
+    reached = dist <= target_tol
     stall = None
     exceeded = False
     while not reached:
@@ -131,7 +133,7 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         val = budget * vals[idx]
         # normalize by the p-norm gradient scale so stalls are detected
         # uniformly in p and in the distance to the target
-        scale = max(schatten_norm(eta - sigma, p) ** (p - 1), 1e-300)
+        scale = max(dist ** (p - 1), 1e-300)
         if val / scale >= -STALL_TOL:
             stall = (eta, float(val))
             break
@@ -140,7 +142,8 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         times.append(t)
         states.append(eta)
         schedule.append((t - dt, t, weights))
-        reached = schatten_norm(eta - sigma, p) <= target_tol
+        dist = schatten_norm(eta - sigma, p)
+        reached = dist <= target_tol
     return ReachReport(reached=reached, final_state=eta,
                        trajectory=PathSample(np.array(times), states),
                        generator_schedule=schedule,

@@ -49,6 +49,14 @@ def _value(x, name: str, kind: type):
     return float(x) if kind is float else x
 
 
+def _positive(obj, name: str) -> int:
+    """obj[name], required to be a JSON integer of at least 1."""
+    n = _field(obj, name, int)
+    if n < 1:
+        raise SchemaError(f"field {name!r} must be a positive integer, got {n!r}")
+    return n
+
+
 def matrix_to_json(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
     return {"dim": M.shape[0],
@@ -56,7 +64,7 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    d = _field(obj, "dim", int)
+    d = _positive(obj, "dim")
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != d * d:
         raise SchemaError(f"expected a list of {d * d} entries")
@@ -86,7 +94,7 @@ def lindbladian_to_json(L: Lindbladian) -> dict:
 
 
 def lindbladian_from_json(obj) -> Lindbladian:
-    dim = _field(obj, "dim", int)
+    dim = _positive(obj, "dim")
     H = (matrix_from_json(_field(obj, "hamiltonian", dict))
          if "hamiltonian" in obj else None)
     jumps = [JumpTerm(matrix_from_json(_field(j, "a", dict)),
@@ -101,7 +109,7 @@ def lindbladian_from_json(obj) -> Lindbladian:
 
 
 def resource_set_from_json(obj) -> ResourceSet:
-    return ResourceSet(dim=_field(obj, "dim", int),
+    return ResourceSet(dim=_positive(obj, "dim"),
                        elements=[matrix_from_json(e)
                                  for e in _field(obj, "elements", list)])
 
@@ -144,7 +152,7 @@ def plan_to_json(plan: TransportPlan) -> dict:
 
 
 def plan_from_json(obj) -> TransportPlan:
-    plan = TransportPlan(_field(obj, "k", int))
+    plan = TransportPlan(_positive(obj, "k"))
     plan.steps.extend(step_from_json(s) for s in _field(obj, "steps", list))
     return plan
 
@@ -179,10 +187,16 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: str | None = None) -> str:
-    """obj as indented JSON text, also written to path when one is given; a
-    report holding NaN or Infinity raises ValueError, as JSON has neither."""
+    """obj as one line of JSON with sorted keys, also written to path (with
+    a final newline) when one is given; a report holding NaN or Infinity
+    raises ValueError, as JSON has neither. Without indent, json uses its C
+    encoder, and floats are written by float.__repr__ either way. A report is
+    a tree built for one call, so the circular-reference check (a dict
+    insert and delete per [re, im] pair) is skipped, and the only ValueError
+    left is the non-finite number."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, sort_keys=True, allow_nan=False,
+                          check_circular=False)
     except ValueError as exc:
         raise ValueError(f"report contains a non-finite number: {exc}") from exc
     if path is not None:

@@ -128,6 +128,39 @@ def test_non_finite_report_exits_2(files, capsys, tmp_path):
     assert msg["code"] == "validation_error" and "non-finite" in msg["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--lindblad", "L", "--rho", "rho", "--t", "1"],
+    ["lift", "--rho", "mixed", "--x", "x"],
+    ["reach", "--K", "K", "--rho", "rho", "--sigma", "sigma", "--dt", "0.05"],
+], ids=["simulate", "lift", "reach"])
+def test_report_is_one_line(files, capsys, tmp_path, argv):
+    """The --out file holds one line of JSON and a newline; stdout, without
+    --out, holds the same text."""
+    argv = [files.get(a, a) for a in argv]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
+    report = tmp_path / "report.json"
+    code, printed, _ = run(capsys, argv + ["--out", str(report)])
+    assert code == 0 and printed == ""
+    assert report.read_text() == out
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_reports = st.recursive(
+    st.none() | st.booleans() | st.integers() | _finite,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(report=_reports)
+def test_dump_json_round_trips_on_one_line(report):
+    text = ser.dump_json(report)
+    assert "\n" not in text
+    assert json.loads(text) == report
+
+
 def test_porcupine_reproducible(files, capsys):
     argv = ["porcupine", "--K", files["K"], "--sigma", files["sigma"],
             "--epsilon", "0.05", "--n-samples", "50", "--seed", "9"]
@@ -426,6 +459,11 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
     ("certify-tangent --x", TRACELESS_3, "x has shape (3, 3)"),
     ("certify-tangent --rho", MATRIX_3, "x has shape (2, 2)"),
     ("lift --x", TRACELESS_3, "x has shape (3, 3)"),
+    ("--rho", {"dim": -1, "entries": [[1, 0]]}, "'dim' must be a positive"),
+    ("--rho", {"dim": 0, "entries": []}, "'dim' must be a positive"),
+    ("--lindblad", {"dim": -1}, "'dim' must be a positive"),
+    ("--lindblad", {"dim": 0}, "'dim' must be a positive"),
+    ("--plan", {"k": 0, "steps": []}, "'k' must be a positive"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
         "kossakowski-not-hermitian", "kossakowski-wrong-size",
@@ -444,7 +482,9 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "hamiltonian-not-object", "steps-not-list", "steps-missing",
         "unitary-missing", "times-not-list", "states-not-list",
         "derivs-not-list", "simulate-rho-dim", "gamma-x-dim",
-        "reach-sigma-dim", "tangent-x-dim", "tangent-rho-dim", "lift-x-dim"])
+        "reach-sigma-dim", "tangent-x-dim", "tangent-rho-dim", "lift-x-dim",
+        "dim-negative", "dim-zero", "lindblad-dim-negative",
+        "lindblad-dim-zero", "k-zero"])
 def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     if flag == "plan":
         argv = ["plan", "--k", "1"] + bad
@@ -531,6 +571,7 @@ def _nodes(doc, path=()):
 
 WRONG_KINDS = ["x", True, None, [], {}, 10 ** 400, [[0, 0]], {"dim": 2}]
 NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+NON_POSITIVE = [0, -1]
 BAD_SCALARS = ["nan", "inf", "-inf", "-1", "0", "1e400", "x"]
 
 
@@ -540,9 +581,10 @@ def _pick(rng, seq):
 
 def _mutate(rng, doc):
     """doc with one mutation: a node of the wrong kind, a number made
-    non-finite, a list grown or shrunk by one element, or a field removed."""
+    non-finite, a dim or k made 0 or -1, a list grown or shrunk by one
+    element, or a field removed."""
     nodes = list(_nodes(doc))
-    how = _pick(rng, ["kind", "non-finite", "size", "missing"])
+    how = _pick(rng, ["kind", "non-finite", "non-positive", "size", "missing"])
     if how == "kind":
         path, _ = _pick(rng, nodes)
         value = _pick(rng, WRONG_KINDS)
@@ -550,6 +592,10 @@ def _mutate(rng, doc):
         path, _ = _pick(rng, [(p, v) for p, v in nodes
                               if type(v) in (int, float)])
         value = _pick(rng, NON_FINITE)
+    elif how == "non-positive":
+        path, _ = _pick(rng, [(p, v) for p, v in nodes
+                              if p and p[-1] in ("dim", "k")])
+        value = _pick(rng, NON_POSITIVE)
     elif how == "size":
         path, v = _pick(rng, [(p, v) for p, v in nodes if type(v) is list and v])
         value = v + v[-1:] if rng.integers(2) else v[:-1]
