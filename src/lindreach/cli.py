@@ -49,19 +49,25 @@ def _load_matrix(path: str) -> np.ndarray:
     return ser.matrix_from_json(ser.load_json(path))
 
 
-def _parse_probvec(text: str, normalize: bool) -> np.ndarray:
-    v = np.array([float(x) for x in text.split(",")])
+def _parse_probvec(flag: str, text: str, normalize: bool) -> np.ndarray:
+    def fail(message):
+        raise ValidationError("not_a_distribution", f"{flag} {message}",
+                              {"vector": text})
+
+    v = []
+    for x in text.split(","):
+        try:
+            v.append(float(x))
+        except ValueError:
+            fail(f"entry {x!r} is not a number")
+    v = np.array(v)
     total = v.sum()
     if normalize:
         if not (np.isfinite(total) and total > 0):
-            raise ValidationError("not_a_distribution",
-                                  f"entries sum to {total}, not a positive number",
-                                  {"vector": text})
+            fail(f"entries sum to {total}, not a positive number")
         return v / total
     if not abs(total - 1.0) <= 1e-9:
-        raise ValidationError("not_a_distribution",
-                              f"entries sum to {total}, not 1",
-                              {"vector": text})
+        fail(f"entries sum to {total}, not 1")
     return v
 
 
@@ -119,7 +125,7 @@ def _cmd_reach(args, out):
         rows = []
         for i, t in enumerate(rep.trajectory.times):
             chosen = -1.0
-            if i > 0 and i - 1 < len(rep.generator_schedule):
+            if i > 0:
                 chosen = float(np.argmax(rep.generator_schedule[i - 1][2]))
             rows.append([t, trace_distance(rep.trajectory.states[i], sigma),
                          chosen])
@@ -145,8 +151,8 @@ def _cmd_porcupine(args, out):
 
 
 def _cmd_plan(args, out):
-    lam = _parse_probvec(args.lam, args.normalize)
-    mu = _parse_probvec(args.mu, args.normalize)
+    lam = _parse_probvec("--lambda", args.lam, args.normalize)
+    mu = _parse_probvec("--mu", args.mu, args.normalize)
     plan = plan_diagonal_transport(lam, mu, args.k)
     _emit(ser.plan_to_json(plan), out)
 

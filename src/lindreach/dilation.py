@@ -5,7 +5,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,18 +13,9 @@ from .linalg import (choi, dag, hermitize, kron_superop, mat_exp,
 from .lindblad import dissipator
 
 
-@dataclass
-class DilatedHamiltonian:
-    a: np.ndarray
-    H_AE: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=complex)
-        self.H_AE = np.asarray(self.H_AE, dtype=complex)
-
-
-def dilated_hamiltonian(a: np.ndarray) -> DilatedHamiltonian:
-    """H = a (x) |1><0|_E + a^* (x) |0><1|_E on system (x) environment qubit.
+def dilated_hamiltonian(a: np.ndarray) -> np.ndarray:
+    """The Hermitian H_AE = a (x) |1><0|_E + a^* (x) |0><1|_E on system (x)
+    environment qubit.
 
     In the environment-block picture this is [[0, a], [a^*, 0]] with the
     block adjoint placement fixed by the reduction identity
@@ -34,7 +24,7 @@ def dilated_hamiltonian(a: np.ndarray) -> DilatedHamiltonian:
     a = np.asarray(a, dtype=complex)
     e10 = np.array([[0, 0], [1, 0]], dtype=complex)
     H = tensor(a, e10) + tensor(dag(a), dag(e10))
-    return DilatedHamiltonian(a=a, H_AE=hermitize(H))
+    return hermitize(H)
 
 
 def prep_channel(rho_A: np.ndarray) -> np.ndarray:
@@ -58,7 +48,7 @@ def reduced_generator(a: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> tr_E(L_{H_AE}(prep(rho))); equals
     dissipator(a) exactly."""
     a = np.asarray(a, dtype=complex)
-    return _reduce(dissipator(dilated_hamiltonian(a).H_AE), a.shape[0])
+    return _reduce(dissipator(dilated_hamiltonian(a)), a.shape[0])
 
 
 def unitary_mixture_step(H: np.ndarray, t: float) -> np.ndarray:
@@ -81,7 +71,7 @@ def simulate_dissipator_via_dilation(a: np.ndarray, t: float,
     if n_trotter < 1:
         raise ValueError("n_trotter must be at least 1")
     a = np.asarray(a, dtype=complex)
-    M = unitary_mixture_step(dilated_hamiltonian(a).H_AE, t / n_trotter)
+    M = unitary_mixture_step(dilated_hamiltonian(a), t / n_trotter)
     return np.linalg.matrix_power(_reduce(M, a.shape[0]), n_trotter)
 
 

@@ -1,6 +1,6 @@
 # Dense complex matrix engine: Hermitian algebra, tensor/partial-trace,
 # matrix functions, vectorization (column-stacking), Choi conversion and
-# Schur-complement PSD logic.
+# span bases.
 
 from __future__ import annotations
 
@@ -25,12 +25,7 @@ def hermitize(A: np.ndarray) -> np.ndarray:
     return (A + dag(A)) / 2
 
 
-def herm_tol(dim: int) -> float:
-    return HERM_TOL_PER_DIM * dim
-
-
-def is_hermitian(A: np.ndarray, tol: float | None = None) -> bool:
-    tol = herm_tol(A.shape[0]) if tol is None else tol
+def is_hermitian(A: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(A - dag(A))) <= tol)
 
 
@@ -61,7 +56,7 @@ def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     check_finite(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if not is_hermitian(rho, max(herm_tol(rho.shape[0]), eig_tol)):
+    if not is_hermitian(rho, max(HERM_TOL_PER_DIM * rho.shape[0], eig_tol)):
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > max(eig_tol, 1e-9):
@@ -70,12 +65,6 @@ def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     if lmin < -eig_tol:
         raise ValueError(f"density matrix has eigenvalue {lmin} below -{eig_tol}")
     return rho
-
-
-def check_unitary(U: np.ndarray) -> None:
-    d = U.shape[0]
-    if np.max(np.abs(dag(U) @ U - np.eye(d))) > 1e-10:
-        raise ValueError("matrix is not unitary within tolerance")
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
@@ -108,26 +97,6 @@ def partial_trace(M: np.ndarray, dims: list[int], keep) -> np.ndarray:
 
 def mat_exp(A: np.ndarray) -> np.ndarray:
     return sla.expm(np.asarray(A, dtype=complex))
-
-
-def _clamped_eigh(A: np.ndarray):
-    w, V = np.linalg.eigh(hermitize(np.asarray(A, dtype=complex)))
-    if w.min() < -EIG_TOL:
-        raise ValueError(f"matrix has eigenvalue {w.min()} below -{EIG_TOL}; not PSD")
-    return np.clip(w, 0.0, None), V
-
-
-def mat_sqrt_psd(A: np.ndarray) -> np.ndarray:
-    """PSD square root; eigenvalues in [-EIG_TOL, 0) are clamped to 0."""
-    w, V = _clamped_eigh(A)
-    return (V * np.sqrt(w)) @ dag(V)
-
-
-def pinv_psd(A: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse of a PSD matrix, restricted to its support."""
-    w, V = _clamped_eigh(A)
-    winv = np.where(w > EIG_TOL, 1.0 / np.where(w > EIG_TOL, w, 1.0), 0.0)
-    return (V * winv) @ dag(V)
 
 
 def vectorize(M: np.ndarray) -> np.ndarray:
@@ -183,20 +152,6 @@ def is_tp(S: np.ndarray) -> bool:
     d = int(round(np.sqrt(S.shape[0])))
     v = vectorize(np.eye(d))
     return bool(np.max(np.abs(v @ S - v)) <= 1e-9)
-
-
-def schur_psd_check(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> bool:
-    """PSD test for the block matrix [[A, B], [B^*, C]] with invertible A."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    B = np.atleast_2d(np.asarray(B, dtype=complex))
-    C = np.atleast_2d(np.asarray(C, dtype=complex))
-    if abs(np.linalg.det(A)) < 1e-300:
-        raise ValueError("A block is singular")
-    wA = np.linalg.eigvalsh(hermitize(A))
-    if wA.min() < -EIG_TOL:
-        return False
-    comp = hermitize(C - dag(B) @ np.linalg.solve(A, B))
-    return bool(np.linalg.eigvalsh(comp).min() >= -EIG_TOL)
 
 
 def extend_basis(basis: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from .linalg import (
     SPAN_TOL,
     apply_superop,
     check_density,
-    check_unitary,
     choi,
     dag,
     devectorize,
@@ -217,9 +216,7 @@ def replacer_lindbladian(sigma: np.ndarray) -> Lindbladian:
 
 def _kernel_basis(S: np.ndarray) -> np.ndarray:
     _, s, Vh = np.linalg.svd(S)
-    d2 = S.shape[0]
-    mask = np.concatenate([s, np.zeros(d2 - len(s))]) <= NULL_TOL * max(1.0, s[0] if len(s) else 1.0)
-    return Vh[mask].conj().T  # columns span the kernel
+    return Vh[s <= NULL_TOL * max(1.0, s[0])].conj().T  # columns span the kernel
 
 
 def stationary_states(L: Lindbladian) -> list[np.ndarray]:
@@ -281,18 +278,6 @@ def spectral_gap(L: Lindbladian) -> float:
     if nz.size == 0:
         return 0.0
     return float(np.min(-nz.real))
-
-
-def conjugate(L: Lindbladian, U: np.ndarray) -> Lindbladian:
-    """Generator of the conjugated evolution: a -> U^* a U, H -> U^* H U."""
-    check_unitary(U)
-    H = dag(U) @ L.hamiltonian @ U
-    jumps = [JumpTerm(dag(U) @ j.a @ U, j.rate) for j in L.jumps]
-    bil = None
-    if L.bilinear is not None:
-        bil = BilinearTerm([dag(U) @ a @ U for a in L.bilinear.ops],
-                           L.bilinear.kossakowski)
-    return Lindbladian(L.dim, hamiltonian=hermitize(H), jumps=jumps, bilinear=bil)
 
 
 def unital_fixed_point_check(L: Lindbladian) -> bool:

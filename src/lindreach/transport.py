@@ -137,7 +137,7 @@ def prepare_pure_plan(k: int) -> TransportPlan:
 
 def _build_from_pure(mu: np.ndarray, k: int, steps: list[PlanStep],
                      register_offset: int, ledger: RatioLedger | None,
-                     sim: list[np.ndarray] | None):
+                     sim: list[np.ndarray]):
     """Steps mapping diag(1, 0, ...) to diag(mu) on registers
     register_offset ... register_offset + k - 1.
 
@@ -162,9 +162,8 @@ def _build_from_pure(mu: np.ndarray, k: int, steps: list[PlanStep],
 
     def emit(step, record=False):
         steps.append(step)
-        if sim is not None:
-            sim[0] = apply_step_diag(sim[0], step, total_k)
-        if record and ledger is not None and sim is not None:
+        sim[0] = apply_step_diag(sim[0], step, total_k)
+        if record and ledger is not None:
             dd = sim[0]
             vals = []
             for j in range(half):

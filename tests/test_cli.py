@@ -399,11 +399,18 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
      "transposition"),
     ("--plan", one_step_plan({"kind": "transposition", "i": -1, "j": 0}),
      "transposition"),
-    ("plan", ["--lambda", "0.5,0.5", "--mu", "nan,nan"], "sum"),
-    ("plan", ["--lambda", "nan,nan", "--mu", "0.5,0.5"], "sum"),
-    ("plan", ["--lambda", "0.5,0.5", "--mu", "0,0", "--normalize"], "sum"),
-    ("plan", ["--lambda", "1,-1", "--mu", "1,1", "--normalize"], "sum"),
-    ("plan", ["--lambda", "1,nan", "--mu", "1,1", "--normalize"], "sum"),
+    ("plan", ["--lambda", "0.5,0.5", "--mu", "nan,nan"], "--mu entries sum"),
+    ("plan", ["--lambda", "nan,nan", "--mu", "0.5,0.5"], "--lambda entries sum"),
+    ("plan", ["--lambda", "0.5,0.5", "--mu", "0,0", "--normalize"],
+     "--mu entries sum"),
+    ("plan", ["--lambda", "1,-1", "--mu", "1,1", "--normalize"],
+     "--lambda entries sum"),
+    ("plan", ["--lambda", "1,nan", "--mu", "1,1", "--normalize"],
+     "--lambda entries sum"),
+    ("plan", ["--lambda", "0.5,abc", "--mu", "0.5,0.5"],
+     "--lambda entry 'abc' is not a number"),
+    ("plan", ["--lambda", "0.5,0.5", "--mu", ""], "--mu entry '' is not"),
+    ("plan", ["--lambda", "0.5,0.5", "--mu", "1,,0"], "--mu entry '' is not"),
     ("--rho", '{"dim": 1e400, "entries": []}', "'dim'"),
     ("--rho", {**MATRIX_2, "dim": 2.5}, "'dim'"),
     ("--rho", {**MATRIX_2, "dim": True}, "'dim'"),
@@ -470,7 +477,8 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "bilinear-op-wrong-dim",
         "step-dephase", "register-out-of-range", "index-out-of-range",
         "index-negative", "mu-nan", "lambda-nan", "normalize-zero-sum",
-        "normalize-cancelling-sum", "normalize-nan", "dim-1e400", "dim-float",
+        "normalize-cancelling-sum", "normalize-nan", "lambda-not-a-number",
+        "mu-empty", "mu-empty-entry", "dim-1e400", "dim-float",
         "dim-bool", "k-1e400", "k-float", "step-not-object", "i-float",
         "j-bool", "register-float", "retention-string", "rate-string",
         "jump-not-object", "cone-combinations-string", "max-rate-string",

@@ -29,7 +29,7 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_dilated_hamiltonian_blocks():
-    H = dilated_hamiltonian(LOWER).H_AE
+    H = dilated_hamiltonian(LOWER)
     assert np.max(np.abs(H - H.conj().T)) <= 1e-12
     # environment-block structure [[0, a], [a^*, 0]] after reordering:
     # entries couple |j>|0> with a|j>|1>
@@ -85,7 +85,7 @@ def test_unitary_mixture_matches_action_reference(rng):
 def test_trotter_dilation_matches_prep_trace_reference(rng):
     for d in (2, 3, 4):
         a = random_complex(rng, d)
-        H = dilated_hamiltonian(a).H_AE
+        H = dilated_hamiltonian(a)
         for t, n in ((0.4, 1), (1.0, 3), (0.7, 16)):
             M = mixture_reference(H, t / n)
             step = superop_from_action(

@@ -1,6 +1,8 @@
-"""Every name imported into a lindreach module is used there.
+"""Every name imported into a lindreach module is used there, and every
+public top-level function or class is reached.
 
-The package __init__ is left out: its imports are the public API.
+The package __init__ is left out of the import check: its imports are the
+public API.
 """
 
 import ast
@@ -10,8 +12,22 @@ import pytest
 
 import lindreach
 
-MODULES = sorted(p for p in Path(lindreach.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+INIT = Path(lindreach.__file__)
+MODULES = sorted(p for p in INIT.parent.glob("*.py") if p.name != "__init__.py")
+
+# public names that neither __init__ exports nor any module uses, and why
+# each stays
+KEPT = {
+    "superop_from_action": "the loop reference closed forms are tested "
+                           "against; a layer bench/tracer.py measures",
+    "mixture_vs_semigroup_error": "acceptance criterion 10",
+    "gamma_span_criterion": "acceptance criterion 13",
+    "lowering_jump": "acceptance criteria 06 and 07",
+    "unital_fixed_point_check": "the unitality test the unital no-go "
+                                "(ROADMAP item 3) builds on",
+    "bilinear_dissipator": "the only non-Hermitian Kossakowski input to _gksl",
+    "path_sample_to_json": "the CLI tests write path files with it",
+}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -38,3 +54,37 @@ def test_every_import_is_used(path):
 def test_unused_import_is_reported():
     assert _unused_imports("import os\nimport numpy as np\nnp.eye(2)\n") == [
         "os (line 1)"]
+
+
+def _unreached(init: str, sources: list[str]) -> list[str]:
+    """Public top-level functions and classes defined in sources that init
+    does not import and no source uses as a name or an attribute."""
+    exported = {alias.asname or alias.name for node in ast.walk(ast.parse(init))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = [ast.parse(source) for source in sources]
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    return sorted(defined - exported - used)
+
+
+def test_every_public_name_is_reached():
+    sources = [p.read_text() for p in MODULES]
+    assert _unreached(INIT.read_text(), sources) == sorted(KEPT)
+
+
+def test_unreached_function_is_reported():
+    sources = [p.read_text() for p in MODULES]
+    orphan = "def orphan(rho):\n    return rho\n"
+    assert _unreached(INIT.read_text(), sources + [orphan]) == sorted(
+        [*KEPT, "orphan"])
+    assert _unreached("from .m import f\n",
+                      ["def f():\n    return g, ser.h\n",
+                       "def g(): pass\ndef h(): pass\ndef k(): pass\n"
+                       "def _p(): pass\n"]) == ["k"]

@@ -13,11 +13,8 @@ from lindreach.linalg import (
     is_tp,
     kron_superop,
     mat_exp,
-    mat_sqrt_psd,
     partial_trace,
-    pinv_psd,
     schatten_norm,
-    schur_psd_check,
     span_residual,
     superop_from_action,
     tensor,
@@ -91,13 +88,6 @@ def test_mat_exp_trotter_slope(rng):
         errs.append(np.linalg.norm(mat_exp(A + B) - prod))
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert -1.2 <= slope <= -0.8
-
-
-def test_mat_sqrt_and_pinv():
-    assert np.allclose(mat_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    assert np.allclose(pinv_psd(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-    with pytest.raises(ValueError):
-        mat_sqrt_psd(np.diag([-1.0, 1.0]))
 
 
 def test_vectorize_round_trip(rng):
@@ -181,26 +171,6 @@ def test_replacer_channel_cptp(rng):
     sigma = random_density(rng, 3)
     S = channel_superop(replacer_lindbladian(sigma), 5.0)
     assert is_cp(S) and is_tp(S)
-
-
-def test_schur_examples():
-    assert schur_psd_check(np.eye(2), np.zeros((2, 2)), np.eye(2))
-    eps = 0.1
-    assert not schur_psd_check([[1.0]], [[eps]], [[0.0]])
-    assert schur_psd_check([[1 - 2 * eps ** 2]], [[eps]], [[2 * eps ** 2]])
-    with pytest.raises(ValueError):
-        schur_psd_check([[0.0]], [[1.0]], [[1.0]])
-
-
-def test_schur_agrees_with_full_eigencheck(rng):
-    for _ in range(100):
-        A = random_complex(rng, 2)
-        A = hermitize(A @ dag(A)) + 0.1 * np.eye(2)
-        B = random_complex(rng, 2)
-        C = hermitize(random_complex(rng, 2)) + 2 * np.eye(2) * rng.uniform(-1, 2)
-        full = np.block([[A, B], [dag(B), C]])
-        direct = np.linalg.eigvalsh(hermitize(full)).min() >= -1e-10
-        assert schur_psd_check(A, B, C) == direct
 
 
 def test_trace_distance():

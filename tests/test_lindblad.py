@@ -26,7 +26,6 @@ from lindreach.lindblad import (
     build,
     chain_lindbladian,
     channel_superop,
-    conjugate,
     detailed_balance_pair,
     dissipator,
     gamma_form,
@@ -278,16 +277,19 @@ def test_spectral_gap_zero_for_trivial():
     assert spectral_gap(Lindbladian(2)) == 0.0
 
 
-def test_conjugate(rng):
-    L = Lindbladian(2, jumps=[JumpTerm(LOWER, 1.0)])
-    Lx = conjugate(L, X)
-    assert np.allclose(build(Lx), dissipator(LOWER.conj().T))
+def test_build_commutes_with_unitary_conjugation(rng):
+    # a -> U^* a U and H -> U^* H U conjugate the superoperator by Ad(U^*)
+    L = Lindbladian(2, jumps=[JumpTerm(dag(X) @ LOWER @ X, 1.0)])
+    assert np.allclose(build(L), dissipator(LOWER.conj().T))
     U = haar_unitary(3, rng)
-    L3 = Lindbladian(3, hamiltonian=random_hermitian(rng, 3),
-                     jumps=[JumpTerm(random_complex(rng, 3), 0.7)])
-    ad_u = kron_superop(U, U.conj().T)
-    ad_udag = kron_superop(U.conj().T, U)
-    assert np.max(np.abs(build(conjugate(L3, U)) - ad_udag @ build(L3) @ ad_u)) <= 1e-11
+    H = random_hermitian(rng, 3)
+    a = random_complex(rng, 3)
+    L3 = Lindbladian(3, hamiltonian=H, jumps=[JumpTerm(a, 0.7)])
+    Lu = Lindbladian(3, hamiltonian=dag(U) @ H @ U,
+                     jumps=[JumpTerm(dag(U) @ a @ U, 0.7)])
+    ad_u = kron_superop(U, dag(U))
+    ad_udag = kron_superop(dag(U), U)
+    assert np.max(np.abs(build(Lu) - ad_udag @ build(L3) @ ad_u)) <= 1e-11
 
 
 def test_unital_fixed_point(rng):
