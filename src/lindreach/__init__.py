@@ -19,7 +19,6 @@ from .lindblad import (
     apply,
     build,
     chain_lindbladian,
-    detailed_balance_pair,
     dissipator,
     gamma_form,
     propagate,

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .linalg import (choi, dag, hermitize, kron_superop, mat_exp,
-                     require_nonnegative, tensor, trace_norm)
+                     require_nonnegative, schatten_norm, tensor)
 from .lindblad import dissipator
 
 
@@ -61,7 +61,7 @@ def unitary_mixture_step(H: np.ndarray, t: float) -> np.ndarray:
 def mixture_vs_semigroup_error(H: np.ndarray, t: float) -> float:
     """Choi trace-norm distance between the unitary mixture and exp(t D_H)."""
     diff = unitary_mixture_step(H, t) - mat_exp(t * dissipator(H))
-    return trace_norm(choi(diff))
+    return schatten_norm(choi(diff), 1.0)
 
 
 def simulate_dissipator_via_dilation(a: np.ndarray, t: float,
@@ -81,4 +81,7 @@ def dilation_error_vs_exact(a: np.ndarray, t: float, n_trotter: int) -> float:
     # the dilation first: it rejects a bad t before exp(t D) is formed
     approx = simulate_dissipator_via_dilation(a, t, n_trotter)
     exact = mat_exp(t * dissipator(np.asarray(a, dtype=complex)))
-    return trace_norm(choi(approx - exact))
+    if not (np.all(np.isfinite(approx)) and np.all(np.isfinite(exact))):
+        raise ValueError("t must be small enough for both channels to be "
+                         f"finite; t = {t} overflows")
+    return schatten_norm(choi(approx - exact), 1.0)

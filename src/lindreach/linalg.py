@@ -29,11 +29,6 @@ def is_hermitian(A: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(A - dag(A))) <= tol)
 
 
-def check_finite(A: np.ndarray) -> None:
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
-
-
 def require_nonnegative(**values: float) -> None:
     """Raise naming the first value that is not finite and nonnegative; NaN
     fails."""
@@ -53,7 +48,8 @@ def require_dim(d: int, **operands) -> None:
 def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     """Validate Hermitian, PSD (up to eig_tol) and unit trace; return rho."""
     rho = np.asarray(rho, dtype=complex)
-    check_finite(rho)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("matrix contains non-finite entries")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     if not is_hermitian(rho, max(HERM_TOL_PER_DIM * rho.shape[0], eig_tol)):
@@ -189,11 +185,12 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def schatten_norm(A: np.ndarray, p: float) -> float | np.ndarray:
-    """Schatten p-norm; a stack of matrices gives an array of norms."""
+    """Schatten p-norm; a stack of matrices gives an array of norms. It is
+    m ||s / m||_p for the largest singular value m, so no s ** p underflows
+    or overflows, however large p is."""
     s = np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False)
-    n = s.max(-1, initial=0.0) if np.isinf(p) else (s ** p).sum(-1) ** (1.0 / p)
-    return float(n) if n.ndim == 0 else n
-
-
-def trace_norm(A: np.ndarray) -> float:
-    return schatten_norm(A, 1.0)
+    n = s.max(-1, initial=0.0)
+    if not np.isinf(p):
+        r = s / np.where(n > 0, n, 1.0)[..., None]     # 0 / 1 for a zero matrix
+        n = n * (r ** p).sum(-1) ** (1.0 / p)
+    return float(n) if np.ndim(n) == 0 else n

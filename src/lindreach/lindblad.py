@@ -172,19 +172,6 @@ def _lower(i: int, j: int, d: int) -> np.ndarray:
     return a
 
 
-def detailed_balance_pair(beta: float) -> Lindbladian:
-    """Qubit generator beta^{1/2} D_{|0><1|} + beta^{-1/2} D_{|1><0|}.
-
-    Stationary state is diag(beta, 1) / (1 + beta).
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return Lindbladian(2, jumps=[
-        JumpTerm(_lower(0, 1, 2), beta ** 0.5),
-        JumpTerm(_lower(1, 0, 2), beta ** -0.5),
-    ])
-
-
 def chain_lindbladian(mu: np.ndarray) -> Lindbladian:
     """Nearest-neighbour detailed-balance chain with stationary state diag(mu)."""
     mu = np.asarray(mu, dtype=float)

@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,6 @@ from .lindblad import JumpTerm, Lindbladian, apply, build, propagate
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
-OBSTRUCTION_TOL = 1e-9
 EQ_TOL = 1e-12
 
 
@@ -51,7 +51,6 @@ class ReachReport:
 
 @dataclass
 class PorcupineReport:
-    sigma: np.ndarray
     epsilon: float
     p: float
     samples: int
@@ -84,6 +83,18 @@ def alignment(L: Lindbladian, eta: np.ndarray, sigma: np.ndarray,
     """tr(L(eta)(eta - sigma)|eta - sigma|^{p-2}), the derivative of
     (1/p)||eta - sigma||_p^p along the flow of L."""
     return float(_trace_against_weight(apply(L, eta), eta, sigma, p))
+
+
+def _descends(value: float, dist: float, p: float) -> bool:
+    """Whether an alignment value lowers ||eta - sigma||_p = dist faster than
+    STALL_TOL: the rate d/dt ||eta - sigma||_p is value / dist^(p-1), and the
+    one test behind both a reach stall and a porcupine obstruction."""
+    with np.errstate(over="ignore", under="ignore"):
+        scale = float(np.float64(dist) ** (p - 1))
+    if not sys.float_info.min <= scale < math.inf:
+        raise ValueError(f"p = {p} is too large for the distance {dist}: "
+                         f"{dist}^(p-1) is not a normal float")
+    return value / scale < -STALL_TOL
 
 
 def _require_positive(**values: float) -> None:
@@ -131,10 +142,7 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         budget = K.max_total_rate if K.cone_combinations else 1.0
         weights = budget * np.eye(len(vals))[idx]
         val = budget * vals[idx]
-        # normalize by the p-norm gradient scale so stalls are detected
-        # uniformly in p and in the distance to the target
-        scale = max(dist ** (p - 1), 1e-300)
-        if val / scale >= -STALL_TOL:
+        if not _descends(val, dist, p):
             stall = (eta, float(val))
             break
         eta = propagate(K.generators[idx], eta, weights[idx] * dt)
@@ -184,8 +192,8 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
                     diagonal_slice: bool = False) -> PorcupineReport:
     """Sampled obstruction test on the epsilon-sphere around sigma.
 
-    obstruction_evidence is true when the best available alignment is
-    nonnegative (within OBSTRUCTION_TOL) at every sampled sphere point, so no
+    obstruction_evidence is true when no generator descends (the test of a
+    reach stall, at distance epsilon) at any sampled sphere point, so no
     admissible generator points inward anywhere on the sphere.
     """
     if n_samples <= 0:
@@ -209,10 +217,9 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     S = np.stack([build(L) for L in K.generators])
     Leta = devectorize(vectorize(samples) @ S.swapaxes(1, 2), d)
     best = float(_trace_against_weight(Leta, samples, sigma, p).min())
-    return PorcupineReport(sigma=sigma, epsilon=epsilon, p=p,
-                           samples=len(samples),
+    return PorcupineReport(epsilon=epsilon, p=p, samples=len(samples),
                            min_alignment_over_samples=best,
-                           obstruction_evidence=best >= -OBSTRUCTION_TOL)
+                           obstruction_evidence=not _descends(best, epsilon, p))
 
 
 def replacer_overshoot(rho: np.ndarray, sigma: np.ndarray, eps: float) -> dict:

@@ -29,10 +29,9 @@ PATH_TOL = 1e-7
 
 @dataclass
 class SupportDecomposition:
-    f: np.ndarray                 # projector onto supp(rho)
-    basis: np.ndarray             # unitary, support columns first
-    rank: int
-    rho11: np.ndarray             # positive definite support block
+    basis: np.ndarray             # unitary eigenbasis of rho, support first
+    rank: int                     # eigenvalues above the support cut
+    p: np.ndarray                 # eigenvalues of rho, descending
 
     def blocks(self, x: np.ndarray):
         """(x11, x12, x21, x22) of a Hermitian x in the adapted basis."""
@@ -75,41 +74,45 @@ class PathSample:
 
 
 def support_projection(rho: np.ndarray, tol: float = SUPPORT_TOL) -> SupportDecomposition:
-    rho = check_density(rho)
-    w, V = np.linalg.eigh(hermitize(rho))
-    order = np.argsort(w)[::-1]
-    w, V = w[order], V[:, order]
-    r = int(np.sum(w > tol))
-    f = V[:, :r] @ dag(V[:, :r])
-    return SupportDecomposition(f=f, basis=V, rank=r, rho11=np.diag(w[:r]).astype(complex))
+    """Validate rho and eigendecompose it once; the support is the span of
+    the eigenvectors whose eigenvalue exceeds tol."""
+    w, V = np.linalg.eigh(hermitize(check_density(rho)))
+    p, V = w[::-1], V[:, ::-1]
+    return SupportDecomposition(basis=V, rank=int(np.sum(p > tol)), p=p)
+
+
+def _in_cone(dec: SupportDecomposition, xb: np.ndarray, tol: float) -> bool:
+    """The T+_rho membership rule for Hermitian x, given in rho's eigenbasis
+    as xb = V^* x V: tr x = 0 within max(TRACE_TOL, tol), and the block of x
+    on the eigenvectors with eigenvalue at most min(tol, SUPPORT_TOL) is PSD
+    within tol."""
+    if abs(np.trace(xb).real) > max(TRACE_TOL, tol):
+        return False
+    r = int(np.sum(dec.p > min(tol, SUPPORT_TOL)))
+    return r == len(xb) or bool(np.linalg.eigvalsh(hermitize(xb[r:, r:])).min() >= -tol)
 
 
 def in_tangent_cone(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL) -> bool:
     """Membership in T+_rho: tr x = 0 and the doubly-perp block of x is PSD."""
     require_nonnegative(tol=tol)
-    require_dim(len(rho), x=x)
+    dec = support_projection(rho)
+    require_dim(len(dec.p), x=x)
     x = np.asarray(x, dtype=complex)
     if np.max(np.abs(x - dag(x))) > max(1e-10, tol):
         raise ValueError("tangent candidate must be Hermitian")
-    if abs(np.trace(x).real) > max(TRACE_TOL, tol):
-        return False
-    dec = support_projection(rho, tol=min(tol, SUPPORT_TOL))
-    if dec.rank == rho.shape[0]:
-        return True
-    _, _, _, x22 = dec.blocks(x)
-    return bool(np.linalg.eigvalsh(hermitize(x22)).min() >= -tol)
+    return _in_cone(dec, dag(dec.basis) @ x @ dec.basis, tol)
 
 
 def linear_admissible(rho: np.ndarray, x: np.ndarray) -> float | None:
     """Largest eps with rho + eps x PSD; None if no eps > 0 exists;
     math.inf when the direction never leaves the cone."""
-    rho = check_density(rho)
-    require_dim(len(rho), x=x)
+    dec = support_projection(rho)
+    rho = np.asarray(rho, dtype=complex)
+    r, d = dec.rank, len(dec.p)
+    require_dim(d, x=x)
     x = hermitize(np.asarray(x, dtype=complex))
     if np.max(np.abs(x)) <= SUPPORT_TOL:
         return math.inf
-    dec = support_projection(rho)
-    r, d = dec.rank, rho.shape[0]
     if r < d:
         # feasibility for small eps: perp block PSD and cross block ranging
         # into the support of the perp block
@@ -144,15 +147,14 @@ def second_order_witness(rho: np.ndarray, x: np.ndarray,
     trace-compensating term on the support block; validity is certified by
     eigenchecks on a t-grid.
     """
-    rho = check_density(rho)
-    require_dim(len(rho), x=x)
-    x = hermitize(np.asarray(x, dtype=complex))
-    if not in_tangent_cone(rho, x, tol):
-        raise ValueError("x is not in the tangent cone at rho")
     dec = support_projection(rho, tol=tol)
-    r, d = dec.rank, rho.shape[0]
-    V = dec.basis
+    rho = np.asarray(rho, dtype=complex)
+    r, d, V = dec.rank, len(dec.p), dec.basis
+    require_dim(d, x=x)
+    x = hermitize(np.asarray(x, dtype=complex))
     xb = dag(V) @ x @ V
+    if not _in_cone(dec, xb, tol):
+        raise ValueError("x is not in the tangent cone at rho")
     x2b = np.zeros((d, d), dtype=complex)
     if r < d:
         x22 = hermitize(xb[r:, r:])
@@ -160,7 +162,7 @@ def second_order_witness(rho: np.ndarray, x: np.ndarray,
         Vker = V22[:, w22 <= tol]          # doubly-perp directions
         if Vker.size:
             x13 = xb[:r, r:] @ Vker        # support -> kernel cross block
-            B = 2.0 * dag(x13) @ (x13 / np.diag(dec.rho11)[:, None])
+            B = 2.0 * dag(x13) @ (x13 / dec.p[:r, None])
             x2b[r:, r:] += Vker @ B @ dag(Vker)
             x2b[:r, :r] -= (np.trace(B) / r) * np.eye(r)
     x2 = V @ x2b @ dag(V)
@@ -194,16 +196,15 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
     spectral jumps for the perp block, and a replacer generator for the
     in-support remainder.
     """
-    rho = check_density(rho)
-    require_dim(len(rho), x=x)
-    x = hermitize(np.asarray(x, dtype=complex))
-    if not in_tangent_cone(rho, x, max(tol, PATH_TOL)):
-        raise ValueError("x is not in the tangent cone at rho")
     dec = support_projection(rho, tol=tol)
-    r, d = dec.rank, rho.shape[0]
-    V = dec.basis
-    p = np.diag(dec.rho11).real       # descending, so p[0] is the largest
+    rho = np.asarray(rho, dtype=complex)
+    r, d, V = dec.rank, len(dec.p), dec.basis
+    p = dec.p[:r]                     # descending, so p[0] is the largest
+    require_dim(d, x=x)
+    x = hermitize(np.asarray(x, dtype=complex))
     xb = dag(V) @ x @ V
+    if not _in_cone(dec, xb, max(tol, PATH_TOL)):
+        raise ValueError("x is not in the tangent cone at rho")
     H = np.zeros((d, d), dtype=complex)
     jumps: list[JumpTerm] = []
     if r < d:
@@ -236,7 +237,7 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
             raise ValueError("replacer step underflow: lambda_min(rho11) too "
                              "small relative to the in-support target")
         target = hermitize(rho + eps * y)
-        rep = replacer_lindbladian(check_density(target, eig_tol=1e-9))
+        rep = replacer_lindbladian(target)
         jumps.extend(JumpTerm(j.a, j.rate / eps) for j in rep.jumps)
     L = Lindbladian(d, hamiltonian=hermitize(H), jumps=jumps)
     residual = float(np.linalg.norm(apply(L, rho) - x))
@@ -277,9 +278,10 @@ def lift_path(path: PathSample) -> dict:
     gens: list[Lindbladian] = []
     residual = []
     for idx, (rho_t, x) in enumerate(zip(path.states, xdot)):
-        if not in_tangent_cone(rho_t, x, PATH_TOL):
-            raise ValueError(f"sample {idx} fails tangent-cone membership")
-        cert = lift(rho_t, x, tol=1e-8, lift_tol=10 * PATH_TOL)
+        try:
+            cert = lift(rho_t, x, tol=1e-8, lift_tol=10 * PATH_TOL)
+        except ValueError as exc:
+            raise ValueError(f"sample {idx}: {exc}") from exc
         gens.append(cert.lindbladian)
         residual.append(cert.residual)
     w = np.linalg.eigvalsh(hermitize(path.states))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_density, dag, hermitize
+from .linalg import check_density, dag, hermitize, require_dim
 
 PLAN_TOL = 1e-8
 RATIO_TOL = 1e-14
@@ -20,6 +20,13 @@ RATIO_TOL = 1e-14
 class ApplyUnitary:
     U: np.ndarray
     kind: str = "unitary"
+
+    def __post_init__(self):
+        U = np.asarray(self.U)
+        square = U.ndim == 2 and U.shape[0] == U.shape[1]
+        # NaN fails the comparison, so it is rejected too
+        if not (square and np.max(np.abs(U @ dag(U) - np.eye(len(U)))) <= PLAN_TOL):
+            raise ValueError("U must be a unitary matrix")
 
 
 @dataclass
@@ -280,6 +287,7 @@ def full_state_transport(rho: np.ndarray, sigma: np.ndarray) -> TransportPlan:
 def apply_step(rho: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
     """One plan step applied in closed form."""
     if isinstance(step, ApplyUnitary):
+        require_dim(len(rho), U=step.U)
         return step.U @ rho @ dag(step.U)
     if isinstance(step, Transposition):
         d = 2 ** k

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lindreach import serialize as ser
 from lindreach.cli import build_parser, main
-from lindreach.linalg import hermitize
+from lindreach.linalg import dag, hermitize
 from lindreach.lindblad import JumpTerm, Lindbladian
 from lindreach.tangent import PathSample, central_differences, lift
 from lindreach.transport import plan_diagonal_transport
@@ -196,15 +196,21 @@ def test_plan_roundtrip(files, capsys, tmp_path):
 
 
 def test_run_plan_csv_invalid_step_writes_nothing(files, capsys, tmp_path):
-    plan = write(tmp_path, "bad_plan.json",
-                 {"k": 1, "steps": [{"kind": "unitary",
-                                     "U": ser.matrix_to_json(2 * np.eye(2))}]})
-    csv = tmp_path / "plan.csv"
-    code, _, err = run(capsys, ["run-plan", "--plan", plan,
-                                "--rho", files["rho"], "--csv", str(csv)])
-    assert code == 2
-    assert "trace" in json.loads(err)["message"]
-    assert not csv.exists()
+    """A step rejected when the plan is read, and one that fails after a
+    valid step has run: either way no CSV row is written."""
+    damp = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
+    for steps, reason in (
+            ([{"kind": "unitary", "U": ser.matrix_to_json(2 * np.eye(2))}],
+             "U must be a unitary"),
+            ([damp, {"kind": "transposition", "i": 0, "j": 2}],
+             "transposition (0, 2)")):
+        plan = write(tmp_path, "bad_plan.json", {"k": 1, "steps": steps})
+        csv = tmp_path / "plan.csv"
+        code, _, err = run(capsys, ["run-plan", "--plan", plan,
+                                    "--rho", files["rho"], "--csv", str(csv)])
+        assert code == 2
+        assert reason in json.loads(err)["message"]
+        assert not csv.exists()
 
 
 def test_plan_rejects_unnormalized(files, capsys):
@@ -315,6 +321,7 @@ def test_reach_porcupine_reject_bad_scalars_and_dims(files, capsys, tmp_path,
     (["simulate", "--lindblad", "L", "--rho", "rho", "--t", "1e300"], "t"),
     (["dilate", "--a", "a", "--n", "4", "--t", "nan"], "t"),
     (["dilate", "--a", "a", "--n", "4", "--t", "inf"], "t"),
+    (["dilate", "--a", "a", "--n", "4", "--t", "1e300"], "t"),
     (["dilate", "--a", "a", "--n", "x", "--t", "1"], "--n"),
     (["dilate", "--a", "a", "--n", "2.5", "--t", "1"], "--n"),
     (["dilate", "--a", "a", "--n", "1e400", "--t", "1"], "--n"),
@@ -327,7 +334,7 @@ def test_reach_porcupine_reject_bad_scalars_and_dims(files, capsys, tmp_path,
      "p"),
 ], ids=["tol-negative", "tol-inf", "tol-nan", "simulate-t-nan",
         "simulate-t-inf", "simulate-t-negative", "simulate-t-overflow",
-        "dilate-t-nan", "dilate-t-inf", "dilate-n-word", "dilate-n-float",
+        "dilate-t-nan", "dilate-t-inf", "dilate-t-overflow", "dilate-n-word", "dilate-n-float",
         "dilate-n-1e400", "dilate-n-zero", "porcupine-p-nan",
         "porcupine-p-inf", "reach-p-nan"])
 def test_scalar_argument_ranges(files, capsys, tmp_path, argv, name):
@@ -374,6 +381,8 @@ def resource_set(**fields):
 
 MATRIX_2 = ser.matrix_to_json(np.eye(2) / 2)
 MATRIX_3 = ser.matrix_to_json(np.eye(3) / 3)
+GROUND_2 = ser.matrix_to_json(np.diag([1.0, 0.0]))
+ZERO_2 = ser.matrix_to_json(np.zeros((2, 2)))
 TRACELESS_3 = ser.matrix_to_json(np.diag([1.0, -1.0, 0.0]))
 TRANSPOSITION = {"kind": "transposition", "i": 0, "j": 1}
 DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
@@ -471,6 +480,14 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
     ("--lindblad", {"dim": -1}, "'dim' must be a positive"),
     ("--lindblad", {"dim": 0}, "'dim' must be a positive"),
     ("--plan", {"k": 0, "steps": []}, "'k' must be a positive"),
+    ("--plan", one_step_plan({"kind": "unitary", "U": ser.matrix_to_json(
+        np.array([[1.0, 2 ** -0.5], [0.0, 2 ** -0.5]]))}), "U must be a unitary"),
+    ("--plan", one_step_plan({"kind": "unitary",
+                              "U": ser.matrix_to_json(np.eye(3))}),
+     "U has shape (3, 3)"),
+    ("--path", {"times": [0, 1, 2], "states": [GROUND_2] * 3,
+                "derivs": [ser.matrix_to_json(np.diag([1.0, -1.0])),
+                           ZERO_2, ZERO_2]}, "sample 0"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
         "kossakowski-not-hermitian", "kossakowski-wrong-size",
@@ -492,7 +509,8 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "derivs-not-list", "simulate-rho-dim", "gamma-x-dim",
         "reach-sigma-dim", "tangent-x-dim", "tangent-rho-dim", "lift-x-dim",
         "dim-negative", "dim-zero", "lindblad-dim-negative",
-        "lindblad-dim-zero", "k-zero"])
+        "lindblad-dim-zero", "k-zero", "unitary-not-unitary",
+        "unitary-wrong-dim", "derivs-not-tangent"])
 def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     if flag == "plan":
         argv = ["plan", "--k", "1"] + bad
@@ -518,6 +536,31 @@ def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     msg = json.loads(err)
     code_name = "not_a_distribution" if flag == "plan" else "validation_error"
     assert msg["code"] == code_name and reason in msg["message"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["certify-tangent", "--rho", "indefinite", "--x", "ground"], "trace"),
+    (["reach", "--K", "K", "--rho", "rho64", "--sigma", "rho37", "--p", "700"],
+     "p = 700"),
+    (["porcupine", "--K", "K", "--sigma", "rho37", "--epsilon", "0.05",
+      "--p", "700"], "p = 700"),
+], ids=["certify-tangent-rho-not-a-state", "reach-p-too-large",
+        "porcupine-p-too-large"])
+def test_tangent_and_descent_inputs_exit_2(capsys, tmp_path, argv, reason):
+    """certify-tangent validates rho before it looks at tr x, and a p too
+    large for the distance (0.3^699 underflows) is named."""
+    ground = np.diag([1.0, 0.0])
+    decay = Lindbladian(2, jumps=[JumpTerm(dag(LOWER), 1.0)])
+    docs = {"indefinite": ser.matrix_to_json(np.diag([2.0, -1.5])),
+            "ground": ser.matrix_to_json(ground),
+            "K": {"generators": [ser.lindbladian_to_json(decay)]},
+            "rho64": ser.matrix_to_json(np.diag([0.6, 0.4])),
+            "rho37": ser.matrix_to_json(np.diag([0.3, 0.7]))}
+    argv = [write(tmp_path, f"{a}.json", docs[a]) if a in docs else a
+            for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert reason in json.loads(err)["message"]
 
 
 def _raise_on_constant(name):

@@ -112,6 +112,16 @@ def test_stack_primitives_match_per_matrix(rng, p):
     assert schatten_norm(np.zeros((0, 0)), p) == 0.0
 
 
+@pytest.mark.parametrize("p", [2.0, 700.0, 1e308])
+def test_schatten_norm_does_not_underflow_for_large_p(p):
+    """||diag(0.3, -0.3)||_p = 0.3 2^(1/p), although 0.3^p underflows."""
+    A = np.diag([0.3, -0.3])
+    expect = 0.3 * 2 ** (1 / p)
+    assert abs(schatten_norm(A, p) - expect) <= 1e-15
+    norms = schatten_norm(np.stack([A, 3 * A, np.zeros((2, 2))]), p)
+    assert np.all(np.abs(norms - [expect, 3 * expect, 0.0]) <= [1e-15, 3e-15, 0])
+
+
 def test_superop_from_action_identity():
     assert np.allclose(superop_from_action(lambda E: E, 3), np.eye(9))
 

@@ -26,7 +26,6 @@ from lindreach.lindblad import (
     build,
     chain_lindbladian,
     channel_superop,
-    detailed_balance_pair,
     dissipator,
     gamma_form,
     gamma_span_criterion,
@@ -221,16 +220,20 @@ def test_replacer_jumps_match_loop(rng, d, rank):
 
 
 def test_detailed_balance_pair(rng):
-    L = detailed_balance_pair(4.0)
+    """The two-level chain [beta, 1] is the qubit generator
+    beta^{1/2} D_{|0><1|} + beta^{-1/2} D_{|1><0|}, stationary at
+    diag(beta, 1) / (1 + beta)."""
+    L = chain_lindbladian([4.0, 1.0])
+    assert [j.rate for j in L.jumps] == [2.0, 0.5]
     target = np.diag([0.8, 0.2]).astype(complex)
     assert np.max(np.abs(apply(L, target))) <= 1e-12
     ss = stationary_states(L)
     assert len(ss) == 1
     assert trace_distance(ss[0], target) <= 1e-10
-    uniform = stationary_states(detailed_balance_pair(1.0))
+    uniform = stationary_states(chain_lindbladian([1.0, 1.0]))
     assert trace_distance(uniform[0], np.eye(2) / 2) <= 1e-10
     with pytest.raises(ValueError):
-        detailed_balance_pair(-1.0)
+        chain_lindbladian([-1.0, 1.0])
 
 
 def test_chain_lindbladian(rng):

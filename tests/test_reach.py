@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (apply_superop, check_density, devectorize,
                               hermitize, mat_exp, schatten_norm,
@@ -16,9 +17,8 @@ from lindreach.lindblad import (
     replacer_lindbladian,
 )
 from lindreach.reach import (
-    OBSTRUCTION_TOL,
-    STALL_TOL,
     ResourceSetK,
+    _descends,
     _sphere_samples,
     _trace_against_weight,
     alignment,
@@ -140,8 +140,7 @@ def greedy_reference(gens, eta, sigma, p, dt, t_max, tol):
         vals = [float(_trace_against_weight(apply_superop(superop(L), eta),
                                             eta, sigma, p)) for L in gens]
         idx = int(np.argmin(vals))
-        scale = max(schatten_norm(eta - sigma, p) ** (p - 1), 1e-300)
-        if vals[idx] / scale >= -STALL_TOL:
+        if not _descends(vals[idx], schatten_norm(eta - sigma, p), p):
             break
         out = mat_exp(dt * superop(gens[idx])) @ vectorize(eta)
         eta = check_density(hermitize(devectorize(out, len(eta))), eig_tol=1e-8)
@@ -273,11 +272,66 @@ def test_porcupine_matches_per_draw_reference(d, p, diagonal_slice, pure):
         return
     best = min(alignment(L, eta, sigma, p) for eta in ref for L in K.generators)
     assert rep.samples == len(ref)
-    assert rep.obstruction_evidence == (best >= -OBSTRUCTION_TOL)
+    assert rep.obstruction_evidence == (not _descends(best, eps, p))
     # exact zeros (a generator commuting with every sample) may come out
     # as rounding-level values
     assert math.isclose(rep.min_alignment_over_samples, best,
                         rel_tol=1e-12, abs_tol=1e-15)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 4), p=st.floats(1.5, 40), eps=st.floats(1e-9, 0.2),
+       maximally_mixed=st.booleans(), diagonal_slice=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_porcupine_flag_is_the_shared_descent_rule(d, p, eps, maximally_mixed,
+                                                   diagonal_slice, seed):
+    """obstruction_evidence is the reach stall test at distance epsilon,
+    applied to the minimum alignment of the per-draw reference; a p that the
+    rule cannot scale at that distance is rejected by both."""
+    rng = np.random.default_rng(seed)
+    sigma = (np.eye(d, dtype=complex) / d if maximally_mixed
+             else random_density(rng, d))
+    # a Hamiltonian commutes with W at sigma = I/d: alignment 0, no descent
+    K = ResourceSetK([Lindbladian(d, hamiltonian=random_hermitian(rng, d)),
+                      Lindbladian(d, jumps=[JumpTerm(random_complex(rng, d), 0.3)])]
+                     [:1 + int(rng.integers(2))])
+    n = 20
+    ref = _sphere_samples_loop(sigma, eps, p, n, np.random.default_rng(seed),
+                               diagonal_slice)
+    try:
+        rep = porcupine_check(K, sigma, eps, p=p, n_samples=n, seed=seed,
+                              diagonal_slice=diagonal_slice)
+    except ValueError as exc:
+        if len(ref) >= max(n // 10, 1):
+            assert str(exc).startswith(f"p = {p}")
+        return
+    best = min(alignment(L, eta, sigma, p) for eta in ref for L in K.generators)
+    assert rep.obstruction_evidence == (not _descends(best, eps, p))
+
+
+@pytest.mark.parametrize("eps, p", [(0.05, 8.0), (1e-9, 2.0)])
+def test_porcupine_sees_descent_below_an_absolute_tolerance(eps, p):
+    """D_{|1><0|} moves every point of a small sphere around diag(0.3, 0.7)
+    toward it, at alignments above -1e-9 that are a large rate relative to
+    eps^(p-1): no obstruction."""
+    K = ResourceSetK([lowering_jump(1, 0, 2)])
+    sigma = np.diag([0.3, 0.7]).astype(complex)
+    rep = porcupine_check(K, sigma, eps, p=p, n_samples=200)
+    assert -1e-9 < rep.min_alignment_over_samples < 0
+    assert not rep.obstruction_evidence
+
+
+def test_descent_rule_rejects_a_scale_that_is_not_a_normal_float():
+    assert _descends(-1e-3, 0.3, 2.0) and not _descends(0.0, 0.3, 2.0)
+    for dist, p in ((0.3, 700.0), (1.5, 2000.0), (1e-200, 3.0)):
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            _descends(-1.0, dist, p)
+    K = ResourceSetK([lowering_jump(1, 0, 2)])
+    rho0, sigma = np.diag([0.6, 0.4]), np.diag([0.3, 0.7])
+    with pytest.raises(ValueError, match="p = 700"):
+        reach_drive(K, rho0, sigma, p=700.0)
+    with pytest.raises(ValueError, match="p = 700"):
+        porcupine_check(K, sigma, 0.05, p=700.0, n_samples=20)
 
 
 @pytest.mark.parametrize("diagonal_slice", [False, True], ids=["full", "diag"])

@@ -37,22 +37,40 @@ def random_cone_element(rng, rho, d):
     return apply(L, rho)
 
 
+def support_projector(dec):
+    V = dec.basis[:, :dec.rank]
+    return V @ dag(V)
+
+
 def test_support_projection_interior():
     dec = support_projection(np.eye(3, dtype=complex) / 3)
     assert dec.rank == 3
-    assert np.allclose(dec.f, np.eye(3))
+    assert np.allclose(support_projector(dec), np.eye(3))
+    assert np.allclose(dec.p, [1 / 3] * 3)
 
 
 def test_support_projection_pure():
     dec = support_projection(GROUND)
     assert dec.rank == 1
-    assert np.allclose(dec.f, GROUND)
-    assert np.allclose(dec.rho11, [[1.0]])
+    assert np.allclose(support_projector(dec), GROUND)
+    assert np.allclose(dec.p, [1.0, 0.0])
 
 
 def test_support_projection_rank2():
-    dec = support_projection(np.diag([0.7, 0.3, 0.0]).astype(complex))
+    rho = np.diag([0.3, 0.0, 0.7]).astype(complex)
+    dec = support_projection(rho)
     assert dec.rank == 2
+    assert np.allclose(dec.p, [0.7, 0.3, 0.0])
+    assert np.allclose((dec.basis * dec.p) @ dag(dec.basis), rho)
+
+
+def test_rho_is_validated_before_any_answer():
+    """Neither is a state; a direction with tr x != 0 is no reason to answer
+    before rho is checked."""
+    with pytest.raises(ValueError, match="eigenvalue"):
+        support_projection(np.diag([2.0, -1.0]))
+    with pytest.raises(ValueError, match="trace"):
+        in_tangent_cone(np.diag([2.0, -1.5]), np.diag([1.0, 0.0]))
 
 
 def test_cone_boundary_examples():
@@ -231,6 +249,14 @@ def test_lift_perp_block_spectral_jumps(rng, eigs, n_spectral):
 def test_path_sample_rejects_bad_shapes(states, derivs, match):
     with pytest.raises(ValueError, match=match):
         PathSample([0.0, 0.5, 1.0], states, derivs)
+
+
+def test_lift_path_names_the_sample_it_cannot_lift():
+    zero = np.zeros((2, 2))
+    path = PathSample([0.0, 0.5, 1.0], [GROUND] * 3,
+                      [np.diag([1.0, -1.0]), zero, zero])
+    with pytest.raises(ValueError, match="sample 0: x is not in the tangent"):
+        lift_path(path)
 
 
 def test_lift_path_constant():
