@@ -12,7 +12,7 @@ import numpy as np
 
 from . import serialize as ser
 from .hormander import lie_closure
-from .linalg import check_density, trace_distance
+from .linalg import trace_distance
 from .lindblad import gamma_form, propagate
 from .reach import porcupine_check, reach_drive
 from .tangent import in_tangent_cone, lift, lift_path
@@ -85,7 +85,7 @@ def _parse_counts(text: str) -> list[int]:
 def _cmd_simulate(args, out):
     L = ser.lindbladian_from_json(ser.load_json(args.lindblad))
     rho = _load_matrix(args.rho)
-    result = propagate(L, check_density(rho), args.t)
+    result = propagate(L, rho, args.t)
     _emit(ser.matrix_to_json(result), out)
 
 

@@ -153,16 +153,22 @@ def apply(L: Lindbladian, rho: np.ndarray) -> np.ndarray:
     return apply_superop(build(L), rho)
 
 
-def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
-    """exp(t L) applied to rho, revalidated as a density matrix."""
+def channel_superop(L: Lindbladian, t: float) -> np.ndarray:
+    """exp(t L) as a superoperator, for a finite nonnegative t small enough
+    for it to be finite; an error names t otherwise."""
     require_nonnegative(t=t)
-    rho = check_density(rho)
-    require_dim(L.dim, rho=rho)
     P = mat_exp(t * build(L))
     if not np.all(np.isfinite(P)):
         raise ValueError("t must be small enough for exp(t L) to be finite; "
                          f"t = {t} overflows")
-    out = devectorize(P @ vectorize(rho), L.dim)
+    return P
+
+
+def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
+    """exp(t L) applied to rho, revalidated as a density matrix."""
+    rho = check_density(rho)
+    require_dim(L.dim, rho=rho)
+    out = devectorize(channel_superop(L, t) @ vectorize(rho), L.dim)
     return check_density(hermitize(out), eig_tol=1e-8)
 
 
@@ -268,8 +274,12 @@ def spectral_gap(L: Lindbladian) -> float:
 
 
 def unital_fixed_point_check(L: Lindbladian) -> bool:
+    """Whether L(I/d) = 0, up to rounding that grows with the generator's
+    scale: 1e-11 max(1, max|S|)."""
+    S = build(L)
     d = L.dim
-    return bool(np.max(np.abs(apply(L, np.eye(d) / d))) <= 1e-11)
+    residual = np.max(np.abs(apply_superop(S, np.eye(d) / d)))
+    return bool(residual <= 1e-11 * max(1.0, np.max(np.abs(S))))
 
 
 def gamma_form(L: Lindbladian, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -294,6 +304,3 @@ def gamma_span_criterion(a: np.ndarray, basis: list[np.ndarray]) -> bool:
                         np.concatenate([ops, 1j * ops]))
     return span_residual(span, a) < SPAN_TOL
 
-
-def channel_superop(L: Lindbladian, t: float) -> np.ndarray:
-    return mat_exp(t * build(L))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,7 +20,7 @@ RATIO_TOL = 1e-14
 @dataclass
 class ApplyUnitary:
     U: np.ndarray
-    kind: str = "unitary"
+    kind: ClassVar[str] = "unitary"
 
     def __post_init__(self):
         U = np.asarray(self.U)
@@ -33,7 +34,7 @@ class ApplyUnitary:
 class AmplitudeDamp:
     register: int
     retention: float          # alpha = e^{-2t}; alpha = 0 is the infinite damp
-    kind: str = "amplitude_damp"
+    kind: ClassVar[str] = "amplitude_damp"
 
     def __post_init__(self):
         self.register = int(self.register)
@@ -46,7 +47,7 @@ class AmplitudeDamp:
 class Transposition:
     i: int
     j: int
-    kind: str = "transposition"
+    kind: ClassVar[str] = "transposition"
 
     def __post_init__(self):
         self.i, self.j = int(self.i), int(self.j)
@@ -103,23 +104,18 @@ def _register_view(x: np.ndarray, register: int, k: int) -> np.ndarray:
     return x.reshape((2 ** register, 2, 2 ** (k - 1 - register)) * x.ndim)
 
 
-def _damp_diag(d: np.ndarray, register: int, k: int,
-               retention: float) -> np.ndarray:
-    """Action of an amplitude damp on a diagonal population vector."""
-    v = _register_view(d.copy(), register, k)
-    v[:, 0] += (1.0 - retention) * v[:, 1]
-    v[:, 1] *= retention
-    return v.reshape(-1)
-
-
 def apply_step_diag(d: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
+    """A damp or transposition applied to a diagonal population vector."""
+    d = d.copy()
     if isinstance(step, AmplitudeDamp):
-        return _damp_diag(d, step.register, k, step.retention)
-    if isinstance(step, Transposition):
-        d = d.copy()
+        v = _register_view(d, step.register, k)
+        v[:, 0] += (1.0 - step.retention) * v[:, 1]
+        v[:, 1] *= step.retention
+    elif isinstance(step, Transposition):
         d[step.i], d[step.j] = d[step.j], d[step.i]
-        return d
-    raise ValueError("diagonal simulation supports damp/transposition steps only")
+    else:
+        raise ValueError("diagonal simulation supports damp/transposition steps only")
+    return d
 
 
 def prepare_pure_plan(k: int) -> TransportPlan:
@@ -142,79 +138,65 @@ def prepare_pure_plan(k: int) -> TransportPlan:
     return plan
 
 
-def _build_from_pure(mu: np.ndarray, k: int, steps: list[PlanStep],
-                     register_offset: int, ledger: RatioLedger | None,
-                     sim: list[np.ndarray]):
-    """Steps mapping diag(1, 0, ...) to diag(mu) on registers
-    register_offset ... register_offset + k - 1.
+def _build_from_pure(mu: np.ndarray, k: int,
+                     ledger: RatioLedger) -> tuple[list[PlanStep], np.ndarray]:
+    """Steps mapping diag(1, 0, ..., 0) to diag(mu), and the populations
+    they reach.
 
-    Recursive pair matching: build the pair sums on the lower half, then
-    activate pairs in ascending target-ratio order and interleave global
-    finite damps so every pair lands on its target ratio simultaneously.
+    Top-down, register r pairs the two halves of its vector, sorts the pairs
+    by target ratio and hands the sorted pair sums to register r + 1.
+    Bottom-up, each register activates its pairs in ascending ratio order
+    with damps interleaved, so all land on their ratios together, then
+    permutes the pairs back. The ledger holds register 0's matched ratios.
     """
-    if k == 0:
-        return
-    n = 2 ** k
-    half = n // 2
-    sums = mu[:half] + mu[half:]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(sums > RATIO_TOL, mu[half:] / np.where(sums > 0, sums, 1.0), 0.0)
-    order = np.argsort(ratios, kind="stable")
-    sorted_sums = sums[order]
-    sorted_ratios = ratios[order]
-    total_k = register_offset + k  # registers in the simulated system
-    _build_from_pure(sorted_sums, k - 1, steps, register_offset + 1, None, sim)
-
-    matched = sorted_ratios <= RATIO_TOL  # parked pairs are final already
-
-    def emit(step, record=False):
-        steps.append(step)
-        sim[0] = apply_step_diag(sim[0], step, total_k)
-        if record and ledger is not None:
-            dd = sim[0]
-            vals = []
-            for j in range(half):
-                if not matched[j]:
-                    continue
-                s = dd[j] + dd[half + j]
-                vals.append(dd[half + j] / s if s > RATIO_TOL else 0.0)
-            ledger.record(vals)
-
-    # split phase: ascending target ratio, global damps interleaved
-    for j in range(half):
-        r = sorted_ratios[j]
-        r_next = sorted_ratios[j + 1] if j + 1 < half else 1.0
-        if r > RATIO_TOL:
-            matched[j] = True
-            emit(Transposition(j, half + j), record=True)
-        retention = r / r_next if r_next > RATIO_TOL else 1.0
-        if r > RATIO_TOL and retention < 1.0 - 1e-15:
-            emit(AmplitudeDamp(register_offset, float(retention)), record=True)
-    # final permutation returning sorted pairs to their target slots
-    perm = np.empty(n, dtype=int)
-    for j in range(half):
-        perm[j] = order[j]
-        perm[half + j] = order[j] + half
-    _emit_permutation(perm, emit)
+    levels = []
+    for _ in range(k):
+        half = len(mu) // 2
+        sums = mu[:half] + mu[half:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratios = np.where(sums > RATIO_TOL, mu[half:] / np.where(sums > 0, sums, 1.0), 0.0)
+        order = np.argsort(ratios, kind="stable")
+        levels.append((ratios[order].tolist(), order.tolist()))
+        mu = sums[order]
+    steps: list[PlanStep] = []
+    pop = np.eye(1, 2 ** k)[0]
+    for register in reversed(range(k)):
+        ratios, order = levels[register]
+        half = len(order)
+        for j, r in enumerate(ratios):
+            if r <= RATIO_TOL:  # parked pairs lead the ascending order
+                continue
+            split = [Transposition(j, half + j)]
+            retention = r / ratios[j + 1] if j + 1 < half else r
+            if retention < 1.0 - 1e-15:
+                split.append(AmplitudeDamp(register, retention))
+            for step in split:
+                pop = apply_step_diag(pop, step, k)
+                if register == 0:  # a parked pair's upper entry stays 0
+                    p = pop.tolist()
+                    totals = [p[i] + p[half + i] for i in range(j + 1)]
+                    ledger.record([p[half + i] / s if s > 0 else 0.0 for i, s in enumerate(totals)])
+            steps += split
+        perm = _permutation_steps(order + [o + half for o in order])
+        for step in perm:
+            pop = apply_step_diag(pop, step, k)
+        steps += perm
+    return steps, pop
 
 
-def _emit_permutation(perm: np.ndarray, emit):
-    """Realize new[perm[j]] = old[j] as transpositions (cycle decomposition)."""
-    n = len(perm)
-    seen = np.zeros(n, dtype=bool)
-    for start in range(n):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
+def _permutation_steps(perm: list[int]) -> list[Transposition]:
+    """Transpositions realizing new[perm[j]] = old[j], one cycle at a time."""
+    steps = []
+    seen = [False] * len(perm)
+    for start, nxt in enumerate(perm):
+        if seen[start]:
             continue
-        cyc = [start]
         seen[start] = True
-        nxt = perm[start]
         while nxt != start:
-            cyc.append(nxt)
             seen[nxt] = True
+            steps.append(Transposition(start, nxt))
             nxt = perm[nxt]
-        for idx in cyc[1:]:
-            emit(Transposition(cyc[0], idx))
+    return steps
 
 
 def base_case_4(mu: np.ndarray) -> dict:
@@ -232,8 +214,7 @@ def base_case_4(mu: np.ndarray) -> dict:
     gamma = float(mu[0] / alpha) if alpha > RATIO_TOL else 1.0
     beta = float((mu[1] + mu[3]) / (alpha - 1.0) + 1.0) if abs(alpha - 1.0) > RATIO_TOL else 0.0
     plan = TransportPlan(2)
-    sim = [np.array([1.0, 0.0, 0.0, 0.0])]
-    _build_from_pure(mu, 2, plan.steps, 0, plan.ratio_ledger, sim)
+    plan.steps, _ = _build_from_pure(mu, 2, plan.ratio_ledger)
     return {"alpha": alpha, "beta": beta, "gamma": gamma, "plan": plan}
 
 
@@ -243,19 +224,16 @@ def plan_diagonal_transport(lam: np.ndarray, mu: np.ndarray,
     run the pair-matching build phase toward mu."""
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    n = 2 ** k
     for v in (lam, mu):
-        if (len(v) != n or not np.all(np.isfinite(v)) or np.any(v < -1e-12)
+        if (len(v) != 2 ** k or not np.all(np.isfinite(v)) or np.any(v < -1e-12)
                 or abs(v.sum() - 1.0) > 1e-9):
             raise ValueError("lam and mu must be probability vectors of length 2^k")
     plan = prepare_pure_plan(k)
-    pure = np.zeros(n)
-    pure[0] = 1.0
-    sim = [pure]
-    _build_from_pure(mu, k, plan.steps, 0, plan.ratio_ledger, sim)
+    steps, pop = _build_from_pure(mu, k, plan.ratio_ledger)
+    plan.steps += steps
     if not plan.ratio_ledger.is_nondecreasing():
         raise RuntimeError("ratio ledger violated monotonicity")
-    if np.max(np.abs(sim[0] - mu)) > PLAN_TOL:
+    if np.max(np.abs(pop - mu)) > PLAN_TOL:
         raise RuntimeError("build phase missed the target distribution")
     return plan
 
@@ -276,11 +254,8 @@ def full_state_transport(rho: np.ndarray, sigma: np.ndarray) -> TransportPlan:
     lam = np.clip(wr, 0.0, None)
     mu = np.clip(ws, 0.0, None)
     lam, mu = lam / lam.sum(), mu / mu.sum()
-    inner = plan_diagonal_transport(lam, mu, k)
-    plan = TransportPlan(k, ratio_ledger=inner.ratio_ledger)
-    plan.steps.append(ApplyUnitary(dag(Vr)))
-    plan.steps.extend(inner.steps)
-    plan.steps.append(ApplyUnitary(Vs))
+    plan = plan_diagonal_transport(lam, mu, k)
+    plan.steps = [ApplyUnitary(dag(Vr)), *plan.steps, ApplyUnitary(Vs)]
     return plan
 
 
@@ -311,9 +286,8 @@ def apply_step(rho: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
 def plan_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray]:
     """Yield rho, then the state after each step, every one validated as a
     density matrix."""
+    require_dim(plan.dim, rho=rho)
     rho = check_density(rho)
-    if rho.shape[0] != plan.dim:
-        raise ValueError("plan and state dimensions differ")
     yield rho
     for step in plan.steps:
         rho = check_density(hermitize(apply_step(rho, step, plan.k)), eig_tol=1e-8)

@@ -220,6 +220,19 @@ def test_plan_rejects_unnormalized(files, capsys):
     assert json.loads(err)["code"] == "not_a_distribution"
 
 
+def test_plan_pair_just_above_ratio_tol(capsys):
+    """Pair (2, 6) of mu sums to 1.0007e-14, just above RATIO_TOL; its
+    simulated sum rounds below it. The plan is valid and exits 0."""
+    mu = ("0.016756135505979458,0.7250116244561784,9.497825036373041e-15,"
+          "0.1993501894395539,0.0017974848886670313,0.00010283399473838931,"
+          "5.092609548383582e-16,0.056981731714872724")
+    code, out, err = run(capsys, ["plan", "--k", "3",
+                                  "--lambda", ",".join(["0.125"] * 8),
+                                  "--mu", mu])
+    assert code == 0 and err == ""
+    assert json.loads(out)["k"] == 3
+
+
 def test_plan_normalize_flag(files, capsys):
     code, _, _ = run(capsys, ["plan", "--k", "1", "--lambda", "1,1",
                               "--mu", "3,1", "--normalize"])
@@ -470,6 +483,7 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
     ("--path", {"times": [0, 1, 2], "states": [MATRIX_2] * 3,
                 "derivs": MATRIX_2}, "'derivs' must be a list"),
     ("--rho", MATRIX_3, "rho has shape (3, 3)"),
+    ("run-plan --rho", MATRIX_3, "rho has shape (3, 3)"),
     ("--x", TRACELESS_3, "x has shape (3, 3)"),
     ("reach --sigma", MATRIX_3, "sigma has shape (3, 3)"),
     ("certify-tangent --x", TRACELESS_3, "x has shape (3, 3)"),
@@ -506,7 +520,7 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "jumps-not-list", "ops-not-list", "kossakowski-missing",
         "hamiltonian-not-object", "steps-not-list", "steps-missing",
         "unitary-missing", "times-not-list", "states-not-list",
-        "derivs-not-list", "simulate-rho-dim", "gamma-x-dim",
+        "derivs-not-list", "simulate-rho-dim", "run-plan-rho-dim", "gamma-x-dim",
         "reach-sigma-dim", "tangent-x-dim", "tangent-rho-dim", "lift-x-dim",
         "dim-negative", "dim-zero", "lindblad-dim-negative",
         "lindblad-dim-zero", "k-zero", "unitary-not-unitary",
@@ -520,7 +534,8 @@ def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
         reach = ["reach", "--K", files["K"], "--rho", files["rho"],
                  "--sigma", files["sigma"]]
         tangent = ["--rho", files["mixed"], "--x", files["x"]]
-        argv = {"--plan": ["run-plan", "--plan", plan, "--rho", files["rho"]],
+        run_plan = ["run-plan", "--plan", plan, "--rho", files["rho"]]
+        argv = {"--plan": run_plan, "run-plan --rho": run_plan,
                 "--K": reach, "reach --sigma": reach,
                 "--path": ["lift-path", "--path", None],
                 "--x": ["gamma-check", "--lindblad", files["L"], "--x", None,

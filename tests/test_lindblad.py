@@ -304,6 +304,30 @@ def test_unital_fixed_point(rng):
         Lindbladian(3, hamiltonian=random_hermitian(rng, 3)))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from([2, 3, 4, 6]), log_rate=st.floats(-6, 8),
+       unitary=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_unital_check_scales_with_generator(d, log_rate, unitary, seed):
+    """The rounding in L(I/d) grows with the rates. Under a Hamiltonian of
+    scale 1e3, the check keeps self-adjoint and unitary jumps unital and
+    amplitude damping non-unital at every rate in 1e-6..1e8."""
+    rng = np.random.default_rng(seed)
+    rate = 10.0 ** log_rate
+    H = 1e3 * random_hermitian(rng, d)
+    a = haar_unitary(d, rng) if unitary else random_hermitian(rng, d)
+    assert unital_fixed_point_check(Lindbladian(d, H, [JumpTerm(a, rate)]))
+    lower = np.zeros((d, d))
+    lower[0, 1] = 1.0
+    assert not unital_fixed_point_check(Lindbladian(d, H, [JumpTerm(lower, rate)]))
+
+
+@pytest.mark.parametrize("t", [np.nan, -1.0, 1e300])
+def test_channel_superop_names_bad_t(t):
+    L = Lindbladian(2, jumps=[JumpTerm(LOWER, 1.0)])
+    with pytest.raises(ValueError, match="^t must"):
+        channel_superop(L, t)
+
+
 def test_exponentials_cptp(rng):
     for _ in range(5):
         d = int(rng.integers(2, 4))

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import check_density, dag, trace_distance
 from lindreach.lindblad import JumpTerm, Lindbladian, propagate
 from lindreach.transport import (
+    RATIO_TOL,
     AmplitudeDamp,
+    RatioLedger,
     TransportPlan,
     Transposition,
+    _build_from_pure,
     apply_step,
     apply_step_diag,
     base_case_4,
@@ -221,3 +225,155 @@ def test_random_plan_k5_reaches_target(rng):
     plan = plan_diagonal_transport(rng.dirichlet(np.ones(32)), mu, 5)
     out = execute_plan(plan, random_density(rng, 32))
     assert trace_distance(out, diag_density(mu)) <= 1e-8
+
+
+def test_step_kind_is_fixed_by_class():
+    assert AmplitudeDamp(0, 0.5).kind == "amplitude_damp"
+    assert Transposition(0, 1).kind == "transposition"
+    with pytest.raises(TypeError):
+        AmplitudeDamp(0, 0.5, kind="x")
+
+
+# The recursive pair-matching builder that the register loop replaced, kept
+# verbatim as the reference for its steps, populations and ledger.
+def _reference_build_from_pure(mu, k, steps, register_offset, ledger, sim):
+    if k == 0:
+        return
+    n = 2 ** k
+    half = n // 2
+    sums = mu[:half] + mu[half:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratios = np.where(sums > RATIO_TOL, mu[half:] / np.where(sums > 0, sums, 1.0), 0.0)
+    order = np.argsort(ratios, kind="stable")
+    sorted_sums = sums[order]
+    sorted_ratios = ratios[order]
+    total_k = register_offset + k  # registers in the simulated system
+    _reference_build_from_pure(sorted_sums, k - 1, steps, register_offset + 1, None, sim)
+
+    matched = sorted_ratios <= RATIO_TOL  # parked pairs are final already
+
+    def emit(step, record=False):
+        steps.append(step)
+        sim[0] = apply_step_diag(sim[0], step, total_k)
+        if record and ledger is not None:
+            dd = sim[0]
+            vals = []
+            for j in range(half):
+                if not matched[j]:
+                    continue
+                s = dd[j] + dd[half + j]
+                vals.append(dd[half + j] / s if s > RATIO_TOL else 0.0)
+            ledger.record(vals)
+
+    # split phase: ascending target ratio, global damps interleaved
+    for j in range(half):
+        r = sorted_ratios[j]
+        r_next = sorted_ratios[j + 1] if j + 1 < half else 1.0
+        if r > RATIO_TOL:
+            matched[j] = True
+            emit(Transposition(j, half + j), record=True)
+        retention = r / r_next if r_next > RATIO_TOL else 1.0
+        if r > RATIO_TOL and retention < 1.0 - 1e-15:
+            emit(AmplitudeDamp(register_offset, float(retention)), record=True)
+    # final permutation returning sorted pairs to their target slots
+    perm = np.empty(n, dtype=int)
+    for j in range(half):
+        perm[j] = order[j]
+        perm[half + j] = order[j] + half
+    _reference_emit_permutation(perm, emit)
+
+
+def _reference_emit_permutation(perm, emit):
+    n = len(perm)
+    seen = np.zeros(n, dtype=bool)
+    for start in range(n):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        for idx in cyc[1:]:
+            emit(Transposition(cyc[0], idx))
+
+
+def _targets(rng, family, n):
+    if family == "dirichlet":
+        return rng.dirichlet(np.ones(n))
+    if family == "spiky":
+        return rng.dirichlet(np.full(n, 0.05))
+    if family == "rounded":  # multiples of 0.1: ties and zeros
+        return rng.multinomial(10, rng.dirichlet(np.ones(n))) / 10
+    if family == "uniform":
+        return np.full(n, 1.0 / n)
+    return np.eye(n)[rng.integers(n)]  # point mass
+
+
+def _near_threshold(rng, k, pair_sum, j, split):
+    """A Dirichlet target whose register-0 pair (j, j + 2^(k-1)) sums to
+    pair_sum, split between its entries in the ratio split : 1 - split."""
+    mu = rng.dirichlet(np.ones(2 ** k))
+    half = 2 ** (k - 1)
+    j %= half
+    rest = np.ones(2 ** k, dtype=bool)
+    rest[[j, half + j]] = False
+    mu[rest] *= (1.0 - pair_sum) / mu[rest].sum()
+    mu[j], mu[half + j] = pair_sum * split, pair_sum * (1.0 - split)
+    return mu
+
+
+@pytest.mark.parametrize("family", ["dirichlet", "spiky", "rounded",
+                                    "uniform", "point"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_register_loop_matches_recursive_reference(k, family):
+    rng = np.random.default_rng([k, len(family)])
+    for _ in range(12):
+        mu = _targets(rng, family, 2 ** k)
+        ref_steps, ref_ledger, sim = [], RatioLedger(), [np.eye(1, 2 ** k)[0]]
+        _reference_build_from_pure(mu, k, ref_steps, 0, ref_ledger, sim)
+        ledger = RatioLedger()
+        steps, pop = _build_from_pure(mu, k, ledger)
+        assert steps == ref_steps  # dataclass equality: same class and fields
+        assert np.array_equal(pop, sim[0])
+        assert ledger.entries == ref_ledger.entries
+        assert ledger.is_nondecreasing()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_register_loop_matches_reference_near_threshold(k):
+    """Targets with a register-0 pair just above RATIO_TOL: the steps and
+    populations are the reference's. The ledger is monotone, and it differs
+    from the reference's only where that called an activated pair empty
+    because its simulated sum rounded to RATIO_TOL or below."""
+    rng = np.random.default_rng(k)
+    for i in range(40):
+        mu = _near_threshold(rng, k, rng.uniform(1e-14, 1.002e-14), i,
+                             rng.uniform())
+        ref_steps, ref_ledger, sim = [], RatioLedger(), [np.eye(1, 2 ** k)[0]]
+        _reference_build_from_pure(mu, k, ref_steps, 0, ref_ledger, sim)
+        ledger = RatioLedger()
+        steps, pop = _build_from_pure(mu, k, ledger)
+        assert steps == ref_steps and np.array_equal(pop, sim[0])
+        assert ledger.is_nondecreasing()
+        for row, ref_row in zip(ledger.entries, ref_ledger.entries, strict=True):
+            assert len(row) == len(ref_row)
+            assert all(x == y or y == 0.0 for x, y in zip(row, ref_row))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(3, 5), pair_sum=st.floats(1e-14, 1.002e-14),
+       j=st.integers(0, 15), split=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_plan_with_pair_just_above_ratio_tol(k, pair_sum, j, split, seed):
+    """A pair summing just above RATIO_TOL is activated, and its simulated
+    sum may round to or below RATIO_TOL: planning must not call it empty."""
+    rng = np.random.default_rng(seed)
+    mu = _near_threshold(rng, k, pair_sum, j, split)
+    lam = rng.dirichlet(np.ones(2 ** k))
+    plan = plan_diagonal_transport(lam, mu, k)
+    out = execute_plan(plan, diag_density(lam))
+    assert np.max(np.abs(out - diag_density(mu))) <= 1e-8
