@@ -35,9 +35,11 @@ def lie_closure(S: ResourceSet, max_depth: int = 20) -> LieClosureReport:
     """Iterated-commutator closure of the traceless anti-Hermitian parts of S.
 
     Hermitian content of an element enters as iH, anti-Hermitian content as
-    it is, and identity components are projected out. Stops at saturation
-    (three rounds without dimension growth) or max_depth; is_hormander iff
-    the closure spans su(d).
+    it is, and identity components are projected out. Each round brackets
+    the whole basis with the generators, so a round that adds nothing would
+    hand the next one the same input: the closure stops there, at su(d) or
+    at max_depth, and depth_used is the depth of the last round that added a
+    direction. is_hormander iff the closure spans su(d).
     """
     if not S.elements:
         raise ValueError("resource set is empty")
@@ -51,13 +53,12 @@ def lie_closure(S: ResourceSet, max_depth: int = 20) -> LieClosureReport:
     basis = extend_basis(np.zeros((0, d, d), dtype=complex), gens)
     target = d * d - 1
     depth = 1
-    stagnant = 0
-    while depth < max_depth and len(basis) < target and stagnant < 3:
+    while depth < max_depth and len(basis) < target:
         b, g = basis[:, None], gens[None]
-        k = len(basis)
-        basis = extend_basis(basis, (b @ g - g @ b).reshape(-1, d, d))
-        depth += 1
-        stagnant = 0 if len(basis) > k else stagnant + 1
+        grown = extend_basis(basis, (b @ g - g @ b).reshape(-1, d, d))
+        if len(grown) == len(basis):
+            break
+        basis, depth = grown, depth + 1
     return LieClosureReport(basis=list(basis), dim_found=len(basis),
                             depth_used=depth,
                             is_hormander=len(basis) == target)

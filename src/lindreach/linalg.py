@@ -37,6 +37,14 @@ def require_nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be finite and nonnegative, got {x}")
 
 
+def require_positive(**values: float) -> None:
+    """Raise naming the first value that is not finite and positive; NaN
+    fails."""
+    for name, x in values.items():
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {x}")
+
+
 def require_dim(d: int, **operands) -> None:
     """Raise naming the first operand that is not a d x d matrix."""
     for name, M in operands.items():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (EIG_TOL, check_density, dag, devectorize, hermitize,
-                     require_dim, schatten_norm, vectorize)
+                     require_dim, require_positive, schatten_norm, vectorize)
 from .lindblad import JumpTerm, Lindbladian, apply, build, propagate
 from .tangent import PathSample
 
@@ -31,8 +31,7 @@ class ResourceSetK:
         dims = {L.dim for L in self.generators}
         if len(dims) != 1:
             raise ValueError("generators must share a dimension")
-        if self.max_total_rate <= 0:
-            raise ValueError("max_total_rate must be positive")
+        require_positive(max_total_rate=self.max_total_rate)
 
     @property
     def dim(self) -> int:
@@ -97,12 +96,6 @@ def _descends(value: float, dist: float, p: float) -> bool:
     return value / scale < -STALL_TOL
 
 
-def _require_positive(**values: float) -> None:
-    for name, x in values.items():
-        if not 0 < x < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {x}")
-
-
 def _check_state(K: ResourceSetK, name: str, rho: np.ndarray) -> np.ndarray:
     rho = check_density(rho)
     require_dim(K.dim, **{name: rho})
@@ -119,7 +112,7 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
     target_tol proximity in the Schatten p-norm, on stall (no strictly
     descending choice) or at t_max.
     """
-    _require_positive(dt=dt, t_max=t_max, target_tol=target_tol)
+    require_positive(dt=dt, t_max=t_max, target_tol=target_tol)
     _check_p(p)
     eta = _check_state(K, "rho0", rho0)
     sigma = _check_state(K, "sigma", sigma)
@@ -198,7 +191,7 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive; a vacuous report is invalid")
-    _require_positive(epsilon=epsilon)
+    require_positive(epsilon=epsilon)
     _check_p(p)
     sigma = _check_state(K, "sigma", sigma)
     rng = np.random.default_rng(seed)
@@ -227,8 +220,7 @@ def replacer_overshoot(rho: np.ndarray, sigma: np.ndarray, eps: float) -> dict:
     eps (sigma - rho); hits sigma exactly at s = ln(1 + 1/eps)."""
     rho = check_density(rho)
     sigma = check_density(sigma)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_positive(eps=eps)
     sigma_t = sigma + eps * (sigma - rho)
     if np.linalg.eigvalsh(hermitize(sigma_t)).min() < -1e-12:
         raise ValueError("overshoot target is not positive semidefinite; "

@@ -14,6 +14,7 @@ from .linalg import (
     check_density,
     dag,
     hermitize,
+    is_hermitian,
     require_dim,
     require_nonnegative,
     trace_distance,
@@ -32,12 +33,6 @@ class SupportDecomposition:
     basis: np.ndarray             # unitary eigenbasis of rho, support first
     rank: int                     # eigenvalues above the support cut
     p: np.ndarray                 # eigenvalues of rho, descending
-
-    def blocks(self, x: np.ndarray):
-        """(x11, x12, x21, x22) of a Hermitian x in the adapted basis."""
-        xb = dag(self.basis) @ x @ self.basis
-        r = self.rank
-        return xb[:r, :r], xb[:r, r:], xb[r:, :r], xb[r:, r:]
 
 
 @dataclass
@@ -66,8 +61,8 @@ class PathSample:
             raise ValueError("states must be square matrices of one dimension")
         if self.times.shape != (n,):
             raise ValueError("times and states length mismatch")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
         if self.derivs is not None and self.derivs.shape != self.states.shape:
             raise ValueError(f"derivs have shape {self.derivs.shape}, "
                              f"states {self.states.shape}")
@@ -92,51 +87,50 @@ def _in_cone(dec: SupportDecomposition, xb: np.ndarray, tol: float) -> bool:
     return r == len(xb) or bool(np.linalg.eigvalsh(hermitize(xb[r:, r:])).min() >= -tol)
 
 
-def in_tangent_cone(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL) -> bool:
-    """Membership in T+_rho: tr x = 0 and the doubly-perp block of x is PSD."""
+def _adapted(dec: SupportDecomposition, x: np.ndarray, tol: float) -> np.ndarray:
+    """V^* x V for rho's eigenbasis V, once tol is finite and nonnegative and
+    x is a Hermitian matrix of rho's dimension within max(1e-10, tol)."""
     require_nonnegative(tol=tol)
-    dec = support_projection(rho)
     require_dim(len(dec.p), x=x)
     x = np.asarray(x, dtype=complex)
-    if np.max(np.abs(x - dag(x))) > max(1e-10, tol):
-        raise ValueError("tangent candidate must be Hermitian")
-    return _in_cone(dec, dag(dec.basis) @ x @ dec.basis, tol)
+    if not is_hermitian(x, max(1e-10, tol)):
+        raise ValueError(f"x must be Hermitian within {max(1e-10, tol)}")
+    return dag(dec.basis) @ hermitize(x) @ dec.basis
+
+
+def in_tangent_cone(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL) -> bool:
+    """Membership in T+_rho: tr x = 0 and the doubly-perp block of x is PSD."""
+    dec = support_projection(rho)
+    return _in_cone(dec, _adapted(dec, x, tol), tol)
 
 
 def linear_admissible(rho: np.ndarray, x: np.ndarray) -> float | None:
     """Largest eps with rho + eps x PSD; None if no eps > 0 exists;
-    math.inf when the direction never leaves the cone."""
+    math.inf when the direction never leaves the cone.
+
+    In rho's eigenbasis rho = P (+) 0 with P = diag(p) > 0 on the support.
+    When the perp block x22 is PSD and the cross block x21 ranges into it,
+    rho + eps x is PSD iff the Schur complement P + eps S is, for
+    S = x11 - x12 x22^+ x21; so eps_max = 1 / lambda_max(-P^{-1/2} S P^{-1/2}).
+    """
     dec = support_projection(rho)
-    rho = np.asarray(rho, dtype=complex)
-    r, d = dec.rank, len(dec.p)
-    require_dim(d, x=x)
-    x = hermitize(np.asarray(x, dtype=complex))
+    xb = _adapted(dec, x, SUPPORT_TOL)
     if np.max(np.abs(x)) <= SUPPORT_TOL:
         return math.inf
-    if r < d:
-        # feasibility for small eps: perp block PSD and cross block ranging
-        # into the support of the perp block
-        _, _, x21, x22 = dec.blocks(x)
-        w22, V22 = np.linalg.eigh(hermitize(x22))
-        if w22.min() < -SUPPORT_TOL:
-            return None
-        kernel = V22[:, w22 <= SUPPORT_TOL]
-        if kernel.size and np.max(np.abs(dag(kernel) @ x21)) > 1e-8:
-            return None
-    if np.linalg.eigvalsh(x).min() >= -SUPPORT_TOL:
+    r = dec.rank
+    w22, V22 = np.linalg.eigh(hermitize(xb[r:, r:]))
+    x21 = dag(V22) @ xb[r:, :r]           # cross block in x22's eigenbasis
+    kernel = w22 <= SUPPORT_TOL
+    if np.any(w22 < -SUPPORT_TOL) or np.max(np.abs(x21[kernel]), initial=0.0) > 1e-8:
+        return None
+    if np.linalg.eigvalsh(xb).min() >= -SUPPORT_TOL:
         return math.inf
-    # bracket then bisect on lambda_min(rho + eps x) >= 0
-    hi = 1.0
-    while np.linalg.eigvalsh(rho + hi * x).min() >= -SUPPORT_TOL and hi < 1e12:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.linalg.eigvalsh(rho + mid * x).min() >= -SUPPORT_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    c = x21[~kernel] / np.sqrt(w22[~kernel])[:, None]
+    s = xb[:r, :r] - dag(c) @ c
+    q = 1.0 / np.sqrt(dec.p[:r])
+    lam = np.linalg.eigvalsh(hermitize(-(q[:, None] * s * q))).max()
+    # S can be PSD while x is not when x21 meets ker x22 within 1e-8
+    return float(1.0 / lam) if lam > 0 else math.inf
 
 
 def second_order_witness(rho: np.ndarray, x: np.ndarray,
@@ -148,11 +142,8 @@ def second_order_witness(rho: np.ndarray, x: np.ndarray,
     eigenchecks on a t-grid.
     """
     dec = support_projection(rho, tol=tol)
-    rho = np.asarray(rho, dtype=complex)
     r, d, V = dec.rank, len(dec.p), dec.basis
-    require_dim(d, x=x)
-    x = hermitize(np.asarray(x, dtype=complex))
-    xb = dag(V) @ x @ V
+    xb = _adapted(dec, x, tol)
     if not _in_cone(dec, xb, tol):
         raise ValueError("x is not in the tangent cone at rho")
     x2b = np.zeros((d, d), dtype=complex)
@@ -165,17 +156,18 @@ def second_order_witness(rho: np.ndarray, x: np.ndarray,
             B = 2.0 * dag(x13) @ (x13 / dec.p[:r, None])
             x2b[r:, r:] += Vker @ B @ dag(Vker)
             x2b[:r, :r] -= (np.trace(B) / r) * np.eye(r)
-    x2 = V @ x2b @ dag(V)
-    # certify: largest eps with the curve PSD on a refinement grid
+    # certify, in rho's eigenbasis: largest eps with the curve PSD on a
+    # refinement grid
     def curve_ok(eps):
         ts = np.linspace(eps / 32, eps, 32)[:, None, None]
-        return np.linalg.eigvalsh(rho + ts * x + ts * ts * x2).min() >= -1e-11
+        curve = np.diag(dec.p) + ts * xb + ts * ts * x2b
+        return np.linalg.eigvalsh(curve).min() >= -1e-11
     eps = 1.0
     while eps > 1e-8 and not curve_ok(eps):
         eps *= 0.5
     if not curve_ok(eps):
         raise ValueError("could not certify a positive eps_max")
-    return {"x2": hermitize(x2), "eps_max": eps}
+    return {"x2": hermitize(V @ x2b @ dag(V)), "eps_max": eps}
 
 
 def _dissipative_choi_margin(L: Lindbladian) -> float:
@@ -200,9 +192,7 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
     rho = np.asarray(rho, dtype=complex)
     r, d, V = dec.rank, len(dec.p), dec.basis
     p = dec.p[:r]                     # descending, so p[0] is the largest
-    require_dim(d, x=x)
-    x = hermitize(np.asarray(x, dtype=complex))
-    xb = dag(V) @ x @ V
+    xb = _adapted(dec, x, tol)
     if not _in_cone(dec, xb, max(tol, PATH_TOL)):
         raise ValueError("x is not in the tangent cone at rho")
     H = np.zeros((d, d), dtype=complex)
@@ -240,6 +230,7 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
         rep = replacer_lindbladian(target)
         jumps.extend(JumpTerm(j.a, j.rate / eps) for j in rep.jumps)
     L = Lindbladian(d, hamiltonian=hermitize(H), jumps=jumps)
+    x = hermitize(np.asarray(x, dtype=complex))
     residual = float(np.linalg.norm(apply(L, rho) - x))
     cert = LiftCertificate(lindbladian=L, residual=residual,
                            cp_margin=_dissipative_choi_margin(L))

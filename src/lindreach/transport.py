@@ -199,22 +199,45 @@ def _permutation_steps(perm: list[int]) -> list[Transposition]:
     return steps
 
 
+def _require_distribution(n: int, **vectors) -> list[np.ndarray]:
+    """The vectors as float arrays, once each is a probability vector of
+    length n; an error names the first that is not."""
+    out = []
+    for name, v in vectors.items():
+        v = np.asarray(v, dtype=float)
+        if (v.shape != (n,) or not np.all(np.isfinite(v)) or np.any(v < -1e-12)
+                or abs(v.sum() - 1.0) > 1e-9):
+            raise ValueError(f"{name} must be a probability vector of length {n} "
+                             "(probability vectors are finite, >= -1e-12, sum 1)")
+        out.append(v)
+    return out
+
+
+def _certified_build(mu: np.ndarray, k: int, ledger: RatioLedger) -> list[PlanStep]:
+    """The build steps to diag(mu), once the ledger is nondecreasing and the
+    populations they reach are within PLAN_TOL of mu."""
+    steps, pop = _build_from_pure(mu, k, ledger)
+    if not ledger.is_nondecreasing():
+        raise RuntimeError("ratio ledger violated monotonicity")
+    if np.max(np.abs(pop - mu)) > PLAN_TOL:
+        raise RuntimeError("build phase missed the target distribution")
+    return steps
+
+
 def base_case_4(mu: np.ndarray) -> dict:
     """Parameters and plan for the 4-level build from diag(1, 0, 0, 0).
 
     alpha = mu_0 + mu_2 and gamma = mu_0 / alpha in 0-based indexing; beta
     follows the two-parameter pair system with degenerate denominators
     resolved to the no-op / full-damp limits. The plan itself comes from the
-    general pair-matching builder and is certified by execution.
+    general pair-matching builder, certified as plan_diagonal_transport's is.
     """
-    mu = np.asarray(mu, dtype=float)
-    if len(mu) != 4 or np.any(mu < -1e-12) or abs(mu.sum() - 1.0) > 1e-9:
-        raise ValueError("mu must be a probability 4-vector")
+    mu, = _require_distribution(4, mu=mu)
     alpha = float(mu[0] + mu[2])
     gamma = float(mu[0] / alpha) if alpha > RATIO_TOL else 1.0
     beta = float((mu[1] + mu[3]) / (alpha - 1.0) + 1.0) if abs(alpha - 1.0) > RATIO_TOL else 0.0
     plan = TransportPlan(2)
-    plan.steps, _ = _build_from_pure(mu, 2, plan.ratio_ledger)
+    plan.steps = _certified_build(mu, 2, plan.ratio_ledger)
     return {"alpha": alpha, "beta": beta, "gamma": gamma, "plan": plan}
 
 
@@ -222,19 +245,9 @@ def plan_diagonal_transport(lam: np.ndarray, mu: np.ndarray,
                             k: int) -> TransportPlan:
     """Plan steering diag(lam) to diag(mu): collapse to the pure state, then
     run the pair-matching build phase toward mu."""
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    for v in (lam, mu):
-        if (len(v) != 2 ** k or not np.all(np.isfinite(v)) or np.any(v < -1e-12)
-                or abs(v.sum() - 1.0) > 1e-9):
-            raise ValueError("lam and mu must be probability vectors of length 2^k")
+    _, mu = _require_distribution(2 ** k, lam=lam, mu=mu)
     plan = prepare_pure_plan(k)
-    steps, pop = _build_from_pure(mu, k, plan.ratio_ledger)
-    plan.steps += steps
-    if not plan.ratio_ledger.is_nondecreasing():
-        raise RuntimeError("ratio ledger violated monotonicity")
-    if np.max(np.abs(pop - mu)) > PLAN_TOL:
-        raise RuntimeError("build phase missed the target distribution")
+    plan.steps += _certified_build(mu, k, plan.ratio_ledger)
     return plan
 
 

@@ -489,6 +489,8 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
     ("certify-tangent --x", TRACELESS_3, "x has shape (3, 3)"),
     ("certify-tangent --rho", MATRIX_3, "x has shape (2, 2)"),
     ("lift --x", TRACELESS_3, "x has shape (3, 3)"),
+    ("lift --x", ser.matrix_to_json(LOWER), "x must be Hermitian"),
+    ("certify-tangent --x", ser.matrix_to_json(LOWER), "x must be Hermitian"),
     ("--rho", {"dim": -1, "entries": [[1, 0]]}, "'dim' must be a positive"),
     ("--rho", {"dim": 0, "entries": []}, "'dim' must be a positive"),
     ("--lindblad", {"dim": -1}, "'dim' must be a positive"),
@@ -522,6 +524,7 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "unitary-missing", "times-not-list", "states-not-list",
         "derivs-not-list", "simulate-rho-dim", "run-plan-rho-dim", "gamma-x-dim",
         "reach-sigma-dim", "tangent-x-dim", "tangent-rho-dim", "lift-x-dim",
+        "lift-x-not-hermitian", "tangent-x-not-hermitian",
         "dim-negative", "dim-zero", "lindblad-dim-negative",
         "lindblad-dim-zero", "k-zero", "unitary-not-unitary",
         "unitary-wrong-dim", "derivs-not-tangent"])

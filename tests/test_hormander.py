@@ -84,8 +84,10 @@ def test_closure_basis_properties(rng, d, kind):
         rep = lie_closure(ResourceSet(d, els))
         assert rep.dim_found == dim == len(rep.basis)
         assert rep.is_hormander == (dim == d * d - 1)
-        if dim == 0:  # nothing to close: three stagnant rounds after depth 1
-            assert rep.depth_used == 4
+        if kind == "diagonal":  # commuting: the first round adds nothing
+            assert rep.depth_used == 1
+        if dim == 0:  # nothing to close: no round after depth 1 adds one
+            assert rep.depth_used == 1
             continue
         B = np.array(rep.basis)
         # orthonormal under Re tr(A^*B), anti-Hermitian and traceless
@@ -98,6 +100,14 @@ def test_closure_basis_properties(rng, d, kind):
         coef = np.real(np.einsum("kij,nij->nk", B.conj(), C))
         resid = C - np.einsum("nk,kij->nij", coef, B)
         assert np.max(np.linalg.norm(resid, axis=(1, 2))) <= 1e-8
+
+
+def test_depth_used_is_last_round_that_added():
+    """[iX, iY] adds iZ at depth 2, which completes su(2); on one qubit of
+    two the same su(2) is saturated at depth 2 and depth 3 adds nothing."""
+    assert lie_closure(ResourceSet(2, [1j * X, 1j * Y])).depth_used == 2
+    rep = lie_closure(ResourceSet(4, [1j * tensor(X, I2), 1j * tensor(Y, I2)]))
+    assert (rep.dim_found, rep.depth_used, rep.is_hormander) == (3, 2, False)
 
 
 def test_haar_seeded_reproducible():

@@ -1,5 +1,6 @@
 """Every name imported into a lindreach module is used there, and every
-public top-level function or class is reached.
+public top-level function or class, and every public method or property of
+a class, is reached.
 
 The package __init__ is left out of the import check: its imports are the
 public API.
@@ -57,8 +58,10 @@ def test_unused_import_is_reported():
 
 
 def _unreached(init: str, sources: list[str]) -> list[str]:
-    """Public top-level functions and classes defined in sources that init
-    does not import and no source uses as a name or an attribute."""
+    """Public top-level functions and classes, and public methods and
+    properties of those classes (as Class.name), defined in sources whose
+    name init does not import and no source uses as a name or an
+    attribute."""
     exported = {alias.asname or alias.name for node in ast.walk(ast.parse(init))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     trees = [ast.parse(source) for source in sources]
@@ -68,10 +71,15 @@ def _unreached(init: str, sources: list[str]) -> list[str]:
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-    defined = {node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")}
-    return sorted(defined - exported - used)
+    defined = {}
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            defined.update((f"{node.name}.{m.name}", m.name) for m in node.body
+                           if isinstance(m, ast.FunctionDef))
+    return sorted(qualified for qualified, name in defined.items()
+                  if not name.startswith("_") and name not in exported | used)
 
 
 def test_every_public_name_is_reached():
@@ -85,6 +93,9 @@ def test_unreached_function_is_reported():
     assert _unreached(INIT.read_text(), sources + [orphan]) == sorted(
         [*KEPT, "orphan"])
     assert _unreached("from .m import f\n",
-                      ["def f():\n    return g, ser.h\n",
+                      ["def f():\n    return g, ser.h, C().m\n",
                        "def g(): pass\ndef h(): pass\ndef k(): pass\n"
-                       "def _p(): pass\n"]) == ["k"]
+                       "def _p(): pass\n",
+                       "class C:\n    def m(self): pass\n"
+                       "    @property\n    def n(self): pass\n"
+                       "    def _q(self): pass\n"]) == ["C.n", "k"]

@@ -375,6 +375,21 @@ def test_replacer_overshoot_psd_guard(rng):
         replacer_overshoot(rho, sigma, 5.0)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+def test_replacer_overshoot_requires_positive_eps(eps):
+    """NaN passed eps <= 0 and gave a path whose times were all NaN."""
+    rho = np.diag([0.62, 0.38]).astype(complex)
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        replacer_overshoot(rho, np.eye(2) / 2, eps)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+def test_resource_set_requires_positive_rate_budget(rate):
+    with pytest.raises(ValueError,
+                       match="max_total_rate must be finite and positive"):
+        ResourceSetK([lowering_jump(0, 1, 2)], max_total_rate=rate)
+
+
 def test_tan_schedule(rng):
     rho = random_density(rng, 2)
     sigma = random_density(rng, 2)

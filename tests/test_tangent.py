@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import apply_superop, dag, hermitize, trace_distance
 from lindreach.lindblad import (
@@ -108,6 +109,57 @@ def test_linear_admissible_examples():
                         abs_tol=1e-9)
     assert linear_admissible(GROUND, X) is None
     assert linear_admissible(GROUND, np.zeros((2, 2))) == math.inf
+    # rho = diag(1/2, 1/2, 0, 0) and x = -I on the support, perp block
+    # diag(1, 0), cross entry 1 between e0 and e2: S = diag(-1, -1) -
+    # diag(1, 0) and P^{-1/2} S P^{-1/2} = diag(-4, -2), so eps_max = 1/4,
+    # where the {e0, e2} block [[1/4, 1/4], [1/4, 1/4]] turns singular
+    rho = np.diag([0.5, 0.5, 0.0, 0.0])
+    x = np.diag([-1.0, -1.0, 1.0, 0.0])
+    x[0, 2] = x[2, 0] = 1.0
+    assert math.isclose(linear_admissible(rho, x), 0.25, rel_tol=1e-12)
+    x[0, 3] = x[3, 0] = 1e-6        # the cross block leaves x22's range
+    assert linear_admissible(rho, x) is None
+
+
+def _admissibility_case(rng, d, rank, kind):
+    """rho of the given rank (support eigenvalues at least 0.2 / d) and a
+    Hermitian x: generic, or, in rho's eigenbasis, with a positive definite
+    perp block, or with a rank-1 perp block vv^* and a cross block vu^* in
+    its range."""
+    U = haar_unitary(d, rng)
+    p = np.zeros(d)
+    p[:rank] = rng.uniform(0.2, 1.0, rank)
+    rho = hermitize((U * (p / p.sum())) @ dag(U))
+    xb = random_hermitian(rng, d)
+    m = d - rank
+    if kind == "psd-perp":
+        g = random_complex(rng, d)[:m, :m]
+        xb[rank:, rank:] = g @ dag(g) + 0.5 * np.eye(m)
+    elif kind == "rank1-perp" and m:
+        v, u = random_complex(rng, d)[:2]
+        v = v[:m] / np.linalg.norm(v[:m])
+        xb[rank:, rank:] = np.outer(v, v.conj())
+        xb[rank:, :rank] = np.outer(v, u[:rank].conj())
+        xb[:rank, rank:] = dag(xb[rank:, :rank])
+    return rho, hermitize(U @ xb @ dag(U))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 6), data=st.data(),
+       kind=st.sampled_from(["generic", "psd-perp", "rank1-perp"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_linear_admissible_is_the_boundary(d, data, kind, seed):
+    """A finite eps_max is where rho + eps x leaves the PSD cone: PSD at
+    eps_max within 1e-12 of its norm (eigvalsh's rounding), not PSD at
+    (1 + 1e-6) eps_max."""
+    rank = data.draw(st.integers(1, d))
+    rho, x = _admissibility_case(np.random.default_rng(seed), d, rank, kind)
+    eps = linear_admissible(rho, x)
+    if eps is None or eps == math.inf:
+        return
+    w = np.linalg.eigvalsh(rho + eps * x)
+    assert w.min() >= -1e-12 * max(1.0, np.abs(w).max())
+    assert np.linalg.eigvalsh(rho + eps * (1 + 1e-6) * x).min() < 0
 
 
 def test_second_order_witness_nonconv():
@@ -315,3 +367,19 @@ def test_operands_share_one_dimension(check):
                    (np.eye(3) / 3, X), (GROUND, np.diag([1.0, -1.0, 0.0]))):
         with pytest.raises(ValueError, match=r"x has shape"):
             check(rho, x)
+
+
+@pytest.mark.parametrize("check", [in_tangent_cone, lift, linear_admissible,
+                                   second_order_witness])
+def test_non_hermitian_x_is_rejected_by_name(check):
+    """|0><1| is not a direction in the state space; lifting or measuring
+    its Hermitian part instead would answer for another x."""
+    with pytest.raises(ValueError, match="x must be Hermitian"):
+        check(np.eye(2) / 2, np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [np.nan] * 3,
+                                   [0.0, 0.5, np.inf], [0.0, 0.5, 0.5]])
+def test_path_sample_requires_finite_increasing_times(times):
+    with pytest.raises(ValueError, match="times must be finite and strictly"):
+        PathSample(times, [np.eye(2) / 2] * 3)

@@ -83,6 +83,14 @@ def test_base_case_4_degenerate_and_uniform():
     assert trace_distance(out, diag_density(np.full(4, 0.25))) <= 1e-10
 
 
+@pytest.mark.parametrize("mu", [[np.nan, 0.5, 0.25, 0.25], [0.5, 0.5, 0.0],
+                                [0.5, 0.5, np.inf, -np.inf]])
+def test_base_case_4_requires_a_distribution(mu):
+    """A NaN entry passed the old range checks and gave alpha = nan."""
+    with pytest.raises(ValueError, match="mu must be a probability vector"):
+        base_case_4(np.array(mu))
+
+
 def test_plan_diagonal_random(rng):
     for k in (2, 3):
         for _ in range(20):
