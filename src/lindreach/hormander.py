@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +19,11 @@ class ResourceSet:
 
     def __post_init__(self):
         self.elements = [np.asarray(e, dtype=complex) for e in self.elements]
-        for e in self.elements:
+        for i, e in enumerate(self.elements):
             if e.shape != (self.dim, self.dim):
                 raise ValueError("resource element dimension mismatch")
+            if not np.all(np.isfinite(e)):
+                raise ValueError(f"resource element {i} has non-finite entries")
 
 
 @dataclass
@@ -43,8 +46,9 @@ def lie_closure(S: ResourceSet, max_depth: int = 20) -> LieClosureReport:
     """
     if not S.elements:
         raise ValueError("resource set is empty")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    if (isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral)
+            or max_depth < 1):
+        raise ValueError(f"max_depth must be an integer >= 1, got {max_depth!r}")
     d = S.dim
     E = np.asarray(S.elements)
     gens = np.concatenate([1j * hermitize(E), E - hermitize(E)])

@@ -192,13 +192,19 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.abs(w).sum())
 
 
-def schatten_norm(A: np.ndarray, p: float) -> float | np.ndarray:
-    """Schatten p-norm; a stack of matrices gives an array of norms. It is
-    m ||s / m||_p for the largest singular value m, so no s ** p underflows
-    or overflows, however large p is."""
-    s = np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False)
+def _pnorm(s: np.ndarray, p: float) -> float | np.ndarray:
+    """p-norm along the last axis of the nonnegative s, as m ||s / m||_p for
+    its largest entry m, so no s ** p underflows or overflows, however large
+    p is; a stack of vectors gives an array of norms."""
     n = s.max(-1, initial=0.0)
     if not np.isinf(p):
-        r = s / np.where(n > 0, n, 1.0)[..., None]     # 0 / 1 for a zero matrix
+        r = s / np.where(n > 0, n, 1.0)[..., None]     # 0 / 1 for a zero vector
         n = n * (r ** p).sum(-1) ** (1.0 / p)
     return float(n) if np.ndim(n) == 0 else n
+
+
+def schatten_norm(A: np.ndarray, p: float) -> float | np.ndarray:
+    """Schatten p-norm of a Hermitian matrix, the p-norm of its eigenvalues;
+    a stack of matrices gives an array of norms."""
+    w = np.linalg.eigvalsh(hermitize(np.asarray(A, dtype=complex)))
+    return _pnorm(np.abs(w), p)

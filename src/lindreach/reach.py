@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EIG_TOL, check_density, dag, devectorize, hermitize,
-                     require_dim, require_positive, schatten_norm, vectorize)
+from .linalg import (EIG_TOL, _pnorm, check_density, dag, devectorize,
+                     hermitize, require_dim, require_positive, schatten_norm,
+                     vectorize)
 from .lindblad import JumpTerm, Lindbladian, apply, build, propagate
 from .tangent import PathSample
 
@@ -158,22 +159,30 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
     that remain inside the state space; boundary sigma keeps only the
     intersected part. At most 50 chunks of n_samples draws consume the random
     stream as one draw at a time would, so the first n_samples accepted are
-    the ones a per-draw loop with a cap of 50 n_samples draws keeps."""
+    the ones a per-draw loop with a cap of 50 n_samples draws keeps.
+
+    A state has a nonnegative diagonal, so a draw with a diagonal entry below
+    -EIG_TOL is dropped before its eigenvalues are computed."""
     d = sigma.shape[0]
     m = max(n_samples, 1)
     kept = []
     for _ in range(50):
         if diagonal_slice:
             g = rng.standard_normal((m, d))
+            g -= g.mean(axis=1, keepdims=True)
+            nrm = _pnorm(np.abs(g), p)
             X = np.zeros((m, d, d), dtype=complex)
-            X.reshape(m, d * d)[:, ::d + 1] = g - g.mean(axis=1, keepdims=True)
+            X.reshape(m, d * d)[:, ::d + 1] = g
         else:
             G = rng.standard_normal((m, 2, d, d))
             X = hermitize(G[:, 0] + 1j * G[:, 1])
             X -= (np.trace(X, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
-        nrm = schatten_norm(X, p)
+            nrm = schatten_norm(X, p)
         X, nrm = X[nrm >= 1e-12], nrm[nrm >= 1e-12]
-        eta = hermitize(sigma + (epsilon / nrm)[:, None, None] * X)
+        scale = epsilon / nrm
+        x = X.diagonal(axis1=1, axis2=2).real
+        keep = (sigma.diagonal().real + scale[:, None] * x).min(axis=1) >= -EIG_TOL
+        eta = hermitize(sigma + scale[keep, None, None] * X[keep])
         kept.append(eta[np.linalg.eigvalsh(eta).min(axis=1) >= -EIG_TOL])
         if sum(map(len, kept)) >= n_samples:
             break
@@ -195,20 +204,17 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     _check_p(p)
     sigma = _check_state(K, "sigma", sigma)
     rng = np.random.default_rng(seed)
-    lmin = float(np.linalg.eigvalsh(hermitize(sigma)).min())
-    # norm-equivalence margin translating the p-ball radius into a 2-norm one
-    d = sigma.shape[0]
-    margin = epsilon if p >= 2 else epsilon * d ** (1.0 / p - 0.5)
-    interior_ball = lmin > margin
     samples = _sphere_samples(sigma, epsilon, p, n_samples, rng, diagonal_slice)
     if not len(samples):
         raise ValueError("ball lies outside the state space and the sphere "
                          "does not intersect it")
-    if not interior_ball and len(samples) < n_samples // 10:
+    # around a sigma with lambda_min > epsilon every draw is a state, since
+    # ||X||_inf <= ||X||_p: only a boundary sigma can keep too few
+    if len(samples) < n_samples // 10:
         raise ValueError("too few sphere points intersect the state space")
     # L(eta) for every (generator, sample) pair in one stacked product
     S = np.stack([build(L) for L in K.generators])
-    Leta = devectorize(vectorize(samples) @ S.swapaxes(1, 2), d)
+    Leta = devectorize(vectorize(samples) @ S.swapaxes(1, 2), sigma.shape[0])
     best = float(_trace_against_weight(Leta, samples, sigma, p).min())
     return PorcupineReport(epsilon=epsilon, p=p, samples=len(samples),
                            min_alignment_over_samples=best,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lindreach import dilation
 from lindreach.dilation import (
     dilated_hamiltonian,
     dilation_error_vs_exact,
@@ -17,6 +18,7 @@ from lindreach.linalg import (
     is_tp,
     mat_exp,
     partial_trace,
+    schatten_norm,
     superop_from_action,
     tensor,
 )
@@ -123,3 +125,21 @@ def test_trotter_dilation_convergence():
 
 def test_trotter_dilation_accuracy():
     assert dilation_error_vs_exact(LOWER, 1.0, 4096) <= 1e-3
+
+
+def test_choi_matrices_given_to_schatten_norm_are_hermitian(rng, monkeypatch):
+    """schatten_norm takes Hermitian input; both error reports give it the
+    Choi matrix of a difference of Hermiticity-preserving maps."""
+    seen = []
+
+    def spy(A, p):
+        seen.append(np.asarray(A))
+        return schatten_norm(A, p)
+
+    monkeypatch.setattr(dilation, "schatten_norm", spy)
+    for d in (2, 3, 4):
+        mixture_vs_semigroup_error(random_hermitian(rng, d), 0.3)
+        dilation_error_vs_exact(random_complex(rng, d), 0.7, 16)
+    assert len(seen) == 6
+    for J in seen:
+        assert np.max(np.abs(J - dag(J))) <= 1e-12

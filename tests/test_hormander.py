@@ -39,6 +39,23 @@ def test_empty_set_rejected():
         lie_closure(ResourceSet(2, []))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_element_rejected_by_index(bad):
+    with pytest.raises(ValueError, match="resource element 1 has non-finite"):
+        ResourceSet(2, [1j * X, np.diag([bad, 0])])
+
+
+@pytest.mark.parametrize("depth", [0, -1, np.nan, np.inf, 2.0, 2.5, True, "3"])
+def test_max_depth_must_be_an_integer_of_at_least_one(depth):
+    with pytest.raises(ValueError, match="max_depth must be an integer >= 1"):
+        lie_closure(ResourceSet(2, [1j * X, 1j * Y]), max_depth=depth)
+
+
+def test_numpy_integer_max_depth_accepted():
+    rep = lie_closure(ResourceSet(2, [1j * X, 1j * Y]), max_depth=np.int64(1))
+    assert rep.depth_used == 1 and rep.dim_found == 2
+
+
 def test_monotone_in_elements():
     small = lie_closure(ResourceSet(2, [1j * Z]))
     big = lie_closure(ResourceSet(2, [1j * Z, 1j * X]))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lindreach.linalg import (apply_superop, check_density, devectorize,
                               hermitize, mat_exp, schatten_norm,
                               trace_distance, vectorize)
+from lindreach.hormander import haar_unitary
 from lindreach.lindblad import (
     BilinearTerm,
     JumpTerm,
@@ -220,7 +221,8 @@ def test_porcupine_reproducible():
 
 def _sphere_samples_loop(sigma, epsilon, p, n_samples, rng, diagonal_slice,
                         eig_tol=1e-10):
-    """One draw at a time: the reference the chunked sampler must match."""
+    """One draw at a time: the reference the chunked sampler must match. Its
+    norm is the p-norm of the singular values, not lindreach's."""
     d = sigma.shape[0]
     out = []
     attempts = 0
@@ -234,7 +236,7 @@ def _sphere_samples_loop(sigma, epsilon, p, n_samples, rng, diagonal_slice,
             G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             X = hermitize(G)
             X -= (np.trace(X).real / d) * np.eye(d)
-        nrm = schatten_norm(X, p)
+        nrm = np.sum(np.linalg.svd(X, compute_uv=False) ** p) ** (1 / p)
         if nrm < 1e-12:
             continue
         eta = sigma + (epsilon / nrm) * X
@@ -243,14 +245,28 @@ def _sphere_samples_loop(sigma, epsilon, p, n_samples, rng, diagonal_slice,
     return out
 
 
-@pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+def _sigma(kind, rng, d):
+    """A full-rank state, a diagonal pure state, or a rank-deficient state in
+    a random basis (a boundary state with no diagonal structure)."""
+    if kind == "mixed":
+        return random_density(rng, d)
+    if kind == "pure":
+        return np.diag(np.eye(d)[int(rng.integers(d))]).astype(complex)
+    U = haar_unitary(d, rng)
+    return hermitize(U @ random_density(rng, d, rank=d - 1) @ U.conj().T)
+
+
+SIGMA_KINDS = ["mixed", "pure", "rotated"]
+
+
+@pytest.mark.parametrize("kind", SIGMA_KINDS)
 @pytest.mark.parametrize("diagonal_slice", [False, True], ids=["full", "diag"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_porcupine_matches_per_draw_reference(d, p, diagonal_slice, pure):
-    rng = np.random.default_rng([d, int(2 * p), diagonal_slice, pure])
-    sigma = (np.diag(np.eye(d)[int(rng.integers(d))]).astype(complex) if pure
-             else random_density(rng, d))
+def test_porcupine_matches_per_draw_reference(d, p, diagonal_slice, kind):
+    rng = np.random.default_rng([d, int(2 * p), diagonal_slice,
+                                 SIGMA_KINDS.index(kind)])
+    sigma = _sigma(kind, rng, d)
     K = ResourceSetK([Lindbladian(d, hamiltonian=random_hermitian(rng, d)),
                       Lindbladian(d, jumps=[JumpTerm(random_complex(rng, d), 0.3)]),
                       replacer_lindbladian(random_density(rng, d)),
@@ -277,6 +293,24 @@ def test_porcupine_matches_per_draw_reference(d, p, diagonal_slice, pure):
     # as rounding-level values
     assert math.isclose(rep.min_alignment_over_samples, best,
                         rel_tol=1e-12, abs_tol=1e-15)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), p=st.floats(1.5, 40), diagonal_slice=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sphere_inside_the_state_space_keeps_every_draw(d, p, diagonal_slice,
+                                                        seed):
+    """Around a sigma with lambda_min > epsilon every sphere point is a
+    state, since ||X||_inf <= ||X||_p: nothing is rejected, so porcupine's
+    too-few check cannot fire there."""
+    rng = np.random.default_rng(seed)
+    sigma = 0.5 * random_density(rng, d) + 0.5 * np.eye(d) / d
+    eps = 0.99 * np.linalg.eigvalsh(sigma).min()
+    samples = _sphere_samples(sigma, eps, p, 50, rng, diagonal_slice)
+    assert samples.shape == (50, d, d)
+    norms = [np.sum(np.linalg.svd(s - sigma, compute_uv=False) ** p) ** (1 / p)
+             for s in samples]
+    assert np.allclose(norms, eps, rtol=1e-12, atol=0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
