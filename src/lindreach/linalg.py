@@ -53,22 +53,52 @@ def require_dim(d: int, **operands) -> None:
                              "all operands must share one dimension")
 
 
+def is_diagonal(A: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the square A is exactly 0."""
+    d = len(A)
+    # the flat entries after the first, as d - 1 rows of d + 1, hold the
+    # diagonal in their last column
+    return not np.asarray(A).reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1].any()
+
+
+def _require_finite(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ValueError("matrix contains non-finite entries")
+
+
+def _require_unit_trace_psd(diagonal: np.ndarray, eigenvalues, eig_tol: float) -> None:
+    """The trace and spectrum tests of a density matrix: the sum of its real
+    diagonal within max(eig_tol, 1e-9) of 1, then no eigenvalue below
+    -eig_tol; eigenvalues() is called only once the trace passes."""
+    tr = diagonal.sum()
+    if abs(tr - 1.0) > max(eig_tol, 1e-9):
+        raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
+    lmin = float(eigenvalues().min())
+    if lmin < -eig_tol:
+        raise ValueError(f"density matrix has eigenvalue {lmin} below -{eig_tol}")
+
+
 def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     """Validate Hermitian, PSD (up to eig_tol) and unit trace; return rho."""
     rho = np.asarray(rho, dtype=complex)
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("matrix contains non-finite entries")
+    _require_finite(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     if not is_hermitian(rho, max(HERM_TOL_PER_DIM * rho.shape[0], eig_tol)):
         raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > max(eig_tol, 1e-9):
-        raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
-    lmin = float(np.linalg.eigvalsh(hermitize(rho)).min())
-    if lmin < -eig_tol:
-        raise ValueError(f"density matrix has eigenvalue {lmin} below -{eig_tol}")
+    _require_unit_trace_psd(rho.diagonal().real,
+                            lambda: np.linalg.eigvalsh(hermitize(rho)), eig_tol)
     return rho
+
+
+def check_populations(p: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
+    """check_density(np.diag(p), eig_tol) for a real vector p, with the same
+    tests and messages, without the matrix: an exactly diagonal Hermitian
+    matrix has its diagonal as its spectrum. Return p."""
+    p = np.asarray(p, dtype=float)
+    _require_finite(p)
+    _require_unit_trace_psd(p, lambda: p, eig_tol)
+    return p
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:

@@ -168,6 +168,12 @@ def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
     """exp(t L) applied to rho, revalidated as a density matrix."""
     rho = check_density(rho)
     require_dim(L.dim, rho=rho)
+    return _propagate_checked(L, rho, t)
+
+
+def _propagate_checked(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
+    """propagate for a rho already checked as a density matrix of L's
+    dimension."""
     out = devectorize(channel_superop(L, t) @ vectorize(rho), L.dim)
     return check_density(hermitize(out), eig_tol=1e-8)
 

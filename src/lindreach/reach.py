@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (EIG_TOL, _pnorm, check_density, dag, devectorize,
-                     hermitize, require_dim, require_positive, schatten_norm,
-                     vectorize)
-from .lindblad import JumpTerm, Lindbladian, apply, build, propagate
+                     hermitize, is_diagonal, require_dim, require_positive,
+                     schatten_norm, vectorize)
+from .lindblad import JumpTerm, Lindbladian, _propagate_checked, apply, build
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
@@ -63,26 +63,35 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must lie in (1, inf), got {p}")
 
 
-def _trace_against_weight(Leta: np.ndarray, eta: np.ndarray,
-                          sigma: np.ndarray, p: float) -> np.ndarray:
-    """tr(L(eta) W), W = (eta - sigma)|eta - sigma|^{p-2}, for (..., d, d)
-    stacks of L(eta) and eta that broadcast; W is 0 on the kernel of
-    eta - sigma, the continuity convention for p < 2."""
+def _weight(delta: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """W = delta|delta|^{p-2} and the eigenvalues of the Hermitian delta, from
+    one eigendecomposition; a (..., d, d) stack gives stacks. W is 0 on the
+    kernel of delta, the continuity convention for p < 2."""
+    w, V = np.linalg.eigh(delta)
+    f = np.where(np.abs(w) > 0, np.sign(w) * np.abs(w) ** (p - 1), 0.0)
+    return (V * f[..., None, :]) @ dag(V), w
+
+
+def _trace_against_weight(Leta: np.ndarray, eta: np.ndarray, sigma: np.ndarray,
+                          p: float, weight: np.ndarray | None = None) -> np.ndarray:
+    """tr(L(eta) W) for W = _weight(delta, p)[0], delta = eta - sigma made
+    Hermitian, which a caller that holds it passes as weight; (..., d, d)
+    stacks of L(eta) and eta broadcast."""
     _check_p(p)
     delta = hermitize(np.asarray(eta, dtype=complex) - np.asarray(sigma, dtype=complex))
     if np.any(np.max(np.abs(delta), axis=(-2, -1)) < EQ_TOL):
         raise ValueError("eta equals sigma within tolerance")
-    w, V = np.linalg.eigh(delta)
-    f = np.where(np.abs(w) > 0, np.sign(w) * np.abs(w) ** (p - 1), 0.0)
-    W = (V * f[..., None, :]) @ dag(V)
-    return np.einsum("...ij,...ji->...", Leta, W).real
+    if weight is None:
+        weight, _ = _weight(delta, p)
+    return np.einsum("...ij,...ji->...", Leta, weight).real
 
 
-def alignment(L: Lindbladian, eta: np.ndarray, sigma: np.ndarray,
-              p: float) -> float:
+def alignment(L: Lindbladian, eta: np.ndarray, sigma: np.ndarray, p: float,
+              weight: np.ndarray | None = None) -> float:
     """tr(L(eta)(eta - sigma)|eta - sigma|^{p-2}), the derivative of
-    (1/p)||eta - sigma||_p^p along the flow of L."""
-    return float(_trace_against_weight(apply(L, eta), eta, sigma, p))
+    (1/p)||eta - sigma||_p^p along the flow of L; weight is W of
+    _trace_against_weight, when the caller holds it."""
+    return float(_trace_against_weight(apply(L, eta), eta, sigma, p, weight))
 
 
 def _descends(value: float, dist: float, p: float) -> bool:
@@ -121,17 +130,22 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
     states = [eta]
     schedule: list[tuple[float, float, np.ndarray]] = []
     t = 0.0
-    # one p-distance per state: it decides reached and scales the stall test
-    dist = schatten_norm(eta - sigma, p)
-    reached = dist <= target_tol
     stall = None
     exceeded = False
-    while not reached:
+    while True:
+        # one eigendecomposition of eta - sigma per state: its weight aligns
+        # every generator, and its p-distance decides reached and scales the
+        # stall test
+        W, w = _weight(hermitize(eta - sigma), p)
+        dist = _pnorm(np.abs(w), p)
+        reached = dist <= target_tol
+        if reached:
+            break
         if t >= t_max:
             exceeded = True
             break
         # linear in L: the best point of the rate-budget simplex is a vertex
-        vals = [alignment(L, eta, sigma, p) for L in K.generators]
+        vals = [alignment(L, eta, sigma, p, weight=W) for L in K.generators]
         idx = int(np.argmin(vals))
         budget = K.max_total_rate if K.cone_combinations else 1.0
         weights = budget * np.eye(len(vals))[idx]
@@ -139,13 +153,12 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         if not _descends(val, dist, p):
             stall = (eta, float(val))
             break
-        eta = propagate(K.generators[idx], eta, weights[idx] * dt)
+        # eta was checked when it was produced
+        eta = _propagate_checked(K.generators[idx], eta, weights[idx] * dt)
         t += dt
         times.append(t)
         states.append(eta)
         schedule.append((t - dt, t, weights))
-        dist = schatten_norm(eta - sigma, p)
-        reached = dist <= target_tol
     return ReachReport(reached=reached, final_state=eta,
                        trajectory=PathSample(np.array(times), states),
                        generator_schedule=schedule,
@@ -162,9 +175,12 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
     the ones a per-draw loop with a cap of 50 n_samples draws keeps.
 
     A state has a nonnegative diagonal, so a draw with a diagonal entry below
-    -EIG_TOL is dropped before its eigenvalues are computed."""
+    -EIG_TOL is dropped before its eigenvalues are computed. On the diagonal
+    slice around an exactly diagonal sigma every eta is diagonal, its
+    diagonal is its spectrum, and that test is the whole PSD test."""
     d = sigma.shape[0]
     m = max(n_samples, 1)
+    decided = diagonal_slice and is_diagonal(sigma)
     kept = []
     for _ in range(50):
         if diagonal_slice:
@@ -183,7 +199,7 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
         x = X.diagonal(axis1=1, axis2=2).real
         keep = (sigma.diagonal().real + scale[:, None] * x).min(axis=1) >= -EIG_TOL
         eta = hermitize(sigma + scale[keep, None, None] * X[keep])
-        kept.append(eta[np.linalg.eigvalsh(eta).min(axis=1) >= -EIG_TOL])
+        kept.append(eta if decided else eta[np.linalg.eigvalsh(eta).min(axis=1) >= -EIG_TOL])
         if sum(map(len, kept)) >= n_samples:
             break
     return np.concatenate(kept)[:n_samples]

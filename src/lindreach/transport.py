@@ -11,7 +11,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import check_density, dag, hermitize, require_dim
+from .linalg import (check_density, check_populations, dag, hermitize,
+                     is_diagonal, require_dim)
 
 PLAN_TOL = 1e-8
 RATIO_TOL = 1e-14
@@ -105,12 +106,15 @@ def _register_view(x: np.ndarray, register: int, k: int) -> np.ndarray:
 
 
 def apply_step_diag(d: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
-    """A damp or transposition applied to a diagonal population vector."""
+    """A damp or transposition applied to a diagonal population vector; each
+    entry is the one apply_step computes on the diagonal of diag(d)."""
     d = d.copy()
     if isinstance(step, AmplitudeDamp):
         v = _register_view(d, step.register, k)
+        s = math.sqrt(step.retention)
         v[:, 0] += (1.0 - step.retention) * v[:, 1]
-        v[:, 1] *= step.retention
+        v[:, 1] *= s      # by sqrt(a) twice, in the order of the Kraus rule
+        v[:, 1] *= s
     elif isinstance(step, Transposition):
         d[step.i], d[step.j] = d[step.j], d[step.i]
     else:
@@ -272,42 +276,79 @@ def full_state_transport(rho: np.ndarray, sigma: np.ndarray) -> TransportPlan:
     return plan
 
 
-def apply_step(rho: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
-    """One plan step applied in closed form."""
-    if isinstance(step, ApplyUnitary):
-        require_dim(len(rho), U=step.U)
-        return step.U @ rho @ dag(step.U)
+def apply_step(x: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
+    """One plan step applied in closed form to a density matrix, or by
+    apply_step_diag to a 1-D population vector (damps and transpositions)."""
     if isinstance(step, Transposition):
         d = 2 ** k
         if not (0 <= step.i < d and 0 <= step.j < d):
             raise ValueError(f"transposition ({step.i}, {step.j}) outside 0..{d - 1}")
-        perm = np.arange(d)
+    if x.ndim == 1:
+        return apply_step_diag(x, step, k)
+    if isinstance(step, ApplyUnitary):
+        require_dim(len(x), U=step.U)
+        return step.U @ x @ dag(step.U)
+    if isinstance(step, Transposition):
+        perm = np.arange(len(x))
         perm[[step.i, step.j]] = step.j, step.i
-        return rho[np.ix_(perm, perm)]
+        return x[np.ix_(perm, perm)]
     if isinstance(step, AmplitudeDamp):
         # Kraus pair K0 = P0 + sqrt(a) P1, K1 = sqrt(1 - a) |0><1| on the
         # register: exp(t D_{|0><1|}) at a = e^{-2t}, its t -> inf limit at a = 0
         a = step.retention
-        v = _register_view(rho, step.register, k)
+        v = _register_view(x, step.register, k)
         s = np.sqrt([1.0, a])
         out = v * s[:, None, None, None, None] * s[:, None]
         out[:, 0, :, :, 0] += (1.0 - a) * v[:, 1, :, :, 1]
-        return out.reshape(rho.shape)
+        return out.reshape(x.shape)
     raise ValueError(f"unknown step kind {step!r}")
 
 
-def plan_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield rho, then the state after each step, every one validated as a
-    density matrix."""
+def _checked_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray]:
+    """rho, then the state after each step: its d x d matrix, or its
+    population vector while it is exactly diagonal.
+
+    Each state is checked once: damps and unitaries are checked, a
+    transposition permutes entries that were already checked, and a diagonal
+    state is checked on its populations, which are its spectrum.
+    """
     require_dim(plan.dim, rho=rho)
     rho = check_density(rho)
     yield rho
+    # the input is the only state that may be inexactly Hermitian, and a
+    # transposition is not followed by hermitize
+    if plan.steps and isinstance(plan.steps[0], Transposition):
+        rho = hermitize(rho)
+    x = _populations_if_diagonal(rho)
     for step in plan.steps:
-        rho = check_density(hermitize(apply_step(rho, step, plan.k)), eig_tol=1e-8)
-        yield rho
+        if x.ndim == 1 and isinstance(step, ApplyUnitary):
+            x = _as_matrix(x)
+        x = apply_step(x, step, plan.k)
+        if isinstance(step, Transposition):
+            pass
+        elif x.ndim == 1:
+            x = check_populations(x, eig_tol=1e-8)
+        else:
+            x = _populations_if_diagonal(check_density(hermitize(x), eig_tol=1e-8))
+        yield x
+
+
+def _populations_if_diagonal(rho: np.ndarray) -> np.ndarray:
+    return rho.diagonal().real if is_diagonal(rho) else rho
+
+
+def _as_matrix(x: np.ndarray) -> np.ndarray:
+    return x if x.ndim == 2 else np.diag(x).astype(complex)
+
+
+def plan_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield rho, then the state after each step as a density matrix, each
+    checked once (see _checked_states)."""
+    for x in _checked_states(plan, rho):
+        yield _as_matrix(x)
 
 
 def execute_plan(plan: TransportPlan, rho: np.ndarray) -> np.ndarray:
-    for out in plan_states(plan, rho):
+    for x in _checked_states(plan, rho):
         pass
-    return out
+    return _as_matrix(x)

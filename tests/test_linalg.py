@@ -4,12 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
     apply_superop,
+    check_density,
+    check_populations,
     choi,
     dag,
     devectorize,
     extend_basis,
     hermitize,
     is_cp,
+    is_diagonal,
     is_tp,
     kron_superop,
     mat_exp,
@@ -231,3 +234,52 @@ def test_span_residual_matches_lstsq(rng, d):
             coef = np.linalg.lstsq(A, b, rcond=None)[0]
             ref = float(np.linalg.norm(A @ coef - b))
             assert abs(span_residual(basis, M) - ref) <= 1e-10
+
+
+def _populations(d, seed, fault):
+    """A probability vector of length d with one fault: a NaN or infinite
+    entry, an entry just below -1e-8, or a trace just outside 1 +- 1e-8."""
+    p = np.random.default_rng(seed).dirichlet(np.ones(d))
+    if fault == "nan":
+        p[seed % d] = np.nan
+    elif fault == "inf":
+        p[seed % d] = -np.inf
+    elif fault == "negative":
+        i, j = seed % d, (seed + 1) % d
+        p[i], p[j] = -1.5e-8, p[j] + p[i] + 1.5e-8      # trace still 1
+    elif fault == "trace":
+        p *= 1.0 + 1.2e-8 * (-1) ** seed
+    return p
+
+
+@pytest.mark.parametrize("fault", [None, "nan", "inf", "negative", "trace"])
+@pytest.mark.parametrize("d", [2, 5, 16, 200])
+def test_population_check_is_check_density_of_the_diagonal_matrix(d, fault):
+    """Valid populations pass both checks, and each fault raises the same
+    message from both, figures included: the trace is summed in the same
+    order, and a diagonal matrix's eigenvalues are its diagonal."""
+    for seed in range(4):
+        p = _populations(d, seed, fault)
+        if fault is None:
+            assert check_populations(p, eig_tol=1e-8) is not None
+            check_density(np.diag(p), eig_tol=1e-8)
+            continue
+        with pytest.raises(ValueError) as vec:
+            check_populations(p, eig_tol=1e-8)
+        with pytest.raises(ValueError) as mat:
+            check_density(np.diag(p), eig_tol=1e-8)
+        assert str(vec.value) == str(mat.value)
+        assert {"nan": "non-finite", "inf": "non-finite", "negative": "eigenvalue",
+                "trace": "trace"}[fault] in str(vec.value)
+
+
+def test_is_diagonal(rng):
+    for d in (1, 2, 5):
+        A = np.diag(rng.standard_normal(d)).astype(complex)
+        assert is_diagonal(A)
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    B = A.copy()
+                    B[i, j] = 1e-300j
+                    assert not is_diagonal(B)

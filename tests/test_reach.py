@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (apply_superop, check_density, devectorize,
-                              hermitize, mat_exp, schatten_norm,
-                              trace_distance, vectorize)
+                              hermitize, mat_exp, require_positive,
+                              schatten_norm, trace_distance, vectorize)
 from lindreach.hormander import haar_unitary
+from lindreach.tangent import PathSample
 from lindreach.lindblad import (
     BilinearTerm,
     JumpTerm,
@@ -15,13 +16,18 @@ from lindreach.lindblad import (
     _gksl,
     apply,
     chain_lindbladian,
+    propagate,
     replacer_lindbladian,
 )
 from lindreach.reach import (
+    ReachReport,
     ResourceSetK,
+    _check_p,
+    _check_state,
     _descends,
     _sphere_samples,
     _trace_against_weight,
+    _weight,
     alignment,
     lowering_jump,
     porcupine_check,
@@ -172,6 +178,89 @@ def test_reach_matches_rebuilding_reference(rng, d, p):
     assert [(t0, t1, int(np.argmax(w))) for t0, t1, w in
             rep.generator_schedule] == schedule
     assert all(np.count_nonzero(w) == 1 for _, _, w in rep.generator_schedule)
+
+
+def _reference_reach_drive(K, rho0, sigma, p, dt, t_max, target_tol):
+    """reach_drive as it was before one eigendecomposition per state served
+    both the distance and the weight: alignment computes its own weight,
+    the distance comes from schatten_norm, and propagate rechecks eta."""
+    require_positive(dt=dt, t_max=t_max, target_tol=target_tol)
+    _check_p(p)
+    eta = _check_state(K, "rho0", rho0)
+    sigma = _check_state(K, "sigma", sigma)
+    times, states, schedule = [0.0], [eta], []
+    t = 0.0
+    dist = schatten_norm(eta - sigma, p)
+    reached = dist <= target_tol
+    stall = None
+    exceeded = False
+    while not reached:
+        if t >= t_max:
+            exceeded = True
+            break
+        vals = [alignment(L, eta, sigma, p) for L in K.generators]
+        idx = int(np.argmin(vals))
+        budget = K.max_total_rate if K.cone_combinations else 1.0
+        weights = budget * np.eye(len(vals))[idx]
+        val = budget * vals[idx]
+        if not _descends(val, dist, p):
+            stall = (eta, float(val))
+            break
+        eta = propagate(K.generators[idx], eta, weights[idx] * dt)
+        t += dt
+        times.append(t)
+        states.append(eta)
+        schedule.append((t - dt, t, weights))
+        dist = schatten_norm(eta - sigma, p)
+        reached = dist <= target_tol
+    return ReachReport(reached=reached, final_state=eta,
+                       trajectory=PathSample(np.array(times), states),
+                       generator_schedule=schedule,
+                       stall_certificate=stall, t_max_exceeded=exceeded)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), p=st.sampled_from([1.5, 2.0, 3.0]),
+       cone=st.booleans(), near=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_reach_drive_matches_reference_loop(d, p, cone, near, seed):
+    """One eigendecomposition per state, shared by the distance and every
+    alignment, and no recheck of eta before each step give the reference's
+    report exactly: reached, stalled (a Hamiltonian can only stall) or out
+    of time, with the same states, schedule and step count."""
+    rng = np.random.default_rng(seed)
+    sigma = random_density(rng, d)
+    rho0 = 0.997 * sigma + 0.003 * random_density(rng, d) if near else random_density(rng, d)
+    gens = [replacer_lindbladian(sigma), chain_lindbladian(rng.random(d) + 0.1),
+            Lindbladian(d, hamiltonian=random_hermitian(rng, d))]
+    K = ResourceSetK(gens[int(rng.integers(3)):], cone_combinations=cone,
+                     max_total_rate=float(rng.uniform(0.5, 2.0)))
+    args = (K, rho0, sigma, p, 0.1, 1.0, 1e-3)
+    got, ref = reach_drive(*args), _reference_reach_drive(*args)
+    assert (got.reached, got.t_max_exceeded) == (ref.reached, ref.t_max_exceeded)
+    assert np.array_equal(got.final_state, ref.final_state)
+    assert np.array_equal(got.trajectory.times, ref.trajectory.times)
+    assert np.array_equal(got.trajectory.states, ref.trajectory.states)
+    assert len(got.generator_schedule) == len(ref.generator_schedule)
+    for (a0, a1, wa), (b0, b1, wb) in zip(got.generator_schedule, ref.generator_schedule):
+        assert (a0, a1) == (b0, b1) and np.array_equal(wa, wb)
+    assert (got.stall_certificate is None) == (ref.stall_certificate is None)
+    if ref.stall_certificate is not None:
+        assert np.array_equal(got.stall_certificate[0], ref.stall_certificate[0])
+        assert got.stall_certificate[1] == ref.stall_certificate[1]
+
+
+@pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
+def test_alignment_with_shared_weight_is_bit_identical(rng, p):
+    """alignment given the weight of one eigendecomposition equals alignment
+    that computes it, bit for bit, and the shared distance is the Schatten
+    norm."""
+    for d in (2, 3, 6):
+        eta, sigma = random_density(rng, d), random_density(rng, d)
+        W, w = _weight(hermitize(eta - sigma), p)
+        for L in (replacer_lindbladian(sigma), chain_lindbladian(rng.random(d) + 0.1)):
+            assert alignment(L, eta, sigma, p, weight=W) == alignment(L, eta, sigma, p)
+        assert math.isclose(np.linalg.norm(np.abs(w), p), schatten_norm(eta - sigma, p),
+                            rel_tol=1e-13)
 
 
 def test_example_noise_reach():

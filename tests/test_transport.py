@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lindreach.linalg import check_density, dag, trace_distance
+from lindreach.linalg import (check_density, dag, hermitize, require_dim,
+                              trace_distance)
 from lindreach.lindblad import JumpTerm, Lindbladian, propagate
 from lindreach.transport import (
     RATIO_TOL,
@@ -19,10 +20,11 @@ from lindreach.transport import (
     execute_plan,
     full_state_transport,
     plan_diagonal_transport,
+    plan_states,
     prepare_pure_plan,
 )
 
-from conftest import random_density
+from conftest import random_complex, random_density
 
 
 def diag_density(v):
@@ -385,3 +387,55 @@ def test_plan_with_pair_just_above_ratio_tol(k, pair_sum, j, split, seed):
     plan = plan_diagonal_transport(lam, mu, k)
     out = execute_plan(plan, diag_density(lam))
     assert np.max(np.abs(out - diag_density(mu))) <= 1e-8
+
+
+# Plan execution as it was before states were checked once, with every step
+# applied to the d x d matrix, hermitized and checked, kept as the reference.
+def _reference_plan_states(plan, rho):
+    require_dim(plan.dim, rho=rho)
+    rho = check_density(rho)
+    yield rho
+    for step in plan.steps:
+        rho = check_density(hermitize(apply_step(rho, step, plan.k)), eig_tol=1e-8)
+        yield rho
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["diagonal", "full", "transpositions"]),
+       k=st.integers(1, 5), diagonal_input=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_plan_states_match_all_matrix_reference(family, k, diagonal_input, seed):
+    """Skipping the check after a transposition and stepping the population
+    vector of an exactly diagonal state give the reference's states bit for
+    bit, unitary steps and an input that is not exactly Hermitian included."""
+    rng = np.random.default_rng(seed)
+    d = 2 ** k
+    lam = rng.dirichlet(np.ones(d))
+    rho = diag_density(lam) if diagonal_input else random_density(rng, d)
+    if family == "diagonal":
+        plan = plan_diagonal_transport(lam, rng.dirichlet(np.ones(d)), k)
+    elif family == "full":
+        plan = full_state_transport(rho, random_density(rng, d))
+    else:
+        pairs = rng.choice(d, size=(rng.integers(1, 3 * d), 2))
+        plan = TransportPlan(k, [Transposition(i, j) for i, j in pairs if i != j])
+        skew = random_complex(rng, d) * 1e-14
+        rho = rho + skew - dag(skew)        # Hermitian within tolerance only
+    ref = list(_reference_plan_states(plan, rho))
+    got = list(plan_states(plan, rho))
+    assert len(got) == len(ref) == len(plan.steps) + 1
+    for x, y in zip(got, ref):
+        assert x.shape == (d, d) and np.array_equal(x, y)
+    assert np.array_equal(execute_plan(plan, rho), ref[-1])
+
+
+@pytest.mark.parametrize("step, message", [
+    (Transposition(0, 2), r"transposition \(0, 2\) outside 0\.\.1"),
+    (Transposition(-1, 0), r"transposition \(-1, 0\) outside 0\.\.1"),
+    (AmplitudeDamp(1, 0.5), "register 1 outside 0..0")])
+def test_population_steps_keep_the_matrix_argument_checks(step, message):
+    """A step on the population vector is rejected as on the matrix, with
+    the same message."""
+    for x in (np.array([0.25, 0.75]), diag_density([0.25, 0.75])):
+        with pytest.raises(ValueError, match=message):
+            apply_step(x, step, 1)
