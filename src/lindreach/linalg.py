@@ -130,7 +130,8 @@ def partial_trace(M: np.ndarray, dims: list[int], keep) -> np.ndarray:
 
 
 def mat_exp(A: np.ndarray) -> np.ndarray:
-    return sla.expm(np.asarray(A, dtype=complex))
+    """exp(A) in A's dtype: a real matrix gives a real exponential."""
+    return sla.expm(np.asarray(A))
 
 
 def vectorize(M: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -106,6 +107,59 @@ class Lindbladian:
         S.setflags(write=False)
         return S
 
+    @cached_property
+    def real_superop(self) -> np.ndarray:
+        """Read-only real d^2 x d^2 matrix of the generator in the
+        orthonormal Hermitian basis (_real_form of build(self)), computed on
+        first use."""
+        R = _real_form(build(self))
+        R.setflags(write=False)
+        return R
+
+
+@cache
+def _basis_maps(d: int):
+    """T, whose columns are the column-stacked orthonormal Hermitian basis
+    E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 for i < j (in triu
+    order), and T^*, each as two terms per row: M = (index, coef) has
+    (M X)[r] = coef[0, r] X[index[0, r]] + coef[1, r] X[index[1, r]]. A
+    diagonal entry is split into two halves."""
+    i, j = np.triu_indices(d, 1)
+    m = len(i)
+    diag, a, b = np.arange(d) * (d + 1), i + j * d, j + i * d   # vec positions of E_ii, E_ij, E_ji
+    re, im = d + np.arange(m), d + m + np.arange(m)            # coordinates of the pair (i, j)
+    s = 1 / math.sqrt(2)
+    index, coef = np.empty((2, d * d), dtype=int), np.empty((2, d * d), dtype=complex)
+    index[:, diag], coef[:, diag] = np.arange(d), 0.5
+    index[:, a] = index[:, b] = re, im
+    coef[:, a], coef[:, b] = [[s], [1j * s]], [[s], [-1j * s]]
+    # row k of T^* is the conjugate of column k of T
+    adj_index, adj_coef = np.empty_like(index), np.empty_like(coef)
+    adj_index[:, :d], adj_coef[:, :d] = diag, 0.5
+    adj_index[:, re] = adj_index[:, im] = a, b
+    adj_coef[:, re], adj_coef[:, im] = s, [[-1j * s], [1j * s]]
+    adjoint = adj_index, adj_coef
+    for M in (index, coef, *adjoint):
+        M.setflags(write=False)
+    return (index, coef), adjoint
+
+
+def _times(M, X: np.ndarray, conj: bool = False) -> np.ndarray:
+    """M X along X's first axis for M = (index, coef) of _basis_maps, or
+    conj(M) X."""
+    index, coef = M
+    if conj:
+        coef = coef.conj()
+    return coef[0][:, None] * X[index[0]] + coef[1][:, None] * X[index[1]]
+
+
+def _real_form(S: np.ndarray) -> np.ndarray:
+    """Re(T^* S T) = Re(T^* (T^T S^T)^T): a Hermiticity-preserving
+    superoperator S in the orthonormal Hermitian basis, where it is real up
+    to rounding."""
+    _, adjoint = _basis_maps(math.isqrt(len(S)))
+    return _times(adjoint, _times(adjoint, S.T, conj=True).T).real
+
 
 def _gksl(H: np.ndarray, ops: list[np.ndarray], g: np.ndarray) -> np.ndarray:
     """Superoperator of
@@ -153,15 +207,62 @@ def apply(L: Lindbladian, rho: np.ndarray) -> np.ndarray:
     return apply_superop(build(L), rho)
 
 
-def channel_superop(L: Lindbladian, t: float) -> np.ndarray:
-    """exp(t L) as a superoperator, for a finite nonnegative t small enough
-    for it to be finite; an error names t otherwise."""
+def _real_channel(L: Lindbladian, t: float) -> np.ndarray:
+    """exp(t L) in the orthonormal Hermitian basis, a real matrix, for a
+    finite nonnegative t small enough for it to be finite; an error names t
+    otherwise. The one place exp(t L) is formed."""
     require_nonnegative(t=t)
-    P = mat_exp(t * build(L))
+    P = mat_exp(t * L.real_superop)
     if not np.all(np.isfinite(P)):
         raise ValueError("t must be small enough for exp(t L) to be finite; "
                          f"t = {t} overflows")
     return P
+
+
+def channel_superop(L: Lindbladian, t: float) -> np.ndarray:
+    """exp(t L) as a superoperator: T P T^* = T (conj(T) P^T)^T for the
+    real P = _real_channel."""
+    T, _ = _basis_maps(L.dim)
+    return _times(T, _times(T, _real_channel(L, t).T, conj=True).T)
+
+
+@cache
+def _coord_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions, in the float view of a row-major complex d x d matrix, of
+    Re rho_ii, Re rho_ij and Im rho_ij for i < j (in _basis_maps' order),
+    and the weights (1 and sqrt2) that make them coordinates in the
+    orthonormal Hermitian basis."""
+    i, j = np.triu_indices(d, 1)
+    diag, upper = np.arange(d) * (d + 1), i * d + j
+    index = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+    weight = np.repeat([1.0, math.sqrt(2)], [d, d * d - d])
+    for a in (index, weight):
+        a.setflags(write=False)
+    return index, weight
+
+
+def _herm_coords(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates of rho in the orthonormal Hermitian basis:
+    (rho_ii, sqrt2 Re rho_ij, sqrt2 Im rho_ij) for i < j, read from the
+    diagonal and the upper triangle."""
+    index, weight = _coord_index(len(rho))
+    return np.ascontiguousarray(rho, dtype=complex).reshape(-1).view(float)[index] * weight
+
+
+def _herm_matrix(x: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian matrix with coordinates x (_herm_coords): U + U^*
+    for U holding half the diagonal and the upper triangle."""
+    d = math.isqrt(len(x))
+    index, weight = _coord_index(d)
+    U = np.zeros((d, d), dtype=complex)
+    U.reshape(-1).view(float)[index] = x * (weight / 2)
+    return U + dag(U)
+
+
+def _evolve(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
+    """exp(t L) applied, in real coordinates, to the Hermitian matrix with
+    rho's diagonal and upper triangle; the result is exactly Hermitian."""
+    return _herm_matrix(_real_channel(L, t) @ _herm_coords(rho))
 
 
 def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
@@ -174,8 +275,7 @@ def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
 def _propagate_checked(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
     """propagate for a rho already checked as a density matrix of L's
     dimension."""
-    out = devectorize(channel_superop(L, t) @ vectorize(rho), L.dim)
-    return check_density(hermitize(out), eig_tol=1e-8)
+    return check_density(_evolve(L, rho, t), eig_tol=1e-8)
 
 
 def _lower(i: int, j: int, d: int) -> np.ndarray:

@@ -76,12 +76,14 @@ def _trace_against_weight(Leta: np.ndarray, eta: np.ndarray, sigma: np.ndarray,
                           p: float, weight: np.ndarray | None = None) -> np.ndarray:
     """tr(L(eta) W) for W = _weight(delta, p)[0], delta = eta - sigma made
     Hermitian, which a caller that holds it passes as weight; (..., d, d)
-    stacks of L(eta) and eta broadcast."""
+    stacks of L(eta) and eta broadcast. Without a weight, an eta within
+    EQ_TOL of sigma is an error; a caller's weight is taken as it is, since
+    it was computed from delta however small."""
     _check_p(p)
-    delta = hermitize(np.asarray(eta, dtype=complex) - np.asarray(sigma, dtype=complex))
-    if np.any(np.max(np.abs(delta), axis=(-2, -1)) < EQ_TOL):
-        raise ValueError("eta equals sigma within tolerance")
     if weight is None:
+        delta = hermitize(np.asarray(eta, dtype=complex) - np.asarray(sigma, dtype=complex))
+        if np.any(np.max(np.abs(delta), axis=(-2, -1)) < EQ_TOL):
+            raise ValueError("eta equals sigma within tolerance")
         weight, _ = _weight(delta, p)
     return np.einsum("...ij,...ji->...", Leta, weight).real
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    apply_superop,
     check_density,
     dag,
     hermitize,
@@ -20,7 +19,7 @@ from .linalg import (
     trace_distance,
     vectorize,
 )
-from .lindblad import JumpTerm, Lindbladian, apply, channel_superop, replacer_lindbladian
+from .lindblad import JumpTerm, Lindbladian, _evolve, apply, replacer_lindbladian
 
 SUPPORT_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -287,7 +286,7 @@ def lift_path(path: PathSample) -> dict:
     # composition of channels, one step at a time
     eta = path.states[0]
     for i in range(len(t) - 1):
-        eta = hermitize(apply_superop(channel_superop(gens[i], t[i + 1] - t[i]), eta))
+        eta = _evolve(gens[i], eta, t[i + 1] - t[i])
     err = trace_distance(eta, path.states[-1])
     return {"generators": gens, "integrability": integ, "lambda_min": lam,
             "residual": np.asarray(residual), "reconstruction_error": float(err)}

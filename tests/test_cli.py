@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lindreach import serialize as ser
 from lindreach.cli import build_parser, main
 from lindreach.linalg import dag, hermitize
-from lindreach.lindblad import JumpTerm, Lindbladian
+from lindreach.lindblad import JumpTerm, Lindbladian, replacer_lindbladian
 from lindreach.tangent import PathSample, central_differences, lift
 from lindreach.transport import plan_diagonal_transport
 
@@ -113,6 +113,22 @@ def test_reach_csv_without_steps_has_one_row(files, capsys, tmp_path):
     assert code == 0 and json.loads(out)["n_steps"] == 0
     assert csv.read_text().splitlines() == ["t,trace_distance,chosen_generator",
                                             "0,0,-1"]
+
+
+def test_reach_within_eq_tol_of_sigma_exits_0(capsys, tmp_path):
+    """A valid rho within EQ_TOL of sigma but farther than --target-tol gets
+    a report (here a stall), not an error."""
+    sigma = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    rho = sigma + np.diag([3e-13, -3e-13, 0.0])
+    K = {"generators": [ser.lindbladian_to_json(replacer_lindbladian(sigma))]}
+    code, out, err = run(capsys, [
+        "reach", "--K", write(tmp_path, "K.json", K),
+        "--rho", write(tmp_path, "rho.json", ser.matrix_to_json(rho)),
+        "--sigma", write(tmp_path, "sigma.json", ser.matrix_to_json(sigma)),
+        "--target-tol", "1e-15"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["reached"] is False and report["stall"] is not None
 
 
 def test_non_finite_report_exits_2(files, capsys, tmp_path):

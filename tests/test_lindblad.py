@@ -328,6 +328,53 @@ def test_channel_superop_names_bad_t(t):
         channel_superop(L, t)
 
 
+def hermitian_basis(d):
+    """The orthonormal Hermitian basis E_ii, (E_ij + E_ji)/sqrt2,
+    i(E_ij - E_ji)/sqrt2 for i < j, in that order, as a (d^2, d, d) stack."""
+    E = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    i, j = np.triu_indices(d, 1)
+    return np.concatenate([E[range(d), range(d)],
+                           (E[i, j] + E[j, i]) / np.sqrt(2),
+                           1j * (E[i, j] - E[j, i]) / np.sqrt(2)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 6), n_jumps=st.integers(0, 3), n_ops=st.integers(0, 2),
+       t=st.floats(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_real_form_matches_complex_route(d, n_jumps, n_ops, t, seed):
+    """The real exponential in the orthonormal Hermitian basis gives the
+    complex route's channel and states, and the imaginary part the real form
+    drops is rounding. Operators have unit Frobenius norm and the Kossakowski
+    matrix unit trace, so t||S|| stays below about 50: two exponentials of
+    the same generator agree only to about eps t||S||."""
+    rng = np.random.default_rng(seed)
+
+    def unit(M):
+        return M / np.linalg.norm(M)
+
+    ops = [unit(random_complex(rng, d)) for _ in range(n_ops)]
+    g = random_density(rng, n_ops) if n_ops else None
+    L = Lindbladian(d, hamiltonian=unit(random_hermitian(rng, d)),
+                    jumps=[JumpTerm(unit(random_complex(rng, d)), r)
+                           for r in rng.random(n_jumps)],
+                    bilinear=BilinearTerm(ops, g) if n_ops else None)
+    S = build(L)
+    T = hermitian_basis(d).transpose(0, 2, 1).reshape(d * d, d * d).T
+    R = dag(T) @ S @ T
+    scale = max(1.0, np.max(np.abs(S)))
+    assert np.max(np.abs(R.imag)) <= 1e-13 * scale
+    assert np.max(np.abs(R.real - L.real_superop)) <= 1e-13 * scale
+    assert L.real_superop.dtype == float and not L.real_superop.flags.writeable
+    assert L.real_superop is L.real_superop
+    P = sla.expm(t * S)
+    tol = 1e-13 * max(1.0, np.max(np.abs(P)))
+    assert np.max(np.abs(channel_superop(L, t) - P)) <= tol
+    rho = random_density(rng, d)
+    out = propagate(L, rho, t)
+    assert np.array_equal(out, dag(out))
+    assert np.max(np.abs(out - apply_superop(P, rho))) <= tol
+
+
 def test_exponentials_cptp(rng):
     for _ in range(5):
         d = int(rng.integers(2, 4))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lindreach.linalg import (apply_superop, check_density, devectorize,
-                              hermitize, mat_exp, require_positive,
-                              schatten_norm, trace_distance, vectorize)
+from lindreach.linalg import (apply_superop, check_density, hermitize,
+                              mat_exp, require_positive, schatten_norm,
+                              trace_distance)
 from lindreach.hormander import haar_unitary
 from lindreach.tangent import PathSample
 from lindreach.lindblad import (
@@ -14,6 +14,9 @@ from lindreach.lindblad import (
     JumpTerm,
     Lindbladian,
     _gksl,
+    _herm_coords,
+    _herm_matrix,
+    _real_form,
     apply,
     chain_lindbladian,
     propagate,
@@ -136,8 +139,9 @@ def test_reach_bilinear_generator_matches_jump(cone):
 
 def greedy_reference(gens, eta, sigma, p, dt, t_max, tol):
     """reach_drive's greedy loop with unit weights, rebuilding every
-    superoperator from _gksl at every step; returns the states and the
-    (t0, t1, generator index) schedule."""
+    superoperator from _gksl, and its real form in the orthonormal Hermitian
+    basis, at every step; returns the states and the (t0, t1, generator
+    index) schedule."""
     def superop(L):
         return _gksl(L.hamiltonian, [j.a for j in L.jumps],
                      np.diag([j.rate for j in L.jumps]))
@@ -149,8 +153,8 @@ def greedy_reference(gens, eta, sigma, p, dt, t_max, tol):
         idx = int(np.argmin(vals))
         if not _descends(vals[idx], schatten_norm(eta - sigma, p), p):
             break
-        out = mat_exp(dt * superop(gens[idx])) @ vectorize(eta)
-        eta = check_density(hermitize(devectorize(out, len(eta))), eig_tol=1e-8)
+        out = mat_exp(dt * _real_form(superop(gens[idx]))) @ _herm_coords(eta)
+        eta = check_density(_herm_matrix(out), eig_tol=1e-8)
         t += dt
         states.append(eta)
         schedule.append((t - dt, t, idx))
@@ -261,6 +265,26 @@ def test_alignment_with_shared_weight_is_bit_identical(rng, p):
             assert alignment(L, eta, sigma, p, weight=W) == alignment(L, eta, sigma, p)
         assert math.isclose(np.linalg.norm(np.abs(w), p), schatten_norm(eta - sigma, p),
                             rel_tol=1e-13)
+
+
+def test_reach_drive_within_eq_tol_of_sigma_reports(rng):
+    """rho0 within EQ_TOL of sigma but farther than target_tol: the shared
+    weight defines the alignment, so reach_drive reports instead of raising.
+    A replacer contracts at rate 1, far below STALL_TOL at this distance, so
+    the descent stalls at once, and the certificate holds the alignment that
+    was computed."""
+    sigma = random_density(rng, 3)
+    rho0 = sigma + np.diag([3e-13, -3e-13, 0.0])
+    K = ResourceSetK([replacer_lindbladian(sigma)])
+    with pytest.raises(ValueError, match="eta equals sigma"):
+        alignment(K.generators[0], rho0, sigma, 2.0)
+    rep = reach_drive(K, rho0, sigma, target_tol=1e-15)
+    assert not rep.reached and not rep.t_max_exceeded
+    assert rep.generator_schedule == []
+    eta, value = rep.stall_certificate
+    assert np.array_equal(eta, rho0)
+    W, _ = _weight(hermitize(rho0 - sigma), 2.0)
+    assert value == alignment(K.generators[0], rho0, sigma, 2.0, weight=W)
 
 
 def test_example_noise_reach():
