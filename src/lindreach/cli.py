@@ -182,7 +182,8 @@ def _cmd_check_hormander(args, out):
 def _cmd_dilate(args, out):
     a = _load_matrix(args.a)
     ns = _parse_counts(args.n)
-    rows = [[float(n), dilation_error_vs_exact(a, args.t, n)] for n in ns]
+    errors = dilation_error_vs_exact(a, args.t, ns)
+    rows = [[float(n), e] for n, e in zip(ns, errors)]
     if args.csv:
         _write_csv(args.csv, ["n", "choi_trace_norm_error"], rows)
     _emit({"t": args.t, "errors": [{"n": int(n), "error": e}

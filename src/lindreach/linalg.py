@@ -54,11 +54,13 @@ def require_dim(d: int, **operands) -> None:
 
 
 def is_diagonal(A: np.ndarray) -> bool:
-    """Whether every off-diagonal entry of the square A is exactly 0."""
-    d = len(A)
-    # the flat entries after the first, as d - 1 rows of d + 1, hold the
-    # diagonal in their last column
-    return not np.asarray(A).reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1].any()
+    """Whether every off-diagonal entry of the square A, or of every matrix
+    of a (..., d, d) stack, is exactly 0."""
+    d = np.shape(A)[-1]
+    F = np.asarray(A).reshape(-1, d * d)
+    # a matrix's flat entries after the first, as d - 1 rows of d + 1, hold
+    # the diagonal in their last column
+    return not F[:, 1:].reshape(len(F), d - 1, d + 1)[..., :-1].any()
 
 
 def _require_finite(x: np.ndarray) -> None:
@@ -236,6 +238,10 @@ def _pnorm(s: np.ndarray, p: float) -> float | np.ndarray:
 
 def schatten_norm(A: np.ndarray, p: float) -> float | np.ndarray:
     """Schatten p-norm of a Hermitian matrix, the p-norm of its eigenvalues;
-    a stack of matrices gives an array of norms."""
-    w = np.linalg.eigvalsh(hermitize(np.asarray(A, dtype=complex)))
-    return _pnorm(np.abs(w), p)
+    a stack of matrices gives an array of norms. At p = 2 it is the
+    Frobenius norm, since sum |w_i|^2 = tr(A^2) = sum |A_ij|^2: no
+    eigen-solve."""
+    H = hermitize(np.asarray(A, dtype=complex))
+    if p == 2:
+        return _pnorm(np.abs(H).reshape(*H.shape[:-2], -1), 2)
+    return _pnorm(np.abs(np.linalg.eigvalsh(H)), p)

@@ -63,13 +63,22 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must lie in (1, inf), got {p}")
 
 
-def _weight(delta: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """W = delta|delta|^{p-2} and the eigenvalues of the Hermitian delta, from
-    one eigendecomposition; a (..., d, d) stack gives stacks. W is 0 on the
-    kernel of delta, the continuity convention for p < 2."""
-    w, V = np.linalg.eigh(delta)
+def _weight(delta: np.ndarray, p: float) -> tuple[np.ndarray, float | np.ndarray]:
+    """W = delta|delta|^{p-2} and ||delta||_p for the Hermitian delta; a
+    (..., d, d) stack gives stacks. W is 0 on the kernel of delta, the
+    continuity convention for p < 2. Only a non-diagonal delta at p != 2 is
+    eigen-solved: at p = 2, W = delta; on a stack that is exactly diagonal,
+    the diagonal is the spectrum and W acts on it entrywise."""
+    if p == 2:
+        return delta, schatten_norm(delta, 2)
+    diagonal = is_diagonal(delta)
+    if diagonal:
+        w, V = delta.diagonal(axis1=-2, axis2=-1).real, np.eye(delta.shape[-1])
+    else:
+        w, V = np.linalg.eigh(delta)
     f = np.where(np.abs(w) > 0, np.sign(w) * np.abs(w) ** (p - 1), 0.0)
-    return (V * f[..., None, :]) @ dag(V), w
+    W = V * f[..., None, :]                       # V diag(f)
+    return (W if diagonal else W @ dag(V)), _pnorm(np.abs(w), p)
 
 
 def _trace_against_weight(Leta: np.ndarray, eta: np.ndarray, sigma: np.ndarray,
@@ -135,11 +144,10 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
     stall = None
     exceeded = False
     while True:
-        # one eigendecomposition of eta - sigma per state: its weight aligns
-        # every generator, and its p-distance decides reached and scales the
+        # one _weight of eta - sigma per state: its W aligns every
+        # generator, and its p-distance decides reached and scales the
         # stall test
-        W, w = _weight(hermitize(eta - sigma), p)
-        dist = _pnorm(np.abs(w), p)
+        W, dist = _weight(hermitize(eta - sigma), p)
         reached = dist <= target_tol
         if reached:
             break
@@ -177,12 +185,16 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
     the ones a per-draw loop with a cap of 50 n_samples draws keeps.
 
     A state has a nonnegative diagonal, so a draw with a diagonal entry below
-    -EIG_TOL is dropped before its eigenvalues are computed. On the diagonal
-    slice around an exactly diagonal sigma every eta is diagonal, its
-    diagonal is its spectrum, and that test is the whole PSD test."""
+    -EIG_TOL is dropped before its eigenvalues are computed. No draw is
+    eigen-solved where the PSD test is decided without it: on the diagonal
+    slice around an exactly diagonal sigma every eta is diagonal, and its
+    diagonal is its spectrum; around a sigma with lambda_min >= epsilon,
+    lambda_min(eta) >= lambda_min(sigma) - ||eta - sigma||_inf >= 0, since
+    ||X||_inf <= ||X||_p (the rounding is far below EIG_TOL)."""
     d = sigma.shape[0]
     m = max(n_samples, 1)
-    decided = diagonal_slice and is_diagonal(sigma)
+    decided = ((diagonal_slice and is_diagonal(sigma))
+               or np.linalg.eigvalsh(hermitize(sigma)).min() >= epsilon)
     kept = []
     for _ in range(50):
         if diagonal_slice:

@@ -16,6 +16,12 @@ def random_hermitian(rng, d):
     return hermitize(G)
 
 
+def svd_schatten(A, p):
+    """Schatten p-norm by definition: the p-norm of the singular values."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return s.max(-1) if np.isinf(p) else (s ** p).sum(-1) ** (1 / p)
+
+
 def random_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 

@@ -288,7 +288,7 @@ def test_criterion_10_dilation_pipeline(rng):
     slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
     if not 1.8 <= slope <= 2.2:
         failures.append(f"mixture error slope {slope}")
-    trotter = dilation_error_vs_exact(LOWER, 1.0, 4096)
+    [trotter] = dilation_error_vs_exact(LOWER, 1.0, [4096])
     if trotter > 1e-3:
         failures.append(f"Trotter dilation error {trotter}")
     report(10, "dilation pipeline", failures[:5])

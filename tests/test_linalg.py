@@ -26,7 +26,7 @@ from lindreach.linalg import (
 )
 from lindreach.lindblad import replacer_lindbladian, channel_superop
 
-from conftest import random_complex, random_density
+from conftest import random_complex, random_density, svd_schatten
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -126,11 +126,6 @@ def test_schatten_norm_does_not_underflow_for_large_p(p):
     assert np.all(np.abs(norms - [expect, 3 * expect, 0.0]) <= [1e-15, 3e-15, 0])
 
 
-def _svd_schatten(A, p):
-    s = np.linalg.svd(A, compute_uv=False)
-    return s.max(-1) if np.isinf(p) else (s ** p).sum(-1) ** (1 / p)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(2, 6), n=st.integers(1, 4),
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 40.0, np.inf]),
@@ -143,10 +138,30 @@ def test_schatten_norm_of_hermitian_stacks_is_the_singular_value_norm(
     H = scale * hermitize(random_complex(rng, d) if n == 1 else
                           rng.standard_normal((n, d, d))
                           + 1j * rng.standard_normal((n, d, d)))
-    expect = _svd_schatten(H, p)
+    expect = svd_schatten(H, p)
     got = schatten_norm(H, p)
     assert np.shape(got) == np.shape(expect)
     assert np.all(np.abs(got - expect) <= 1e-14 * expect)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 6), n=st.integers(1, 4), zero=st.integers(0, 4),
+       scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e3, 1e150, 1e200]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_schatten_2_norm_is_the_frobenius_sum(d, n, zero, scale, seed):
+    """At p = 2 the norm is the Frobenius sum of the entries, taken without
+    an eigen-solve and scaled so that no square overflows or underflows: it
+    agrees with the SVD definition within 1e-14 relative, on stacks holding
+    a zero matrix too."""
+    rng = np.random.default_rng(seed)
+    H = hermitize(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    if zero < n:
+        H[zero] = 0
+    expect = scale * svd_schatten(H, 2.0)
+    got = schatten_norm(scale * H, 2.0)
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - expect) <= 1e-14 * expect)
+    assert np.all((got == 0) == (expect == 0))
 
 
 def test_superop_from_action_identity():
@@ -276,10 +291,11 @@ def test_population_check_is_check_density_of_the_diagonal_matrix(d, fault):
 def test_is_diagonal(rng):
     for d in (1, 2, 5):
         A = np.diag(rng.standard_normal(d)).astype(complex)
-        assert is_diagonal(A)
+        assert is_diagonal(A) and is_diagonal(np.stack([A, A]))
         for i in range(d):
             for j in range(d):
                 if i != j:
                     B = A.copy()
                     B[i, j] = 1e-300j
                     assert not is_diagonal(B)
+                    assert not is_diagonal(np.stack([[A, A], [A, B]]))

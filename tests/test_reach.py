@@ -40,7 +40,7 @@ from lindreach.reach import (
     tan_schedule,
 )
 
-from conftest import random_complex, random_density, random_hermitian
+from conftest import random_complex, random_density, random_hermitian, svd_schatten
 
 
 def test_alignment_replacer_closed_form(rng):
@@ -255,16 +255,46 @@ def test_reach_drive_matches_reference_loop(d, p, cone, near, seed):
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
 def test_alignment_with_shared_weight_is_bit_identical(rng, p):
-    """alignment given the weight of one eigendecomposition equals alignment
-    that computes it, bit for bit, and the shared distance is the Schatten
-    norm."""
+    """alignment given the shared weight equals alignment that computes it,
+    bit for bit, and the shared distance is the p-norm of the singular
+    values."""
     for d in (2, 3, 6):
         eta, sigma = random_density(rng, d), random_density(rng, d)
-        W, w = _weight(hermitize(eta - sigma), p)
+        W, dist = _weight(hermitize(eta - sigma), p)
         for L in (replacer_lindbladian(sigma), chain_lindbladian(rng.random(d) + 0.1)):
             assert alignment(L, eta, sigma, p, weight=W) == alignment(L, eta, sigma, p)
-        assert math.isclose(np.linalg.norm(np.abs(w), p), schatten_norm(eta - sigma, p),
-                            rel_tol=1e-13)
+        assert math.isclose(dist, svd_schatten(eta - sigma, p), rel_tol=1e-13)
+
+
+def _weight_by_eigh(delta, p):
+    """_weight by one eigendecomposition whatever delta and p are: the
+    reference for its closed forms."""
+    w, V = np.linalg.eigh(delta)
+    f = np.where(np.abs(w) > 0, np.sign(w) * np.abs(w) ** (p - 1), 0.0)
+    return (V * f[..., None, :]) @ V.conj().swapaxes(-1, -2), svd_schatten(delta, p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 6), n=st.integers(1, 4), p=st.floats(1.5, 40),
+       diagonal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_weight_closed_forms_match_the_eigen_solve(d, n, p, diagonal, seed):
+    """At p = 2, W = delta; on an exactly diagonal stack W acts on the
+    diagonal entrywise, 0 where an entry is 0. Both agree with the
+    eigendecomposition: W within 1e-14 of its largest entry, the distance
+    within 1e-13 relative."""
+    rng = np.random.default_rng(seed)
+    if diagonal:
+        x = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.8)
+        delta = x[..., None] * np.eye(d, dtype=complex)
+    else:
+        p = 2.0
+        delta = hermitize(rng.standard_normal((n, d, d))
+                          + 1j * rng.standard_normal((n, d, d)))
+    W, dist = _weight(delta, p)
+    W_ref, dist_ref = _weight_by_eigh(delta, p)
+    assert W.shape == W_ref.shape and np.shape(dist) == (n,)
+    assert np.max(np.abs(W - W_ref)) <= 1e-14 * np.max(np.abs(W_ref))
+    assert np.all(np.abs(dist - dist_ref) <= 1e-13 * dist_ref)
 
 
 def test_reach_drive_within_eq_tol_of_sigma_reports(rng):
@@ -424,6 +454,78 @@ def test_sphere_inside_the_state_space_keeps_every_draw(d, p, diagonal_slice,
     norms = [np.sum(np.linalg.svd(s - sigma, compute_uv=False) ** p) ** (1 / p)
              for s in samples]
     assert np.allclose(norms, eps, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), p=st.floats(1.5, 40), diagonal_slice=st.booleans(),
+       ratio=st.one_of(st.just(1.0), st.floats(0.05, 3.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sphere_inside_the_state_space_matches_per_draw_reference(
+        d, p, diagonal_slice, ratio, seed):
+    """Around a sigma with lambda_min >= epsilon no draw is eigen-solved,
+    and the samples are the per-draw reference's, which eigen-solves every
+    draw, up to epsilon = lambda_min itself; beyond it, draws are tested
+    and some leave the state space."""
+    rng = np.random.default_rng(seed)
+    sigma = hermitize(0.5 * random_density(rng, d) + 0.5 * np.eye(d) / d)
+    eps = ratio * np.linalg.eigvalsh(sigma).min()
+    ref = _sphere_samples_loop(sigma, eps, p, 40, np.random.default_rng(seed),
+                               diagonal_slice)
+    samples = _sphere_samples(sigma, eps, p, 40, np.random.default_rng(seed),
+                              diagonal_slice)
+    assert samples.shape == (len(ref), d, d)
+    assert ratio > 1 or len(ref) == 40
+    assert np.max(np.abs(samples - np.array(ref))) <= 1e-15
+
+
+class _EigenSpy:
+    """Records the argument of every np.linalg.eigh and eigvalsh call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
+
+    def _wrap(self, name, f):
+        def spy(A, *args, **kwargs):
+            self.calls.append((name, np.array(A)))
+            return f(A, *args, **kwargs)
+        return spy
+
+
+@pytest.mark.parametrize("diagonal_slice", [False, True], ids=["full", "diag"])
+def test_porcupine_p2_inside_the_state_space_eigen_solves_only_sigma(
+        rng, monkeypatch, diagonal_slice):
+    """At p = 2 the norm is the Frobenius sum and W = eta - sigma, and
+    around a sigma with lambda_min >= epsilon every draw is a state: the
+    only eigen-solves are of sigma, by check_density and by that test."""
+    d = 4
+    sigma = 0.5 * random_density(rng, d) + 0.5 * np.eye(d) / d
+    K = ResourceSetK([replacer_lindbladian(random_density(rng, d)),
+                      Lindbladian(d, jumps=[JumpTerm(random_complex(rng, d), 0.3)])])
+    spy = _EigenSpy(monkeypatch)
+    rep = porcupine_check(K, sigma, 0.05, p=2.0, n_samples=200, seed=7,
+                          diagonal_slice=diagonal_slice)
+    assert rep.samples == 200
+    assert [name for name, _ in spy.calls] == ["eigvalsh", "eigvalsh"]
+    assert all(np.array_equal(A, hermitize(sigma)) for _, A in spy.calls)
+
+
+def test_reach_drive_p2_eigen_solves_only_to_check_states(rng, monkeypatch):
+    """At p = 2 a reach step needs no eigendecomposition: the weight is
+    eta - sigma and the distance the Frobenius sum. The only eigen-solves
+    are check_density's, one of rho0, one of sigma and one of each state a
+    step produces."""
+    d = 3
+    sigma, rho0 = random_density(rng, d), random_density(rng, d)
+    K = ResourceSetK([replacer_lindbladian(sigma), chain_lindbladian(rng.random(d) + 0.1)])
+    spy = _EigenSpy(monkeypatch)
+    rep = reach_drive(K, rho0, sigma, p=2.0, dt=0.05, t_max=1.0, target_tol=1e-4)
+    assert len(rep.trajectory.states) > 2
+    checked = [rho0, sigma] + list(rep.trajectory.states[1:])
+    assert [name for name, _ in spy.calls] == ["eigvalsh"] * len(checked)
+    for (_, A), rho in zip(spy.calls, checked):
+        assert np.array_equal(A, hermitize(rho))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
