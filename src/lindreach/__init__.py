@@ -26,7 +26,7 @@ from .lindblad import (
     spectral_gap,
     stationary_states,
 )
-from .hormander import ResourceSet, lie_closure, orbit_span_probe
+from .hormander import ResourceSet, lie_closure, orbit_span
 from .tangent import (
     LiftCertificate,
     PathSample,

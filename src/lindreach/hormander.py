@@ -1,5 +1,5 @@
-# Lie-closure certification of resource sets and randomized unitary-orbit
-# span probes.
+# Lie-closure certification of resource sets and the exact unitary-orbit
+# span.
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (SPAN_DROP_TOL, SPAN_TOL, dag, extend_basis, hermitize,
-                     span_residual)
+from .linalg import SPAN_DROP_TOL, dag, extend_basis, hermitize
 
 
 @dataclass
@@ -75,31 +74,25 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-def orbit_span_probe(a: np.ndarray, seed: int = 0) -> dict:
-    """Randomized check whether |0><1| lies in the real span of the unitary
-    orbit of {a, a^*} (traceless parts), from at most 200 samples that each
-    extend a basis of it. Evidence, not proof."""
+def orbit_span(a: np.ndarray) -> dict:
+    """Real span of the unitary orbit of {a, a^*} (traceless parts), exactly.
+
+    a's traceless part a0 = H1 + iH2 is the element H1 e1 + H2 e2 of
+    herm0 tensor R^2. Under U(d), herm0 is absolutely irreducible (its
+    complexification is the adjoint representation of sl(d, C)), so every
+    invariant real subspace is herm0 tensor W. The span therefore has
+    dimension rank * (d^2 - 1), where rank in {0, 1, 2} is the real rank of
+    {a0, a0^*}, and it holds |0><1| iff rank == 2.
+    """
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    a = a - (np.trace(a) / d) * np.eye(d)
-    rng = np.random.default_rng(seed)
-    e01 = np.zeros((d, d), dtype=complex)
-    e01[0, 1] = 1.0
-    basis = np.zeros((0, d, d), dtype=complex)
-    stagnant = 0
-    used = 0
-    for _ in range(200):
-        U = haar_unitary(d, rng)
-        k = len(basis)
-        basis = extend_basis(basis, dag(U) @ np.stack([a, dag(a)]) @ U)
-        used += 1
-        stagnant = 0 if len(basis) > k else stagnant + 1
-        if stagnant >= 5 or len(basis) >= 2 * d * d:
-            break
-    residual = span_residual(basis, e01)
-    return {
-        "contains_e01": residual < SPAN_TOL,
-        "span_dim": len(basis),
-        "residual": residual,
-        "samples_used": used,
-    }
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or len(a) < 2:
+        raise ValueError(f"a has shape {a.shape}; it must be a square d x d "
+                         "matrix with d >= 2")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("a has non-finite entries")
+    d = len(a)
+    a0 = a - (np.trace(a) / d) * np.eye(d)
+    rank = len(extend_basis(np.zeros((0, d, d), dtype=complex),
+                            np.stack([a0, dag(a0)])))
+    return {"contains_e01": rank == 2, "span_dim": rank * (d * d - 1),
+            "rank": rank}

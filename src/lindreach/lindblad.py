@@ -333,11 +333,7 @@ def stationary_states(L: Lindbladian) -> list[np.ndarray]:
         return devectorize(P @ vectorize(M), d)
 
     found: list[np.ndarray] = []
-    seeds = [np.eye(d) / d]
-    for i in range(d):
-        E = np.zeros((d, d), dtype=complex)
-        E[i, i] = 1.0
-        seeds.append(E)
+    seeds = [np.eye(d) / d] + [_lower(i, i, d) for i in range(d)]
     for seed in seeds:
         M = proj_kernel(seed)
         ok = False

@@ -13,7 +13,8 @@ import numpy as np
 from .linalg import (EIG_TOL, _pnorm, check_density, dag, devectorize,
                      hermitize, is_diagonal, require_dim, require_positive,
                      schatten_norm, vectorize)
-from .lindblad import JumpTerm, Lindbladian, _propagate_checked, apply, build
+from .lindblad import (JumpTerm, Lindbladian, _lower, _propagate_checked, apply,
+                       build)
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
@@ -305,6 +306,4 @@ def sparse_alignment_diagonal(rho: np.ndarray, sigma: np.ndarray,
 
 def lowering_jump(r: int, s: int, d: int) -> Lindbladian:
     """Single-jump generator with jump |r><s| at unit rate."""
-    a = np.zeros((d, d), dtype=complex)
-    a[r, s] = 1.0
-    return Lindbladian(d, jumps=[JumpTerm(a, 1.0)])
+    return Lindbladian(d, jumps=[JumpTerm(_lower(r, s, d), 1.0)])

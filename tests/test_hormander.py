@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindreach.hormander import (
     ResourceSet,
     haar_unitary,
     lie_closure,
-    orbit_span_probe,
+    orbit_span,
 )
 from lindreach.linalg import dag, hermitize, tensor, vectorize
 
@@ -136,46 +137,46 @@ def test_haar_seeded_reproducible():
 def test_orbit_probe_lowering():
     a = np.zeros((2, 2), dtype=complex)
     a[0, 1] = 1.0
-    rep = orbit_span_probe(a, seed=0)
+    rep = orbit_span(a)
     assert rep["contains_e01"]
 
 
 def test_orbit_probe_self_adjoint():
-    rep = orbit_span_probe(Z, seed=0)
+    rep = orbit_span(Z)
     assert not rep["contains_e01"]
-    assert rep["samples_used"] > 0
+    assert (rep["rank"], rep["span_dim"]) == (1, 3)
 
 
 def test_orbit_probe_generic_non_normal():
     a = np.zeros((2, 2), dtype=complex)
     a[0, 1] = 1.0
     a[1, 0] = 0.3
-    rep = orbit_span_probe(a, seed=0)
+    rep = orbit_span(a)
     assert rep["contains_e01"]
 
 
-def test_orbit_probe_reproducible():
-    a = np.zeros((3, 3), dtype=complex)
-    a[0, 1] = 1.0
-    r1 = orbit_span_probe(a, seed=42)
-    r2 = orbit_span_probe(a, seed=42)
-    assert r1 == r2
+@pytest.mark.parametrize("a", [np.eye(1), np.zeros((2, 3)),
+                               np.diag([1.0, np.nan])],
+                         ids=["d=1", "2x3", "nan"])
+def test_orbit_span_rejects_malformed_a(a):
+    with pytest.raises(ValueError, match="^a has"):
+        orbit_span(a)
 
 
 def _orbit_probe_reference(a, seed):
-    """The probe as a rank loop: the real rank of all samples so far after
-    each one (matrix_rank, tol 1e-10), then one least-squares residual."""
+    """The sampled probe as a rank loop: the real rank of all Haar samples
+    of {a, a^*} so far after each one (matrix_rank, tol 1e-10), until five
+    samples add nothing, then one least-squares residual."""
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
     a = a - (np.trace(a) / d) * np.eye(d)
     rng = np.random.default_rng(seed)
     e01 = np.zeros((d, d), dtype=complex)
     e01[0, 1] = 1.0
-    cols, span_dim, stagnant, used = [], 0, 0, 0
+    cols, span_dim, stagnant = [], 0, 0
     for _ in range(200):
         U = haar_unitary(d, rng)
         cols += [vectorize(dag(U) @ a @ U), vectorize(dag(U) @ dag(a) @ U)]
-        used += 1
         A = np.stack(cols, axis=1)
         new_dim = int(np.linalg.matrix_rank(np.concatenate([A.real, A.imag]),
                                             tol=1e-10))
@@ -188,22 +189,50 @@ def _orbit_probe_reference(a, seed):
     target = np.concatenate([vectorize(e01).real, vectorize(e01).imag])
     coef, *_ = np.linalg.lstsq(AR, target, rcond=None)
     residual = float(np.linalg.norm(AR @ coef - target))
-    return {"contains_e01": residual < 1e-8, "span_dim": span_dim,
-            "residual": residual, "samples_used": used}
+    return {"contains_e01": residual < 1e-8, "span_dim": span_dim}
 
 
+def _orbit_operator(kind, rng, d):
+    """One operator of the given kind, drawn from rng."""
+    G = random_complex(rng, d)
+    z = complex(*rng.standard_normal(2))
+    if kind == "generic":
+        return G
+    if kind == "hermitian":
+        return hermitize(G)
+    if kind == "i_hermitian":
+        return 1j * hermitize(G)
+    if kind == "z_hermitian":
+        return z * hermitize(G)
+    if kind == "diagonal":
+        return np.diag(G[0].real)
+    if kind == "superdiagonal":
+        return z * np.eye(d, k=1)
+    if kind == "identity":
+        return z * np.eye(d)
+    return haar_unitary(d, rng)
+
+
+ORBIT_KINDS = ["generic", "hermitian", "i_hermitian", "z_hermitian",
+               "diagonal", "superdiagonal", "identity", "haar_unitary"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(ORBIT_KINDS), op_seed=st.integers(0, 2 ** 32 - 1))
 @pytest.mark.parametrize("seed", [0, 42])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_orbit_probe_matches_rank_reference(d, seed):
-    rng = np.random.default_rng(d)
-    G = random_complex(rng, d)
-    A = rng.standard_normal((d, d))
-    e = np.eye(d)
-    ops = [G, hermitize(G), np.diag(rng.standard_normal(d)),
-           np.outer(e[0], e[1]), np.outer(e[1], e[0]), e,
-           haar_unitary(d, rng), A - A.T]
-    for a in ops:
-        got, ref = orbit_span_probe(a, seed=seed), _orbit_probe_reference(a, seed)
-        for key in ("contains_e01", "span_dim", "samples_used"):
-            assert got[key] == ref[key], key
-        assert abs(got["residual"] - ref["residual"]) <= 1e-10
+def test_orbit_probe_matches_rank_reference(d, seed, kind, op_seed):
+    """orbit_span agrees with the sampled reference (Haar samples drawn from
+    seed) on every drawn operator, and span_dim is rank * (d^2 - 1) with
+    rank the real rank of the traceless {a0, a0^*}."""
+    a = _orbit_operator(kind, np.random.default_rng(op_seed), d)
+    got, ref = orbit_span(a), _orbit_probe_reference(a, seed)
+    for key in ("contains_e01", "span_dim"):
+        assert got[key] == ref[key], key
+    a0 = a - np.trace(a) / d * np.eye(d)
+    V = np.stack([vectorize(a0), vectorize(dag(a0))])
+    rank = int(np.linalg.matrix_rank(np.concatenate([V.real, V.imag], axis=1),
+                                     tol=1e-10))
+    assert got["rank"] == rank
+    assert got["span_dim"] == rank * (d * d - 1)
+    assert got["contains_e01"] == (rank == 2)

@@ -28,6 +28,8 @@ KEPT = {
                                 "(ROADMAP item 3) builds on",
     "bilinear_dissipator": "the only non-Hermitian Kossakowski input to _gksl",
     "path_sample_to_json": "the CLI tests write path files with it",
+    "haar_unitary": "acceptance criterion 11 and the sampled orbit-span "
+                    "reference in tests/test_hormander.py",
 }
 
 
