@@ -33,10 +33,8 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[float]]):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    ser.write_text(path, "\n".join(lines) + "\n")
 
 
 def _emit(obj: dict, out: str | None):
@@ -306,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"code": exc.code, "message": str(exc),
                           "context": exc.context}), file=sys.stderr)
         return 2
-    except (SchemaError, ValueError, FileNotFoundError) as exc:
+    except (SchemaError, ValueError, OSError) as exc:
         print(json.dumps({"code": "validation_error", "message": str(exc),
                           "context": {}}), file=sys.stderr)
         return 2

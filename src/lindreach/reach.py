@@ -72,14 +72,29 @@ def _weight(delta: np.ndarray, p: float) -> tuple[np.ndarray, float | np.ndarray
     the diagonal is the spectrum and W acts on it entrywise."""
     if p == 2:
         return delta, schatten_norm(delta, 2)
-    diagonal = is_diagonal(delta)
-    if diagonal:
-        w, V = delta.diagonal(axis1=-2, axis2=-1).real, np.eye(delta.shape[-1])
+    if is_diagonal(delta):
+        w, V = delta.diagonal(axis1=-2, axis2=-1).real, None
     else:
         w, V = np.linalg.eigh(delta)
+    return _spectral_weight(w, V, p), _pnorm(np.abs(w), p)
+
+
+def _spectral_weight(w: np.ndarray, V: np.ndarray | None, p: float) -> np.ndarray:
+    """V diag(f(w)) V* for f(x) = sign(x)|x|^(p-1), with f(0) = 0; V None
+    stands for the identity."""
     f = np.where(np.abs(w) > 0, np.sign(w) * np.abs(w) ** (p - 1), 0.0)
-    W = V * f[..., None, :]                       # V diag(f)
-    return (W if diagonal else W @ dag(V)), _pnorm(np.abs(w), p)
+    if V is None:
+        return np.eye(w.shape[-1]) * f[..., None, :]
+    return (V * f[..., None, :]) @ dag(V)
+
+
+def _checked_delta(eta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """eta - sigma made Hermitian; an eta within EQ_TOL of sigma is an
+    error."""
+    delta = hermitize(np.asarray(eta, dtype=complex) - np.asarray(sigma, dtype=complex))
+    if np.any(np.max(np.abs(delta), axis=(-2, -1)) < EQ_TOL):
+        raise ValueError("eta equals sigma within tolerance")
+    return delta
 
 
 def _trace_against_weight(Leta: np.ndarray, eta: np.ndarray, sigma: np.ndarray,
@@ -91,10 +106,7 @@ def _trace_against_weight(Leta: np.ndarray, eta: np.ndarray, sigma: np.ndarray,
     it was computed from delta however small."""
     _check_p(p)
     if weight is None:
-        delta = hermitize(np.asarray(eta, dtype=complex) - np.asarray(sigma, dtype=complex))
-        if np.any(np.max(np.abs(delta), axis=(-2, -1)) < EQ_TOL):
-            raise ValueError("eta equals sigma within tolerance")
-        weight, _ = _weight(delta, p)
+        weight, _ = _weight(_checked_delta(eta, sigma), p)
     return np.einsum("...ij,...ji->...", Leta, weight).real
 
 
@@ -178,7 +190,7 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
 
 def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
                     n_samples: int, rng: np.random.Generator,
-                    diagonal_slice: bool) -> np.ndarray:
+                    diagonal_slice: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """(n, d, d) stack of states on the radius-epsilon p-sphere around sigma
     that remain inside the state space; boundary sigma keeps only the
     intersected part. At most 50 chunks of n_samples draws consume the random
@@ -191,13 +203,20 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
     slice around an exactly diagonal sigma every eta is diagonal, and its
     diagonal is its spectrum; around a sigma with lambda_min >= epsilon,
     lambda_min(eta) >= lambda_min(sigma) - ||eta - sigma||_inf >= 0, since
-    ||X||_inf <= ||X||_p (the rounding is far below EIG_TOL)."""
+    ||X||_inf <= ||X||_p (the rounding is far below EIG_TOL).
+
+    The second return value is None, except on the full sphere at p != 2:
+    there the one eigh of each direction X = V diag(w) V* gives both
+    ||X||_p and the weight of its sample, V f(s w) V* with s =
+    epsilon/||X||_p and f of _spectral_weight, which _weight would take from
+    a second eigen-solve of eta - sigma = s X."""
     d = sigma.shape[0]
     m = max(n_samples, 1)
     decided = ((diagonal_slice and is_diagonal(sigma))
                or np.linalg.eigvalsh(hermitize(sigma)).min() >= epsilon)
-    kept = []
+    kept, weights = [], []
     for _ in range(50):
+        w = None
         if diagonal_slice:
             g = rng.standard_normal((m, d))
             g -= g.mean(axis=1, keepdims=True)
@@ -208,16 +227,27 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
             G = rng.standard_normal((m, 2, d, d))
             X = hermitize(G[:, 0] + 1j * G[:, 1])
             X -= (np.trace(X, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
-            nrm = schatten_norm(X, p)
-        X, nrm = X[nrm >= 1e-12], nrm[nrm >= 1e-12]
-        scale = epsilon / nrm
-        x = X.diagonal(axis1=1, axis2=2).real
+            if p == 2:
+                nrm = schatten_norm(X, 2)
+            else:
+                w, V = np.linalg.eigh(X)
+                nrm = _pnorm(np.abs(w), p)
+        idx = np.flatnonzero(nrm >= 1e-12)
+        scale = epsilon / nrm[idx]
+        x = X[idx].diagonal(axis1=1, axis2=2).real
         keep = (sigma.diagonal().real + scale[:, None] * x).min(axis=1) >= -EIG_TOL
-        eta = hermitize(sigma + scale[keep, None, None] * X[keep])
-        kept.append(eta if decided else eta[np.linalg.eigvalsh(eta).min(axis=1) >= -EIG_TOL])
+        idx, scale = idx[keep], scale[keep]
+        eta = hermitize(sigma + scale[:, None, None] * X[idx])
+        if not decided:
+            psd = np.linalg.eigvalsh(eta).min(axis=1) >= -EIG_TOL
+            idx, scale, eta = idx[psd], scale[psd], eta[psd]
+        kept.append(eta)
+        if w is not None:
+            weights.append(_spectral_weight(scale[:, None] * w[idx], V[idx], p))
         if sum(map(len, kept)) >= n_samples:
             break
-    return np.concatenate(kept)[:n_samples]
+    return (np.concatenate(kept)[:n_samples],
+            np.concatenate(weights)[:n_samples] if weights else None)
 
 
 def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
@@ -235,7 +265,7 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     _check_p(p)
     sigma = _check_state(K, "sigma", sigma)
     rng = np.random.default_rng(seed)
-    samples = _sphere_samples(sigma, epsilon, p, n_samples, rng, diagonal_slice)
+    samples, W = _sphere_samples(sigma, epsilon, p, n_samples, rng, diagonal_slice)
     if not len(samples):
         raise ValueError("ball lies outside the state space and the sphere "
                          "does not intersect it")
@@ -246,7 +276,10 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     # L(eta) for every (generator, sample) pair in one stacked product
     S = np.stack([build(L) for L in K.generators])
     Leta = devectorize(vectorize(samples) @ S.swapaxes(1, 2), sigma.shape[0])
-    best = float(_trace_against_weight(Leta, samples, sigma, p).min())
+    delta = _checked_delta(samples, sigma)
+    if W is None:
+        W, _ = _weight(delta, p)
+    best = float(_trace_against_weight(Leta, samples, sigma, p, W).min())
     return PorcupineReport(epsilon=epsilon, p=p, samples=len(samples),
                            min_alignment_over_samples=best,
                            obstruction_evidence=not _descends(best, epsilon, p))

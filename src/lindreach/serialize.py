@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -200,6 +202,26 @@ def dump_json(obj, path: str | None = None) -> str:
     except ValueError as exc:
         raise ValueError(f"report contains a non-finite number: {exc}") from exc
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        write_text(path, text + "\n")
     return text
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path in place: the file is created if it is missing,
+    overwritten from its first byte and, if it is a regular file, cut to the
+    new length; a device or FIFO (/dev/null, a pipe) is only written. As the
+    file is never truncated to zero, ext4 does not force the allocation of
+    its still-unwritten blocks on close (auto_da_alloc), which otherwise
+    every rewrite of a file written moments before pays. A write that fails
+    or is killed part-way leaves a partial file."""
+    data = memoryview(text.encode())
+    size = len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)

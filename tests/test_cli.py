@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lindreach import serialize as ser
+from lindreach import cli, serialize as ser
 from lindreach.cli import build_parser, main
 from lindreach.linalg import dag, hermitize
 from lindreach.lindblad import JumpTerm, Lindbladian, replacer_lindbladian
@@ -175,6 +177,133 @@ def test_dump_json_round_trips_on_one_line(report):
     text = ser.dump_json(report)
     assert "\n" not in text
     assert json.loads(text) == report
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(old=st.none() | st.integers(0, 3000), new=st.integers(1, 3000))
+def test_write_text_leaves_exactly_the_new_bytes(tmp_path_factory, old, new):
+    """Over a longer file, a shorter one, an empty one or none, the file
+    holds the new text and nothing of what it held before."""
+    path = tmp_path_factory.mktemp("write") / "report.json"
+    if old is not None:
+        path.write_bytes(b"o" * old)
+    text = "n" * (new - 1) + "\n"
+    ser.write_text(str(path), text)
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_write_text_creates_with_the_mode_of_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        ser.write_text(str(tmp_path / "new.json"), "{}\n")
+        with open(tmp_path / "by_open.json", "w") as fh:
+            fh.write("{}\n")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("new.json", "by_open.json")}
+    assert modes == {0o666 & ~umask}
+
+
+def test_out_writes_through_links_and_to_devices(files, capsys, tmp_path):
+    """A symlinked or hard-linked --out is written through, not replaced;
+    --out on a character device is written without a cut."""
+    argv = ["simulate", "--lindblad", files["L"], "--rho", files["rho"],
+            "--t", "1"]
+    code, report, _ = run(capsys, argv)
+    assert code == 0
+    target = tmp_path / "target.json"
+    target.write_text("x" * 5000)
+    link, hard = tmp_path / "link.json", tmp_path / "hard.json"
+    link.symlink_to(target)
+    os.link(target, hard)
+    code, out, _ = run(capsys, argv + ["--out", str(link)])
+    assert code == 0 and out == ""
+    assert link.is_symlink() and hard.read_text() == target.read_text() == report
+    assert run(capsys, argv + ["--out", os.devnull]) == (0, "", "")
+
+
+_PATH_ARGV = {
+    "input": lambda f, path: ["simulate", "--lindblad", path, "--rho", f["rho"],
+                              "--t", "1"],
+    "out": lambda f, path: ["plan", "--k", "1", "--lambda", "0.5,0.5",
+                            "--mu", "0.3,0.7", "--out", path],
+    "csv": lambda f, path: ["dilate", "--a", f["a"], "--t", "1", "--n", "4",
+                            "--csv", path],
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_a_directory"])
+@pytest.mark.parametrize("where", ["input", "out", "csv"])
+def test_unusable_path_exits_2(files, capsys, tmp_path, where, kind):
+    """An input, --out or --csv path that exists but cannot be opened is bad
+    input: exit 2 with the JSON error, which names the path."""
+    bad = str(tmp_path) if kind == "directory" else files["rho"] + "/x.json"
+    code, out, err = run(capsys, _PATH_ARGV[where](files, bad))
+    assert code == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["code"] == "validation_error" and bad in msg["message"]
+
+
+@pytest.mark.parametrize("where", ["input", "out", "csv"])
+def test_permission_denied_exits_2(files, capsys, tmp_path, monkeypatch, where):
+    """A path the process may not open exits 2. Root opens a file whatever
+    its mode, so the denial is simulated: opening the path raises the
+    PermissionError that a process without the right gets."""
+    bad = str(tmp_path / "denied.json")
+    if where == "input":
+        with open(bad, "w") as fh:
+            fh.write(json.dumps(ser.matrix_to_json(np.eye(2))))
+
+    def denied(opener):
+        def open_(path, *args, **kwargs):
+            if str(path) == bad:
+                raise PermissionError(13, "Permission denied", bad)
+            return opener(path, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(ser, "open", denied(open), raising=False)
+    monkeypatch.setattr(os, "open", denied(os.open))
+    code, out, err = run(capsys, _PATH_ARGV[where](files, bad))
+    assert code == 2 and out == ""
+    assert "Permission denied" in json.loads(err)["message"]
+
+
+def _write_csv_rowwise(path, header, rows):
+    """The row-by-row writer that every --csv file is byte-compared with."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+
+
+@pytest.mark.parametrize("command", ["reach", "run-plan", "dilate", "lift-path"])
+def test_csv_matches_the_row_by_row_writer(files, capsys, tmp_path, monkeypatch,
+                                           command):
+    ts = np.linspace(0, 1, 8)
+    path = write(tmp_path, "path.json", ser.path_sample_to_json(PathSample(
+        ts, [np.diag([0.5 + 0.1 * t, 0.5 - 0.1 * t]) for t in ts])))
+    plan = write(tmp_path, "plan.json", ser.plan_to_json(plan_diagonal_transport(
+        np.array([0.0, 1.0]), np.array([0.3, 0.7]), 1)))
+    argv = {"reach": ["reach", "--K", files["K"], "--rho", files["rho"],
+                      "--sigma", files["sigma"], "--dt", "0.05"],
+            "run-plan": ["run-plan", "--plan", plan, "--rho", files["rho"]],
+            "dilate": ["dilate", "--a", files["a"], "--t", "1", "--n", "8,16,32"],
+            "lift-path": ["lift-path", "--path", path]}[command]
+    written = []
+
+    def spy(path, header, rows, write_csv=cli._write_csv):
+        written.append((header, list(rows)))
+        write_csv(path, header, written[-1][1])
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    csv = tmp_path / "out.csv"
+    csv.write_text("x" * 20000)                   # a longer file is cut
+    code, _, _ = run(capsys, argv + ["--csv", str(csv)])
+    assert code == 0 and len(written) == 1 and len(written[0][1]) >= 2
+    _write_csv_rowwise(tmp_path / "ref.csv", *written[0])
+    assert csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_porcupine_reproducible(files, capsys):

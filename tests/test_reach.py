@@ -417,7 +417,7 @@ def test_porcupine_matches_per_draw_reference(d, p, diagonal_slice, kind):
     eps, n, seed = 0.05, 40, int(rng.integers(2 ** 31))
     ref = _sphere_samples_loop(sigma, eps, p, n, np.random.default_rng(seed),
                                diagonal_slice)
-    samples = _sphere_samples(sigma, eps, p, n, np.random.default_rng(seed),
+    samples, _ = _sphere_samples(sigma, eps, p, n, np.random.default_rng(seed),
                               diagonal_slice)
     assert samples.shape == (len(ref), d, d)
     if ref:
@@ -449,7 +449,7 @@ def test_sphere_inside_the_state_space_keeps_every_draw(d, p, diagonal_slice,
     rng = np.random.default_rng(seed)
     sigma = 0.5 * random_density(rng, d) + 0.5 * np.eye(d) / d
     eps = 0.99 * np.linalg.eigvalsh(sigma).min()
-    samples = _sphere_samples(sigma, eps, p, 50, rng, diagonal_slice)
+    samples, _ = _sphere_samples(sigma, eps, p, 50, rng, diagonal_slice)
     assert samples.shape == (50, d, d)
     norms = [np.sum(np.linalg.svd(s - sigma, compute_uv=False) ** p) ** (1 / p)
              for s in samples]
@@ -471,11 +471,12 @@ def test_sphere_inside_the_state_space_matches_per_draw_reference(
     eps = ratio * np.linalg.eigvalsh(sigma).min()
     ref = _sphere_samples_loop(sigma, eps, p, 40, np.random.default_rng(seed),
                                diagonal_slice)
-    samples = _sphere_samples(sigma, eps, p, 40, np.random.default_rng(seed),
+    samples, _ = _sphere_samples(sigma, eps, p, 40, np.random.default_rng(seed),
                               diagonal_slice)
     assert samples.shape == (len(ref), d, d)
     assert ratio > 1 or len(ref) == 40
-    assert np.max(np.abs(samples - np.array(ref))) <= 1e-15
+    if ref:
+        assert np.max(np.abs(samples - np.array(ref))) <= 1e-15
 
 
 class _EigenSpy:
@@ -509,6 +510,51 @@ def test_porcupine_p2_inside_the_state_space_eigen_solves_only_sigma(
     assert rep.samples == 200
     assert [name for name, _ in spy.calls] == ["eigvalsh", "eigvalsh"]
     assert all(np.array_equal(A, hermitize(sigma)) for _, A in spy.calls)
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "boundary"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_porcupine_full_sphere_eigen_solves_each_draw_once(rng, monkeypatch,
+                                                           p, inside):
+    """On the full sphere at p != 2 the one eigh of each direction gives its
+    norm and the weight at its sample: no draw or sample is eigen-solved
+    again, beyond the PSD test of a sigma on the boundary. The weights and
+    the minimum alignment agree within 1e-13 relative with the two-solve
+    reference, which eigen-solves delta = eta - sigma of each sample."""
+    d, n, eps = 4, 200, 0.05
+    sigma = (0.5 * random_density(rng, d) + 0.5 * np.eye(d) / d if inside
+             else _sigma("rotated", rng, d))
+    K = ResourceSetK([replacer_lindbladian(random_density(rng, d)),
+                      Lindbladian(d, jumps=[JumpTerm(random_complex(rng, d), 0.3)])])
+    spy = _EigenSpy(monkeypatch)
+    rep = porcupine_check(K, sigma, eps, p=p, n_samples=n, seed=7)
+    monkeypatch.undo()
+    names = [name for name, _ in spy.calls]
+    assert names[:2] == ["eigvalsh", "eigvalsh"]       # sigma, twice
+    # per chunk of n draws, one eigh of the directions, then, around a
+    # boundary sigma, one eigvalsh of the samples left by the diagonal test
+    per_chunk = ["eigh"] if inside else ["eigh", "eigvalsh"]
+    chunks = (len(names) - 2) // len(per_chunk)
+    assert names[2:] == per_chunk * chunks and (chunks == 1 or not inside)
+    assert all(A.shape == (n, d, d) for name, A in spy.calls[2:] if name == "eigh")
+
+    samples, W = _sphere_samples(sigma, eps, p, n, np.random.default_rng(7), False)
+    assert rep.samples == len(samples) == len(W)
+    W_ref, _ = _weight(hermitize(samples - sigma), p)
+    assert np.max(np.abs(W - W_ref)) <= 1e-13 * np.max(np.abs(W_ref))
+    best = min(float(_trace_against_weight(np.stack([apply(L, eta) for eta in samples]),
+                                           samples, sigma, p).min())
+               for L in K.generators)
+    assert math.isclose(rep.min_alignment_over_samples, best, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_porcupine_sphere_at_sigma_is_rejected(p):
+    """A sphere too small to tell eta from sigma is an error, also where the
+    weights come from the draws' own eigendecomposition."""
+    K = ResourceSetK([lowering_jump(1, 0, 2)])
+    with pytest.raises(ValueError, match="eta equals sigma"):
+        porcupine_check(K, np.diag([0.3, 0.7]), 1e-13, p=p, n_samples=20)
 
 
 def test_reach_drive_p2_eigen_solves_only_to_check_states(rng, monkeypatch):
@@ -594,7 +640,7 @@ def test_sphere_samples_zero_norm_draws_count_toward_cap(diagonal_slice):
 
     sigma = np.eye(3, dtype=complex) / 3
     counts = []
-    for sampler in (_sphere_samples_loop, _sphere_samples):
+    for sampler in (_sphere_samples_loop, lambda *a: _sphere_samples(*a)[0]):
         rng = ZeroDraws()
         assert len(sampler(sigma, 0.05, 2.0, 7, rng, diagonal_slice)) == 0
         counts.append(rng.drawn)
