@@ -68,29 +68,37 @@ def _require_finite(x: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
-def _require_unit_trace_psd(diagonal: np.ndarray, eigenvalues, eig_tol: float) -> None:
+def _require_unit_trace_psd(diagonal: np.ndarray, eigenvalues, eig_tol: float) -> float:
     """The trace and spectrum tests of a density matrix: the sum of its real
     diagonal within max(eig_tol, 1e-9) of 1, then no eigenvalue below
-    -eig_tol; eigenvalues() is called only once the trace passes."""
+    -eig_tol; eigenvalues() is called only once the trace passes. Return
+    the least eigenvalue."""
     tr = diagonal.sum()
     if abs(tr - 1.0) > max(eig_tol, 1e-9):
         raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
     lmin = float(eigenvalues().min())
     if lmin < -eig_tol:
         raise ValueError(f"density matrix has eigenvalue {lmin} below -{eig_tol}")
+    return lmin
 
 
 def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     """Validate Hermitian, PSD (up to eig_tol) and unit trace; return rho."""
+    return _check_density_lmin(rho, eig_tol)[0]
+
+
+def _check_density_lmin(rho: np.ndarray,
+                        eig_tol: float = EIG_TOL) -> tuple[np.ndarray, float]:
+    """check_density, which also returns the least eigenvalue of
+    hermitize(rho) that its PSD test computes."""
     rho = np.asarray(rho, dtype=complex)
     _require_finite(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     if not is_hermitian(rho, max(HERM_TOL_PER_DIM * rho.shape[0], eig_tol)):
         raise ValueError("density matrix is not Hermitian within tolerance")
-    _require_unit_trace_psd(rho.diagonal().real,
-                            lambda: np.linalg.eigvalsh(hermitize(rho)), eig_tol)
-    return rho
+    return rho, _require_unit_trace_psd(
+        rho.diagonal().real, lambda: np.linalg.eigvalsh(hermitize(rho)), eig_tol)
 
 
 def check_populations(p: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EIG_TOL, _pnorm, check_density, dag, devectorize,
-                     hermitize, is_diagonal, require_dim, require_positive,
-                     schatten_norm, vectorize)
+from .linalg import (EIG_TOL, _check_density_lmin, _pnorm, check_density, dag,
+                     devectorize, hermitize, is_diagonal, require_dim,
+                     require_positive, schatten_norm, vectorize)
 from .lindblad import (JumpTerm, Lindbladian, _lower, _propagate_checked, apply,
                        build)
 from .tangent import PathSample
@@ -188,14 +188,24 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
                        stall_certificate=stall, t_max_exceeded=exceeded)
 
 
+# normal draws in one sampler chunk after the first, at most: 512 KiB of
+# float64, or the first chunk's n_samples draws if those are more
+_CHUNK_FLOATS = 1 << 16
+
+
 def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
                     n_samples: int, rng: np.random.Generator,
-                    diagonal_slice: bool) -> tuple[np.ndarray, np.ndarray | None]:
+                    diagonal_slice: bool, lmin: float,
+                    ) -> tuple[np.ndarray, np.ndarray | None, int]:
     """(n, d, d) stack of states on the radius-epsilon p-sphere around sigma
     that remain inside the state space; boundary sigma keeps only the
-    intersected part. At most 50 chunks of n_samples draws consume the random
-    stream as one draw at a time would, so the first n_samples accepted are
-    the ones a per-draw loop with a cap of 50 n_samples draws keeps.
+    intersected part. lmin is lambda_min(sigma). At most 50 n_samples draws
+    are taken, in chunks that consume the random stream as one draw at a
+    time would, so the first n_samples accepted are the ones a per-draw loop
+    with that cap keeps, whatever the chunk sizes. The first chunk is
+    n_samples draws; each later one is sized from the acceptance rate so
+    far, doubles while nothing is kept, and holds at most _CHUNK_FLOATS
+    normal draws unless n_samples draws are more.
 
     A state has a nonnegative diagonal, so a draw with a diagonal entry below
     -EIG_TOL is dropped before its eigenvalues are computed. No draw is
@@ -205,49 +215,86 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
     lambda_min(eta) >= lambda_min(sigma) - ||eta - sigma||_inf >= 0, since
     ||X||_inf <= ||X||_p (the rounding is far below EIG_TOL).
 
+    On the diagonal slice a direction stays a real vector x, and a d x d
+    matrix is formed only for a kept draw. Since ||x||_p <= ||x||_1, the
+    draw's scale is at least epsilon/||x||_1, and sigma_ii + scale x_i only
+    falls as the scale grows where x_i < 0 (elsewhere it is at least
+    lambda_min(sigma) >= -EIG_TOL): a draw with sigma_ii + x_i
+    epsilon/||x||_1 < -2 EIG_TOL for some i leaves the state space and is
+    dropped before its p-norm is computed. Rounding moves that test by far
+    less than its margin of EIG_TOL, so it drops no draw the exact test
+    keeps.
+
     The second return value is None, except on the full sphere at p != 2:
     there the one eigh of each direction X = V diag(w) V* gives both
     ||X||_p and the weight of its sample, V f(s w) V* with s =
     epsilon/||X||_p and f of _spectral_weight, which _weight would take from
-    a second eigen-solve of eta - sigma = s X."""
+    a second eigen-solve of eta - sigma = s X. The third is the number of
+    draws taken."""
     d = sigma.shape[0]
     m = max(n_samples, 1)
-    decided = ((diagonal_slice and is_diagonal(sigma))
-               or np.linalg.eigvalsh(hermitize(sigma)).min() >= epsilon)
+    cap = 50 * m
+    budget = max(m, _CHUNK_FLOATS // (d if diagonal_slice else 2 * d * d))
+    decided = (diagonal_slice and is_diagonal(sigma)) or lmin >= epsilon
+    s = sigma.diagonal().real
+    # s_i + (epsilon/||x||_1) x_i >= -2 EIG_TOL, as x_i >= floor_i ||x||_1
+    floor = (-2 * EIG_TOL - s) / epsilon
     kept, weights = [], []
-    for _ in range(50):
+    size, drawn, n_kept = m, 0, 0
+    while n_kept < n_samples and drawn < cap:
+        size = min(size, cap - drawn, budget)
+        drawn += size
         w = None
         if diagonal_slice:
-            g = rng.standard_normal((m, d))
-            g -= g.mean(axis=1, keepdims=True)
-            nrm = _pnorm(np.abs(g), p)
-            X = np.zeros((m, d, d), dtype=complex)
-            X.reshape(m, d * d)[:, ::d + 1] = g
+            raw = rng.standard_normal((size, d))
+            # the bound test runs on the transpose, where the sums over d are
+            # fast; its centering may round apart from the one below, by far
+            # less than the margin
+            xt = np.ascontiguousarray(raw.T)
+            xt -= xt.mean(axis=0)
+            l1 = np.abs(xt).sum(axis=0)
+            idx = np.flatnonzero((xt >= floor[:, None] * l1).all(axis=0))
+            x = raw[idx]
+            x -= x.mean(axis=1, keepdims=True)
+            nrm = _pnorm(np.abs(x), p)
         else:
-            G = rng.standard_normal((m, 2, d, d))
+            G = rng.standard_normal((size, 2, d, d))
             X = hermitize(G[:, 0] + 1j * G[:, 1])
             X -= (np.trace(X, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
+            x = X.diagonal(axis1=1, axis2=2).real
+            idx = np.arange(size)
             if p == 2:
                 nrm = schatten_norm(X, 2)
             else:
                 w, V = np.linalg.eigh(X)
                 nrm = _pnorm(np.abs(w), p)
-        idx = np.flatnonzero(nrm >= 1e-12)
-        scale = epsilon / nrm[idx]
-        x = X[idx].diagonal(axis1=1, axis2=2).real
-        keep = (sigma.diagonal().real + scale[:, None] * x).min(axis=1) >= -EIG_TOL
-        idx, scale = idx[keep], scale[keep]
-        eta = hermitize(sigma + scale[:, None, None] * X[idx])
+        ok = nrm >= 1e-12
+        idx, x, scale = idx[ok], x[ok], epsilon / nrm[ok]
+        keep = (s + scale[:, None] * x).min(axis=1) >= -EIG_TOL
+        idx, x, scale = idx[keep], x[keep], scale[keep]
+        need = n_samples - n_kept
+        if decided:
+            idx, x, scale = idx[:need], x[:need], scale[:need]
+        if diagonal_slice:
+            X = np.zeros((len(idx), d, d), dtype=complex)
+            X.reshape(len(idx), d * d)[:, ::d + 1] = x
+        else:
+            X = X[idx]
+        eta = hermitize(sigma + scale[:, None, None] * X)
         if not decided:
-            psd = np.linalg.eigvalsh(eta).min(axis=1) >= -EIG_TOL
+            psd = np.flatnonzero(np.linalg.eigvalsh(eta).min(axis=1) >= -EIG_TOL)[:need]
             idx, scale, eta = idx[psd], scale[psd], eta[psd]
         kept.append(eta)
         if w is not None:
             weights.append(_spectral_weight(scale[:, None] * w[idx], V[idx], p))
-        if sum(map(len, kept)) >= n_samples:
-            break
-    return (np.concatenate(kept)[:n_samples],
-            np.concatenate(weights)[:n_samples] if weights else None)
+        n_kept += len(eta)
+        # the draws the rest should take at the rate so far, and a tenth
+        # more: a chunk costs a fixed overhead, and a spare draw little on
+        # the slice but an eigh on the full sphere
+        size = (2 * size if not n_kept
+                else math.ceil(1.1 * (n_samples - n_kept) * drawn / n_kept))
+    return (np.concatenate(kept), np.concatenate(weights) if weights else None,
+            drawn)
 
 
 def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
@@ -263,16 +310,20 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
         raise ValueError("n_samples must be positive; a vacuous report is invalid")
     require_positive(epsilon=epsilon)
     _check_p(p)
-    sigma = _check_state(K, "sigma", sigma)
+    sigma, lmin = _check_density_lmin(sigma)
+    require_dim(K.dim, sigma=sigma)
     rng = np.random.default_rng(seed)
-    samples, W = _sphere_samples(sigma, epsilon, p, n_samples, rng, diagonal_slice)
+    samples, W, drawn = _sphere_samples(sigma, epsilon, p, n_samples, rng,
+                                        diagonal_slice, lmin)
+    counts = (f"{len(samples)} of {drawn} draws kept, "
+              f"{max(n_samples // 10, 1)} needed")
     if not len(samples):
         raise ValueError("ball lies outside the state space and the sphere "
-                         "does not intersect it")
+                         f"does not intersect it: {counts}")
     # around a sigma with lambda_min > epsilon every draw is a state, since
     # ||X||_inf <= ||X||_p: only a boundary sigma can keep too few
     if len(samples) < n_samples // 10:
-        raise ValueError("too few sphere points intersect the state space")
+        raise ValueError(f"too few sphere points intersect the state space: {counts}")
     # L(eta) for every (generator, sample) pair in one stacked product
     S = np.stack([build(L) for L in K.generators])
     Leta = devectorize(vectorize(samples) @ S.swapaxes(1, 2), sigma.shape[0])

@@ -315,6 +315,28 @@ def test_porcupine_reproducible(files, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("d, eps, kept, message", [
+    (2, 5.0, 0, "ball lies outside the state space and the sphere does not "
+                "intersect it"),
+    (3, 1.0, 7, "too few sphere points intersect the state space"),
+], ids=["outside", "too-few"])
+def test_porcupine_sphere_errors_give_the_counts(capsys, tmp_path, d, eps, kept,
+                                                 message):
+    """A sphere around |0><0| that the state space barely meets exits 2 with
+    the samples kept, the draws taken (the cap, 50 n) and the n // 10
+    needed."""
+    L = Lindbladian(d, jumps=[JumpTerm(np.eye(d, k=1), 1.0)])
+    K = write(tmp_path, "K.json", {"generators": [ser.lindbladian_to_json(L)]})
+    sigma = write(tmp_path, "sigma.json", ser.matrix_to_json(np.diag(np.eye(d)[0])))
+    code, out, err = run(capsys, ["porcupine", "--K", K, "--sigma", sigma,
+                                  "--epsilon", str(eps), "--n-samples", "100",
+                                  "--seed", "9"])
+    assert code == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["code"] == "validation_error"
+    assert msg["message"] == f"{message}: {kept} of 5000 draws kept, 10 needed"
+
+
 def test_plan_roundtrip(files, capsys, tmp_path):
     plan_file = str(tmp_path / "plan.json")
     code, _, _ = run(capsys, ["plan", "--k", "2",

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lindreach.linalg import (apply_superop, check_density, hermitize,
+from lindreach.linalg import (EIG_TOL, apply_superop, check_density, hermitize,
                               mat_exp, require_positive, schatten_norm,
                               trace_distance)
 from lindreach.hormander import haar_unitary
@@ -22,6 +22,7 @@ from lindreach.lindblad import (
     propagate,
     replacer_lindbladian,
 )
+from lindreach import reach
 from lindreach.reach import (
     ReachReport,
     ResourceSetK,
@@ -388,13 +389,25 @@ def _sphere_samples_loop(sigma, epsilon, p, n_samples, rng, diagonal_slice,
     return out
 
 
+def _sphere(sigma, epsilon, p, n_samples, rng, diagonal_slice):
+    """_sphere_samples with the lambda_min(sigma) that porcupine_check takes
+    from check_density's eigen-solve."""
+    lmin = np.linalg.eigvalsh(hermitize(np.asarray(sigma, dtype=complex))).min()
+    return _sphere_samples(sigma, epsilon, p, n_samples, rng, diagonal_slice, lmin)
+
+
 def _sigma(kind, rng, d):
-    """A full-rank state, a diagonal pure state, or a rank-deficient state in
-    a random basis (a boundary state with no diagonal structure)."""
+    """A full-rank state, a diagonal pure state, a rank-deficient state in
+    a random basis (a boundary state with no diagonal structure), or a
+    diagonal state with between one and d - 1 exact zeros."""
     if kind == "mixed":
         return random_density(rng, d)
     if kind == "pure":
         return np.diag(np.eye(d)[int(rng.integers(d))]).astype(complex)
+    if kind == "zeros":
+        w = rng.random(d) + 0.1
+        w[rng.choice(d, int(rng.integers(1, d)), replace=False)] = 0.0
+        return np.diag(w / w.sum()).astype(complex)
     U = haar_unitary(d, rng)
     return hermitize(U @ random_density(rng, d, rank=d - 1) @ U.conj().T)
 
@@ -417,8 +430,8 @@ def test_porcupine_matches_per_draw_reference(d, p, diagonal_slice, kind):
     eps, n, seed = 0.05, 40, int(rng.integers(2 ** 31))
     ref = _sphere_samples_loop(sigma, eps, p, n, np.random.default_rng(seed),
                                diagonal_slice)
-    samples, _ = _sphere_samples(sigma, eps, p, n, np.random.default_rng(seed),
-                              diagonal_slice)
+    samples = _sphere(sigma, eps, p, n, np.random.default_rng(seed),
+                      diagonal_slice)[0]
     assert samples.shape == (len(ref), d, d)
     if ref:
         assert np.max(np.abs(samples - np.array(ref))) <= 1e-15
@@ -449,7 +462,7 @@ def test_sphere_inside_the_state_space_keeps_every_draw(d, p, diagonal_slice,
     rng = np.random.default_rng(seed)
     sigma = 0.5 * random_density(rng, d) + 0.5 * np.eye(d) / d
     eps = 0.99 * np.linalg.eigvalsh(sigma).min()
-    samples, _ = _sphere_samples(sigma, eps, p, 50, rng, diagonal_slice)
+    samples = _sphere(sigma, eps, p, 50, rng, diagonal_slice)[0]
     assert samples.shape == (50, d, d)
     norms = [np.sum(np.linalg.svd(s - sigma, compute_uv=False) ** p) ** (1 / p)
              for s in samples]
@@ -471,12 +484,119 @@ def test_sphere_inside_the_state_space_matches_per_draw_reference(
     eps = ratio * np.linalg.eigvalsh(sigma).min()
     ref = _sphere_samples_loop(sigma, eps, p, 40, np.random.default_rng(seed),
                                diagonal_slice)
-    samples, _ = _sphere_samples(sigma, eps, p, 40, np.random.default_rng(seed),
-                              diagonal_slice)
+    samples = _sphere(sigma, eps, p, 40, np.random.default_rng(seed),
+                      diagonal_slice)[0]
     assert samples.shape == (len(ref), d, d)
     assert ratio > 1 or len(ref) == 40
     if ref:
         assert np.max(np.abs(samples - np.array(ref))) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), p=st.sampled_from([1.5, 2.0, 3.0]),
+       diagonal_slice=st.booleans(),
+       kind=st.sampled_from(SIGMA_KINDS + ["zeros"]),
+       eps=st.sampled_from([0.01, 0.05, 0.5]), n=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=5, p=3.0, diagonal_slice=False, kind="pure", eps=0.5, n=20, seed=0)
+@example(d=5, p=1.5, diagonal_slice=True, kind="pure", eps=0.5, n=20, seed=1)
+@example(d=3, p=2.0, diagonal_slice=True, kind="zeros", eps=0.01, n=40, seed=2)
+def test_sphere_samples_match_per_draw_reference(d, p, diagonal_slice, kind,
+                                                 eps, n, seed):
+    """Whatever chunk sizes the acceptance rate picks, and whichever draws
+    the scale bound drops before their p-norm, the samples are the per-draw
+    reference's, sample for sample; a run that keeps fewer than n took
+    exactly the cap of 50 n draws (the first two examples end there, one
+    with no sample and one with 7 of 20)."""
+    sigma = _sigma(kind, np.random.default_rng(seed), d)
+    ref = _sphere_samples_loop(sigma, eps, p, n, np.random.default_rng(seed),
+                               diagonal_slice)
+    samples, _, drawn = _sphere(sigma, eps, p, n, np.random.default_rng(seed),
+                                diagonal_slice)
+    assert samples.shape == (len(ref), d, d)
+    if ref:
+        assert np.max(np.abs(samples - np.array(ref))) <= 1e-15
+    assert drawn == 50 * n if len(ref) < n else drawn <= 50 * n
+
+
+@pytest.mark.parametrize("diagonal_slice, n", [(True, 1000), (False, 100)],
+                         ids=["diag", "full"])
+def test_sphere_chunks_stay_within_the_memory_budget(diagonal_slice, n):
+    """Around |0><0| at d = 5 and epsilon = 0.5 few draws are states, so the
+    chunks after the first grow until the budget of _CHUNK_FLOATS normal
+    draws stops them; the first is n draws, and the run ends at the cap."""
+    d = 5
+    sizes = []
+
+    class CountingDraws:
+        def __init__(self):
+            self.rng = np.random.default_rng(3)
+
+        def standard_normal(self, shape):
+            sizes.append(shape[0])
+            return self.rng.standard_normal(shape)
+
+    sigma = np.diag(np.eye(d)[0]).astype(complex)
+    samples, _, drawn = _sphere(sigma, 0.5, 2.0, n, CountingDraws(), diagonal_slice)
+    rows = reach._CHUNK_FLOATS // (d if diagonal_slice else 2 * d * d)
+    assert len(samples) < n and drawn == sum(sizes) == 50 * n
+    assert sizes[0] == n and max(sizes) == rows > n
+
+
+class _ScriptedDraws:
+    """standard_normal that hands out the given numbers in order, then
+    zeros (zero-norm draws, which count toward the cap)."""
+
+    def __init__(self, rows):
+        self.flat = np.asarray(rows, dtype=float).ravel()
+        self.pos = 0
+
+    def standard_normal(self, shape):
+        out = np.zeros(math.prod(np.atleast_1d(shape)))
+        take = self.flat[self.pos:self.pos + len(out)]
+        out[:len(take)] = take
+        self.pos += len(out)
+        return out.reshape(shape)
+
+
+def test_sphere_scale_bound_drops_nothing_the_exact_test_keeps(monkeypatch):
+    """Diagonal-slice draws x = (-t, 1, t - 1) around sigma = diag(0, 1/2,
+    1/2) put the exact test's first entry -epsilon t/||x||_p on both sides
+    of -EIG_TOL, some within a relative 1e-9 of it, and the bound's entry
+    -epsilon t/||x||_1 = -epsilon t/2 on both sides of -2 EIG_TOL. The
+    sampler keeps exactly the draws whose exact entry is >= -EIG_TOL, as the
+    per-draw reference does, and the bound drops some draws before their
+    p-norm is computed."""
+    eps, p, n = 0.05, 3.0, 60
+    sigma = np.diag([0.0, 0.5, 0.5]).astype(complex)
+    norm = lambda t: (t ** p + 1 + (1 - t) ** p) ** (1 / p)
+    t_exact = 0.0
+    for _ in range(5):                           # eps t / norm(t) = EIG_TOL
+        t_exact = EIG_TOL * norm(t_exact) / eps
+    t_bound = 4 * EIG_TOL / eps
+    ts = np.concatenate([np.linspace(0, 2 * t_bound, 41),
+                         t_exact * (1 + np.array([-1e-9, 1e-9, -1e-3, 1e-3])),
+                         t_bound * (1 + np.array([-1e-9, 1e-9]))])
+    ts = np.random.default_rng(0).permutation(ts)
+    rows = np.stack([-ts, np.ones_like(ts), ts - 1], axis=1)
+    exact = np.array([-eps * t / norm(t) for t in ts])
+    assert (exact >= -EIG_TOL).any() and (exact < -EIG_TOL).any()
+
+    ref = _sphere_samples_loop(sigma, eps, p, n, _ScriptedDraws(rows), True)
+    rows_normed = []
+    pnorm = reach._pnorm
+    monkeypatch.setattr(reach, "_pnorm",
+                        lambda s, q: rows_normed.append(len(s)) or pnorm(s, q))
+    samples, _, drawn = _sphere(sigma, eps, p, n, _ScriptedDraws(rows), True)
+    monkeypatch.undo()
+    assert drawn == 50 * n
+    assert samples.shape == (len(ref), 3, 3)
+    assert np.allclose(samples[:, 0, 0].real, exact[exact >= -EIG_TOL],
+                       rtol=1e-14, atol=0)
+    assert np.count_nonzero(np.abs(exact / EIG_TOL + 1) < 1e-8) == 2
+    assert np.max(np.abs(samples - np.array(ref))) <= 1e-15
+    # the draws past t_bound never reach the p-norm
+    assert sum(rows_normed) == drawn - np.count_nonzero(ts > t_bound)
 
 
 class _EigenSpy:
@@ -499,7 +619,8 @@ def test_porcupine_p2_inside_the_state_space_eigen_solves_only_sigma(
         rng, monkeypatch, diagonal_slice):
     """At p = 2 the norm is the Frobenius sum and W = eta - sigma, and
     around a sigma with lambda_min >= epsilon every draw is a state: the
-    only eigen-solves are of sigma, by check_density and by that test."""
+    only eigen-solve is check_density's of sigma, whose least eigenvalue
+    also decides that test."""
     d = 4
     sigma = 0.5 * random_density(rng, d) + 0.5 * np.eye(d) / d
     K = ResourceSetK([replacer_lindbladian(random_density(rng, d)),
@@ -508,8 +629,8 @@ def test_porcupine_p2_inside_the_state_space_eigen_solves_only_sigma(
     rep = porcupine_check(K, sigma, 0.05, p=2.0, n_samples=200, seed=7,
                           diagonal_slice=diagonal_slice)
     assert rep.samples == 200
-    assert [name for name, _ in spy.calls] == ["eigvalsh", "eigvalsh"]
-    assert all(np.array_equal(A, hermitize(sigma)) for _, A in spy.calls)
+    assert [name for name, _ in spy.calls] == ["eigvalsh"]
+    assert np.array_equal(spy.calls[0][1], hermitize(sigma))
 
 
 @pytest.mark.parametrize("inside", [True, False], ids=["inside", "boundary"])
@@ -518,9 +639,10 @@ def test_porcupine_full_sphere_eigen_solves_each_draw_once(rng, monkeypatch,
                                                            p, inside):
     """On the full sphere at p != 2 the one eigh of each direction gives its
     norm and the weight at its sample: no draw or sample is eigen-solved
-    again, beyond the PSD test of a sigma on the boundary. The weights and
-    the minimum alignment agree within 1e-13 relative with the two-solve
-    reference, which eigen-solves delta = eta - sigma of each sample."""
+    again, beyond the PSD test of a sigma on the boundary, and sigma only by
+    check_density. The weights and the minimum alignment agree within 1e-13
+    relative with the two-solve reference, which eigen-solves delta = eta -
+    sigma of each sample."""
     d, n, eps = 4, 200, 0.05
     sigma = (0.5 * random_density(rng, d) + 0.5 * np.eye(d) / d if inside
              else _sigma("rotated", rng, d))
@@ -530,15 +652,20 @@ def test_porcupine_full_sphere_eigen_solves_each_draw_once(rng, monkeypatch,
     rep = porcupine_check(K, sigma, eps, p=p, n_samples=n, seed=7)
     monkeypatch.undo()
     names = [name for name, _ in spy.calls]
-    assert names[:2] == ["eigvalsh", "eigvalsh"]       # sigma, twice
-    # per chunk of n draws, one eigh of the directions, then, around a
-    # boundary sigma, one eigvalsh of the samples left by the diagonal test
+    assert names[0] == "eigvalsh"                       # sigma, once
+    assert np.array_equal(spy.calls[0][1], hermitize(sigma))
+    # per chunk, one eigh of the directions, then, around a boundary sigma,
+    # one eigvalsh of the samples left by the diagonal test
     per_chunk = ["eigh"] if inside else ["eigh", "eigvalsh"]
-    chunks = (len(names) - 2) // len(per_chunk)
-    assert names[2:] == per_chunk * chunks and (chunks == 1 or not inside)
-    assert all(A.shape == (n, d, d) for name, A in spy.calls[2:] if name == "eigh")
+    chunks = (len(names) - 1) // len(per_chunk)
+    assert names[1:] == per_chunk * chunks and (chunks == 1 or not inside)
 
-    samples, W = _sphere_samples(sigma, eps, p, n, np.random.default_rng(7), False)
+    samples, W, drawn = _sphere(sigma, eps, p, n, np.random.default_rng(7), False)
+    # whatever the chunk sizes, the eigh rows are the draws the sampler
+    # took, each solved once, and it took at most 50 n of them
+    solved = np.concatenate([A for name, A in spy.calls if name == "eigh"])
+    assert len(solved) == drawn <= 50 * n
+    assert len({A.tobytes() for A in solved}) == drawn
     assert rep.samples == len(samples) == len(W)
     W_ref, _ = _weight(hermitize(samples - sigma), p)
     assert np.max(np.abs(W - W_ref)) <= 1e-13 * np.max(np.abs(W_ref))
@@ -640,12 +767,13 @@ def test_sphere_samples_zero_norm_draws_count_toward_cap(diagonal_slice):
 
     sigma = np.eye(3, dtype=complex) / 3
     counts = []
-    for sampler in (_sphere_samples_loop, lambda *a: _sphere_samples(*a)[0]):
+    for sampler in (_sphere_samples_loop, lambda *a: _sphere(*a)[0]):
         rng = ZeroDraws()
         assert len(sampler(sigma, 0.05, 2.0, 7, rng, diagonal_slice)) == 0
         counts.append(rng.drawn)
     per_draw = 3 if diagonal_slice else 2 * 3 * 3
     assert counts == [50 * 7 * per_draw] * 2
+    assert _sphere(sigma, 0.05, 2.0, 7, ZeroDraws(), diagonal_slice)[2] == 50 * 7
 
 
 def test_porcupine_rejects_degenerate_inputs(rng):
