@@ -124,7 +124,7 @@ def _cmd_reach(args, out):
         for i, t in enumerate(rep.trajectory.times):
             chosen = -1.0
             if i > 0:
-                chosen = float(np.argmax(rep.generator_schedule[i - 1][2]))
+                chosen = float(rep.generator_schedule[i - 1][2])
             rows.append([t, trace_distance(rep.trajectory.states[i], sigma),
                          chosen])
         _write_csv(args.csv, ["t", "trace_distance", "chosen_generator"], rows)

@@ -12,7 +12,8 @@ import numpy as np
 
 from .linalg import (EIG_TOL, _check_density_lmin, _pnorm, check_density, dag,
                      devectorize, hermitize, is_diagonal, require_dim,
-                     require_positive, schatten_norm, vectorize)
+                     require_nonnegative, require_positive, schatten_norm,
+                     vectorize)
 from .lindblad import (JumpTerm, Lindbladian, _lower, _propagate_checked, apply,
                        build)
 from .tangent import PathSample
@@ -45,7 +46,7 @@ class ReachReport:
     reached: bool
     final_state: np.ndarray
     trajectory: PathSample
-    generator_schedule: list[tuple[float, float, np.ndarray]]
+    generator_schedule: list[tuple[float, float, int, float]]
     stall_certificate: tuple[np.ndarray, float] | None = None
     t_max_exceeded: bool = False
 
@@ -97,25 +98,24 @@ def _checked_delta(eta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _trace_against_weight(Leta: np.ndarray, eta: np.ndarray, sigma: np.ndarray,
-                          p: float, weight: np.ndarray | None = None) -> np.ndarray:
-    """tr(L(eta) W) for W = _weight(delta, p)[0], delta = eta - sigma made
-    Hermitian, which a caller that holds it passes as weight; (..., d, d)
-    stacks of L(eta) and eta broadcast. Without a weight, an eta within
-    EQ_TOL of sigma is an error; a caller's weight is taken as it is, since
-    it was computed from delta however small."""
-    _check_p(p)
-    if weight is None:
-        weight, _ = _weight(_checked_delta(eta, sigma), p)
-    return np.einsum("...ij,...ji->...", Leta, weight).real
+def _rate(Leta: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """tr(L(eta) W), the one alignment contraction: with W = _weight(delta,
+    p)[0] for delta = eta - sigma it is the alignment of L at eta; (..., d,
+    d) stacks broadcast."""
+    return np.einsum("...ij,...ji->...", Leta, W).real
 
 
 def alignment(L: Lindbladian, eta: np.ndarray, sigma: np.ndarray, p: float,
               weight: np.ndarray | None = None) -> float:
     """tr(L(eta)(eta - sigma)|eta - sigma|^{p-2}), the derivative of
-    (1/p)||eta - sigma||_p^p along the flow of L; weight is W of
-    _trace_against_weight, when the caller holds it."""
-    return float(_trace_against_weight(apply(L, eta), eta, sigma, p, weight))
+    (1/p)||eta - sigma||_p^p along the flow of L. A caller's weight W =
+    _weight(eta - sigma, p)[0] is taken as it is; without one, an eta within
+    EQ_TOL of sigma is an error."""
+    Leta = apply(L, eta)
+    _check_p(p)
+    if weight is None:
+        weight, _ = _weight(_checked_delta(eta, sigma), p)
+    return float(_rate(Leta, weight))
 
 
 def _descends(value: float, dist: float, p: float) -> bool:
@@ -141,19 +141,20 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
                 target_tol: float = 1e-4) -> ReachReport:
     """Greedy closed-loop steering of rho0 toward sigma.
 
-    At each step the generator (or budgeted cone weight vector) minimizing
-    the alignment at the current state is applied for time dt. Terminates on
-    target_tol proximity in the Schatten p-norm, on stall (no strictly
-    descending choice) or at t_max.
+    Step i runs the generator of least alignment at the current state over
+    [i dt, (i+1) dt], at rate max_total_rate with cone_combinations and 1
+    otherwise (alignment is linear in L, so the best point of the rate
+    simplex is a vertex), and is recorded as (t0, t1, index, rate).
+    Terminates on target_tol proximity in the Schatten p-norm, on stall (no
+    strictly descending choice) or at the first i with i dt >= t_max.
     """
     require_positive(dt=dt, t_max=t_max, target_tol=target_tol)
     _check_p(p)
     eta = _check_state(K, "rho0", rho0)
     sigma = _check_state(K, "sigma", sigma)
-    times = [0.0]
+    rate = K.max_total_rate if K.cone_combinations else 1.0
     states = [eta]
-    schedule: list[tuple[float, float, np.ndarray]] = []
-    t = 0.0
+    schedule: list[tuple[float, float, int, float]] = []
     stall = None
     exceeded = False
     while True:
@@ -164,26 +165,22 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         reached = dist <= target_tol
         if reached:
             break
-        if t >= t_max:
+        i = len(schedule)
+        if i * dt >= t_max:
             exceeded = True
             break
-        # linear in L: the best point of the rate-budget simplex is a vertex
         vals = [alignment(L, eta, sigma, p, weight=W) for L in K.generators]
         idx = int(np.argmin(vals))
-        budget = K.max_total_rate if K.cone_combinations else 1.0
-        weights = budget * np.eye(len(vals))[idx]
-        val = budget * vals[idx]
+        val = rate * vals[idx]
         if not _descends(val, dist, p):
             stall = (eta, float(val))
             break
         # eta was checked when it was produced
-        eta = _propagate_checked(K.generators[idx], eta, weights[idx] * dt)
-        t += dt
-        times.append(t)
+        eta = _propagate_checked(K.generators[idx], eta, rate * dt)
         states.append(eta)
-        schedule.append((t - dt, t, weights))
+        schedule.append((i * dt, (i + 1) * dt, idx, rate))
     return ReachReport(reached=reached, final_state=eta,
-                       trajectory=PathSample(np.array(times), states),
+                       trajectory=PathSample(dt * np.arange(len(states)), states),
                        generator_schedule=schedule,
                        stall_certificate=stall, t_max_exceeded=exceeded)
 
@@ -309,6 +306,7 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     if n_samples <= 0:
         raise ValueError("n_samples must be positive; a vacuous report is invalid")
     require_positive(epsilon=epsilon)
+    require_nonnegative(seed=seed)
     _check_p(p)
     sigma, lmin = _check_density_lmin(sigma)
     require_dim(K.dim, sigma=sigma)
@@ -330,7 +328,7 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     delta = _checked_delta(samples, sigma)
     if W is None:
         W, _ = _weight(delta, p)
-    best = float(_trace_against_weight(Leta, samples, sigma, p, W).min())
+    best = float(_rate(Leta, W).min())
     return PorcupineReport(epsilon=epsilon, p=p, samples=len(samples),
                            min_alignment_over_samples=best,
                            obstruction_evidence=not _descends(best, epsilon, p))

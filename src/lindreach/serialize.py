@@ -126,23 +126,23 @@ def resource_set_k_from_json(obj) -> ResourceSetK:
 
 def step_to_json(step) -> dict:
     if isinstance(step, ApplyUnitary):
-        return {"kind": "unitary", "U": matrix_to_json(step.U)}
+        return {"kind": step.kind, "U": matrix_to_json(step.U)}
     if isinstance(step, AmplitudeDamp):
-        return {"kind": "amplitude_damp", "register": int(step.register),
+        return {"kind": step.kind, "register": int(step.register),
                 "retention": float(step.retention)}
     if isinstance(step, Transposition):
-        return {"kind": "transposition", "i": int(step.i), "j": int(step.j)}
+        return {"kind": step.kind, "i": int(step.i), "j": int(step.j)}
     raise SchemaError(f"unknown plan step {step!r}")
 
 
 def step_from_json(obj):
     kind = _field(obj, "kind", str)
-    if kind == "unitary":
+    if kind == ApplyUnitary.kind:
         return ApplyUnitary(matrix_from_json(_field(obj, "U", dict)))
-    if kind == "amplitude_damp":
+    if kind == AmplitudeDamp.kind:
         return AmplitudeDamp(_field(obj, "register", int),
                              _field(obj, "retention", float))
-    if kind == "transposition":
+    if kind == Transposition.kind:
         return Transposition(_field(obj, "i", int), _field(obj, "j", int))
     raise SchemaError(f"unknown plan step kind {kind!r}")
 

@@ -122,6 +122,11 @@ def apply_step_diag(d: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
     return d
 
 
+def _require_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+
+
 def prepare_pure_plan(k: int) -> TransportPlan:
     """Plan collapsing every diagonal density to diag(1, 0, ..., 0).
 
@@ -129,8 +134,7 @@ def prepare_pure_plan(k: int) -> TransportPlan:
     hoist the surviving upper sub-block into the damped half; k infinite
     damps and 2^{k-1} - 1 transpositions in total.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _require_k(k)
     plan = TransportPlan(k)
     half = 2 ** (k - 1)
     plan.steps.append(AmplitudeDamp(0, 0.0))
@@ -249,6 +253,7 @@ def plan_diagonal_transport(lam: np.ndarray, mu: np.ndarray,
                             k: int) -> TransportPlan:
     """Plan steering diag(lam) to diag(mu): collapse to the pure state, then
     run the pair-matching build phase toward mu."""
+    _require_k(k)
     _, mu = _require_distribution(2 ** k, lam=lam, mu=mu)
     plan = prepare_pure_plan(k)
     plan.steps += _certified_build(mu, k, plan.ratio_ledger)

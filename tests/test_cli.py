@@ -3,6 +3,7 @@ import io
 import json
 import os
 import stat
+import typing
 import warnings
 
 import numpy as np
@@ -14,7 +15,8 @@ from lindreach.cli import build_parser, main
 from lindreach.linalg import dag, hermitize
 from lindreach.lindblad import JumpTerm, Lindbladian, replacer_lindbladian
 from lindreach.tangent import PathSample, central_differences, lift
-from lindreach.transport import plan_diagonal_transport
+from lindreach.transport import (AmplitudeDamp, ApplyUnitary, PlanStep,
+                                 Transposition, plan_diagonal_transport)
 
 from conftest import random_complex
 
@@ -104,6 +106,24 @@ def test_reach_and_csv(files, capsys, tmp_path):
     assert code == 0 and json.loads(out)["reached"] is True
     header = (tmp_path / "traj.csv").read_text().splitlines()[0]
     assert header == "t,trace_distance,chosen_generator"
+
+
+def test_reach_counts_steps_to_t_max(files, capsys, tmp_path):
+    """A run that neither reaches nor stalls takes round(t_max / dt) steps,
+    and the CSV times are i dt: a jump at rate 1e-3 barely moves I/2 toward
+    |0><0|."""
+    L = Lindbladian(2, jumps=[JumpTerm(LOWER, 1e-3)])
+    K = write(tmp_path, "K_slow.json", {"generators": [ser.lindbladian_to_json(L)]})
+    csv = tmp_path / "traj.csv"
+    code, out, _ = run(capsys, ["reach", "--K", K, "--rho", files["mixed"],
+                                "--sigma", files["sigma"], "--dt", "0.1",
+                                "--t-max", "1", "--csv", str(csv)])
+    rep = json.loads(out)
+    assert code == 0 and rep["t_max_exceeded"] and rep["stall"] is None
+    assert rep["n_steps"] == 10
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [i * 0.1 for i in range(11)]
+    assert [r[2] for r in rows] == ["-1"] + ["0"] * 10
 
 
 def test_reach_csv_without_steps_has_one_row(files, capsys, tmp_path):
@@ -362,6 +382,20 @@ def test_plan_roundtrip(files, capsys, tmp_path):
     assert np.allclose(rows[-1][1:], np.diag(M).real, rtol=0, atol=1e-15)
 
 
+def test_every_plan_step_round_trips_through_json():
+    """Each PlanStep class is written under its kind and read back equal."""
+    steps = [ApplyUnitary(np.array([[0, 1], [1, 0]], dtype=complex)),
+             AmplitudeDamp(1, 0.25), Transposition(0, 3)]
+    assert {type(step) for step in steps} == set(typing.get_args(PlanStep))
+    for step in steps:
+        obj = json.loads(json.dumps(ser.step_to_json(step)))
+        assert obj["kind"] == step.kind
+        back = ser.step_from_json(obj)
+        assert type(back) is type(step)
+        for name in step.__dataclass_fields__:
+            assert np.array_equal(getattr(back, name), getattr(step, name))
+
+
 def test_run_plan_csv_invalid_step_writes_nothing(files, capsys, tmp_path):
     """A step rejected when the plan is read, and one that fails after a
     valid step has run: either way no CSV row is written."""
@@ -512,11 +546,16 @@ def test_reach_porcupine_reject_bad_scalars_and_dims(files, capsys, tmp_path,
       "--p", "inf"], "p"),
     (["reach", "--K", "K", "--rho", "sigma", "--sigma", "sigma", "--p", "nan"],
      "p"),
+    (["plan", "--k", "-1", "--lambda", "1", "--mu", "1"], "k"),
+    (["plan", "--k", "0", "--lambda", "1", "--mu", "1"], "k"),
+    (["porcupine", "--K", "K", "--sigma", "sigma", "--epsilon", "0.05",
+      "--seed", "-3"], "seed"),
 ], ids=["tol-negative", "tol-inf", "tol-nan", "simulate-t-nan",
         "simulate-t-inf", "simulate-t-negative", "simulate-t-overflow",
         "dilate-t-nan", "dilate-t-inf", "dilate-t-overflow", "dilate-n-word", "dilate-n-float",
         "dilate-n-1e400", "dilate-n-zero", "porcupine-p-nan",
-        "porcupine-p-inf", "reach-p-nan"])
+        "porcupine-p-inf", "reach-p-nan", "plan-k-negative", "plan-k-zero",
+        "porcupine-seed-negative"])
 def test_scalar_argument_ranges(files, capsys, tmp_path, argv, name):
     # Z = diag(1, -1) at |0><0| leaves the state space: a tolerance that
     # admitted it would certify a false tangent

@@ -29,8 +29,8 @@ from lindreach.reach import (
     _check_p,
     _check_state,
     _descends,
+    _rate,
     _sphere_samples,
-    _trace_against_weight,
     _weight,
     alignment,
     lowering_jump,
@@ -139,26 +139,26 @@ def test_reach_bilinear_generator_matches_jump(cone):
 
 
 def greedy_reference(gens, eta, sigma, p, dt, t_max, tol):
-    """reach_drive's greedy loop with unit weights, rebuilding every
+    """reach_drive's greedy loop at unit rate, rebuilding every
     superoperator from _gksl, and its real form in the orthonormal Hermitian
-    basis, at every step; returns the states and the (t0, t1, generator
-    index) schedule."""
+    basis, at every step; returns the states and the (t0, t1, index, rate)
+    schedule on the i dt grid."""
     def superop(L):
         return _gksl(L.hamiltonian, [j.a for j in L.jumps],
                      np.diag([j.rate for j in L.jumps]))
 
-    states, schedule, t = [eta], [], 0.0
-    while schatten_norm(eta - sigma, p) > tol and t < t_max:
-        vals = [float(_trace_against_weight(apply_superop(superop(L), eta),
-                                            eta, sigma, p)) for L in gens]
+    states, schedule = [eta], []
+    while schatten_norm(eta - sigma, p) > tol and len(schedule) * dt < t_max:
+        W, _ = _weight(hermitize(eta - sigma), p)
+        vals = [float(_rate(apply_superop(superop(L), eta), W)) for L in gens]
         idx = int(np.argmin(vals))
         if not _descends(vals[idx], schatten_norm(eta - sigma, p), p):
             break
         out = mat_exp(dt * _real_form(superop(gens[idx]))) @ _herm_coords(eta)
         eta = check_density(_herm_matrix(out), eig_tol=1e-8)
-        t += dt
+        i = len(schedule)
         states.append(eta)
-        schedule.append((t - dt, t, idx))
+        schedule.append((i * dt, (i + 1) * dt, idx, 1.0))
     return states, schedule
 
 
@@ -180,46 +180,42 @@ def test_reach_matches_rebuilding_reference(rng, d, p):
     assert len(states) > 2
     assert np.array_equal(rep.trajectory.states, states)
     assert np.array_equal(rep.final_state, states[-1])
-    assert [(t0, t1, int(np.argmax(w))) for t0, t1, w in
-            rep.generator_schedule] == schedule
-    assert all(np.count_nonzero(w) == 1 for _, _, w in rep.generator_schedule)
+    assert rep.generator_schedule == schedule
 
 
 def _reference_reach_drive(K, rho0, sigma, p, dt, t_max, target_tol):
     """reach_drive as it was before one eigendecomposition per state served
     both the distance and the weight: alignment computes its own weight,
-    the distance comes from schatten_norm, and propagate rechecks eta."""
+    the distance comes from schatten_norm, and propagate rechecks eta.
+    Steps are counted on the i dt grid, as in reach_drive."""
     require_positive(dt=dt, t_max=t_max, target_tol=target_tol)
     _check_p(p)
     eta = _check_state(K, "rho0", rho0)
     sigma = _check_state(K, "sigma", sigma)
-    times, states, schedule = [0.0], [eta], []
-    t = 0.0
+    states, schedule = [eta], []
     dist = schatten_norm(eta - sigma, p)
     reached = dist <= target_tol
     stall = None
     exceeded = False
     while not reached:
-        if t >= t_max:
+        i = len(schedule)
+        if i * dt >= t_max:
             exceeded = True
             break
         vals = [alignment(L, eta, sigma, p) for L in K.generators]
         idx = int(np.argmin(vals))
-        budget = K.max_total_rate if K.cone_combinations else 1.0
-        weights = budget * np.eye(len(vals))[idx]
-        val = budget * vals[idx]
+        rate = K.max_total_rate if K.cone_combinations else 1.0
+        val = rate * vals[idx]
         if not _descends(val, dist, p):
             stall = (eta, float(val))
             break
-        eta = propagate(K.generators[idx], eta, weights[idx] * dt)
-        t += dt
-        times.append(t)
+        eta = propagate(K.generators[idx], eta, rate * dt)
         states.append(eta)
-        schedule.append((t - dt, t, weights))
+        schedule.append((i * dt, (i + 1) * dt, idx, rate))
         dist = schatten_norm(eta - sigma, p)
         reached = dist <= target_tol
     return ReachReport(reached=reached, final_state=eta,
-                       trajectory=PathSample(np.array(times), states),
+                       trajectory=PathSample(dt * np.arange(len(states)), states),
                        generator_schedule=schedule,
                        stall_certificate=stall, t_max_exceeded=exceeded)
 
@@ -245,13 +241,63 @@ def test_reach_drive_matches_reference_loop(d, p, cone, near, seed):
     assert np.array_equal(got.final_state, ref.final_state)
     assert np.array_equal(got.trajectory.times, ref.trajectory.times)
     assert np.array_equal(got.trajectory.states, ref.trajectory.states)
-    assert len(got.generator_schedule) == len(ref.generator_schedule)
-    for (a0, a1, wa), (b0, b1, wb) in zip(got.generator_schedule, ref.generator_schedule):
-        assert (a0, a1) == (b0, b1) and np.array_equal(wa, wb)
+    assert got.generator_schedule == ref.generator_schedule
     assert (got.stall_certificate is None) == (ref.stall_certificate is None)
     if ref.stall_certificate is not None:
         assert np.array_equal(got.stall_certificate[0], ref.stall_certificate[0])
         assert got.stall_certificate[1] == ref.stall_certificate[1]
+
+
+STEP_GRID = [(dt, t_max)
+             for dt in (0.01, 0.02, 0.025, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7)
+             for t_max in (0.1, 0.3, 0.5, 0.7, 1, 1.5, 2, 3, 5, 7, 10)
+             if abs(t_max / dt - round(t_max / dt)) < 1e-9
+             and round(t_max / dt) <= 200]
+
+
+def test_reach_drive_counts_round_t_max_over_dt_steps():
+    """A run that neither reaches nor stalls takes round(t_max / dt) steps
+    whenever t_max is a whole multiple of dt: a jump at rate 1e-3 barely
+    moves I/2 toward |0><0|. Summing t += dt instead takes one step too
+    many on 15 of these 73 pairs, (0.1, 1) among them."""
+    K = ResourceSetK([Lindbladian(2, jumps=[JumpTerm(np.eye(2, k=1), 1e-3)])])
+    rho0 = np.eye(2, dtype=complex) / 2
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+    assert len(STEP_GRID) == 73
+    wrong = []
+    for dt, t_max in STEP_GRID:
+        rep = reach_drive(K, rho0, sigma, dt=dt, t_max=t_max)
+        assert rep.t_max_exceeded and rep.stall_certificate is None
+        if len(rep.generator_schedule) != round(t_max / dt):
+            wrong.append((dt, t_max, len(rep.generator_schedule)))
+    assert wrong == []
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 4), p=st.sampled_from([1.5, 2.0, 3.0]),
+       cone=st.booleans(), dt=st.sampled_from([0.05, 0.1, 0.3, 0.7]),
+       t_max=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_reach_schedule_replays_the_trajectory(d, p, cone, dt, t_max, seed):
+    """Entry i of the schedule is (i dt, (i+1) dt, index, rate): propagating
+    state i by generator index for rate dt gives state i+1 bit for bit, the
+    rate is max_total_rate with cone_combinations and 1 otherwise, and the
+    trajectory times are i dt."""
+    rng = np.random.default_rng(seed)
+    sigma = random_density(rng, d)
+    gens = [chain_lindbladian(rng.random(d) + 0.1), replacer_lindbladian(sigma),
+            Lindbladian(d, jumps=[JumpTerm(random_complex(rng, d), 0.5)])]
+    K = ResourceSetK(gens, cone_combinations=cone,
+                     max_total_rate=float(rng.uniform(0.5, 2.0)))
+    rep = reach_drive(K, random_density(rng, d), sigma, p=p, dt=dt,
+                      t_max=t_max, target_tol=1e-3)
+    states = rep.trajectory.states
+    assert len(states) == len(rep.generator_schedule) + 1
+    assert np.array_equal(rep.trajectory.times, dt * np.arange(len(states)))
+    rate = K.max_total_rate if cone else 1.0
+    for i, (t0, t1, index, r) in enumerate(rep.generator_schedule):
+        assert (t0, t1, r) == (i * dt, (i + 1) * dt, rate)
+        assert np.array_equal(propagate(K.generators[index], states[i], r * dt),
+                              states[i + 1])
 
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
@@ -669,8 +715,7 @@ def test_porcupine_full_sphere_eigen_solves_each_draw_once(rng, monkeypatch,
     assert rep.samples == len(samples) == len(W)
     W_ref, _ = _weight(hermitize(samples - sigma), p)
     assert np.max(np.abs(W - W_ref)) <= 1e-13 * np.max(np.abs(W_ref))
-    best = min(float(_trace_against_weight(np.stack([apply(L, eta) for eta in samples]),
-                                           samples, sigma, p).min())
+    best = min(float(_rate(np.stack([apply(L, eta) for eta in samples]), W_ref).min())
                for L in K.generators)
     assert math.isclose(rep.min_alignment_over_samples, best, rel_tol=1e-13)
 
