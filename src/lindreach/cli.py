@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -289,6 +290,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic garbage collector paused: a command's
+    data are acyclic arrays, lists and dicts, which reference counting
+    frees, and a collection would only scan the parse tree of a large input
+    file. The few cycles an error leaves (a traceback) wait for the first
+    collection after the return, which restores the caller's collector
+    state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -66,6 +66,60 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    return matrices_from_json([obj])[0]
+
+
+def matrices_from_json(objs: list) -> list[np.ndarray]:
+    """The matrices of a JSON list of matrix objects. When they share one
+    dim and every entry is a valid [re, im] pair, the list is read as one
+    stack (see _stack); otherwise each object is decoded on its own, which
+    raises the error of the first bad matrix."""
+    stack = _stack(objs)
+    if stack is None:
+        return [_matrix_from_json(obj) for obj in objs]
+    return list(stack)
+
+
+def _stack(objs: list) -> np.ndarray | None:
+    """objs as an (n, d, d) complex stack, or None when the list is empty or
+    any object breaks a rule of _matrix_from_json or has another dim. The
+    rules are checked over the whole list in a few passes at C speed: each
+    object is a dict with one int dim d and a list of d*d entries, each
+    entry a list of two ints or floats (not bools), all finite. A list
+    holding ints is taken only when every number is below 2**53 in size,
+    where float(x) is exact, so the values are those numpy reads. The pairs
+    are combined as re + 1j*im, as _matrix_from_json does, so signed zeros
+    come out alike."""
+    if not objs or set(map(type, objs)) != {dict}:
+        return None
+    dims = [obj.get("dim") for obj in objs]
+    entries = [obj.get("entries") for obj in objs]
+    if set(map(type, dims)) != {int} or len(set(dims)) != 1:
+        return None
+    d = dims[0]
+    if (d < 1 or set(map(type, entries)) != {list}
+            or set(map(len, entries)) != {d * d}):
+        return None
+    pairs = list(itertools.chain.from_iterable(entries))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    kinds = set(map(type, flat))
+    if not kinds <= {int, float}:
+        return None
+    try:
+        values = np.fromiter(flat, float, len(flat))
+    except OverflowError:           # an int beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    if int in kinds and not np.abs(values).max() < 2.0 ** 53:
+        return None
+    values = values.reshape(len(objs), d, d, 2)
+    return values[..., 0] + 1j * values[..., 1]
+
+
+def _matrix_from_json(obj) -> np.ndarray:
     d = _positive(obj, "dim")
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != d * d:
@@ -99,21 +153,28 @@ def lindbladian_from_json(obj) -> Lindbladian:
     dim = _positive(obj, "dim")
     H = (matrix_from_json(_field(obj, "hamiltonian", dict))
          if "hamiltonian" in obj else None)
-    jumps = [JumpTerm(matrix_from_json(_field(j, "a", dict)),
-                      _field(j, "rate", float))
-             for j in _field(obj, "jumps", list, [])]
+    jumps = _field(obj, "jumps", list, [])
+    ops = (_stack([j.get("a") for j in jumps])
+           if set(map(type, jumps)) == {dict} else None)
+    if ops is None:
+        # one jump at a time, so the first bad matrix or rate is reported
+        jumps = [JumpTerm(_matrix_from_json(_field(j, "a", dict)),
+                          _field(j, "rate", float)) for j in jumps]
+    else:
+        jumps = [JumpTerm(a, _field(j, "rate", float))
+                 for a, j in zip(ops, jumps)]
     bil = None
     if obj.get("bilinear") is not None:
         b = obj["bilinear"]
-        bil = BilinearTerm([matrix_from_json(m) for m in _field(b, "ops", list)],
+        bil = BilinearTerm(matrices_from_json(_field(b, "ops", list)),
                            matrix_from_json(_field(b, "kossakowski", dict)))
     return Lindbladian(dim, hamiltonian=H, jumps=jumps, bilinear=bil)
 
 
 def resource_set_from_json(obj) -> ResourceSet:
     return ResourceSet(dim=_positive(obj, "dim"),
-                       elements=[matrix_from_json(e)
-                                 for e in _field(obj, "elements", list)])
+                       elements=matrices_from_json(
+                           _field(obj, "elements", list)))
 
 
 def resource_set_k_from_json(obj) -> ResourceSetK:
@@ -169,10 +230,10 @@ def path_sample_to_json(path: PathSample) -> dict:
 
 def path_sample_from_json(obj) -> PathSample:
     times = [_value(t, "times", float) for t in _field(obj, "times", list)]
-    states = [matrix_from_json(s) for s in _field(obj, "states", list)]
+    states = matrices_from_json(_field(obj, "states", list))
     derivs = None
     if obj.get("derivs") is not None:
-        derivs = [matrix_from_json(x) for x in _field(obj, "derivs", list)]
+        derivs = matrices_from_json(_field(obj, "derivs", list))
     return PathSample(times, states, derivs)
 
 

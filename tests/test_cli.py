@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -197,6 +198,47 @@ def test_dump_json_round_trips_on_one_line(report):
     text = ser.dump_json(report)
     assert "\n" not in text
     assert json.loads(text) == report
+
+
+def _matrix_by_numpy(obj):
+    """The per-matrix decoding that the stack decoder replaced: numpy reads
+    the nested [re, im] lists, and the pairs combine as re + 1j*im."""
+    pairs = np.array(obj["entries"])
+    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(obj["dim"], obj["dim"])
+
+
+_tiny = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310])
+# floats alone (what matrix_to_json writes), ints and floats below 2**53 in
+# size, and ints up to 2**62 among floats of any size
+_entry_mixes = [
+    _finite | _tiny | st.sampled_from([1e308, -1e308]),
+    st.integers(-3, 3) | st.integers(-2 ** 53 + 1, 2 ** 53 - 1)
+    | st.floats(-2.0 ** 52, 2.0 ** 52) | _tiny,
+    st.integers(-2 ** 62, 2 ** 62) | _finite | _tiny]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), entries=st.sampled_from(_entry_mixes),
+       d=st.integers(1, 3), n=st.sampled_from([0, 1, 2, 5, 12]))
+def test_matrices_from_json_matches_numpy_bit_for_bit(data, entries, d, n):
+    """Finite lists of 0, 1 and many matrices decode to the bits, signed
+    zeros included, that numpy's nested-list route gives each matrix. A
+    nonempty list is read as one stack when its numbers are all floats, or
+    all below 2**53 in size."""
+    pair = st.lists(entries, min_size=2, max_size=2)
+    objs = [{"dim": d, "entries": data.draw(
+        st.lists(pair, min_size=d * d, max_size=d * d))} for _ in range(n)]
+    objs = json.loads(json.dumps(objs))
+    got = ser.matrices_from_json(objs)
+    want = [_matrix_by_numpy(obj) for obj in objs]
+    assert len(got) == n
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape == (d, d)
+        assert g.view(float).tobytes() == w.view(float).tobytes()
+    scalars = [x for obj in objs for p in obj["entries"] for x in p]
+    if n and (all(type(x) is float for x in scalars)
+              or all(abs(x) < 2 ** 53 for x in scalars)):
+        assert ser._stack(objs) is not None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -491,6 +533,43 @@ def test_parser_built_once_serves_bad_then_good_argv(files, capsys):
                  "--t", "1"]) == 0
 
 
+@pytest.mark.parametrize("was_enabled", [True, False])
+@pytest.mark.parametrize("case, expected", [
+    ("valid", 0), ("schema-error", 2), ("command-raises", 1), ("help", 0),
+    ("unknown-flag", 2)])
+def test_main_restores_the_callers_gc_state(files, capsys, tmp_path,
+                                            monkeypatch, was_enabled, case,
+                                            expected):
+    """A command runs with the cyclic GC paused, and main returns the
+    collector in the state it found it, whatever the way out."""
+    simulate = ["simulate", "--lindblad", files["L"], "--rho", files["rho"],
+                "--t", "1"]
+    seen = []
+
+    def propagate(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    if case == "command-raises":
+        monkeypatch.setattr(cli, "propagate", propagate)
+    argv = {"valid": simulate,
+            "schema-error": simulate[:4] + [write(tmp_path, "bad.json",
+                                                  {"dim": 2})] + simulate[5:],
+            "command-raises": simulate,
+            "help": ["simulate", "--help"],
+            "unknown-flag": simulate + ["--frobnicate"]}[case]
+    enabled = gc.isenabled()
+    try:
+        gc.enable() if was_enabled else gc.disable()
+        code = main(argv)
+        assert gc.isenabled() is was_enabled
+    finally:
+        gc.enable() if enabled else gc.disable()
+    capsys.readouterr()
+    assert code == expected
+    assert seen == ([False] if case == "command-raises" else [])
+
+
 @pytest.mark.parametrize("command, extra, name", [
     ("reach", ["--t-max", "nan"], "t_max"),
     ("reach", ["--t-max", "inf"], "t_max"),
@@ -710,6 +789,27 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
     ("--path", {"times": [0, 1, 2], "states": [GROUND_2] * 3,
                 "derivs": [ser.matrix_to_json(np.diag([1.0, -1.0])),
                            ZERO_2, ZERO_2]}, "sample 0"),
+    ("--lindblad", {"dim": 2, "jumps": [
+        {"a": ser.matrix_to_json(LOWER), "rate": "0.5"},
+        {"a": {"dim": 2, "entries": [[True, 0]] * 4}, "rate": 1.0}]}, "'rate'"),
+    ("--lindblad", {"dim": 2, "jumps": [
+        {"a": {"dim": 2, "entries": [[0, 0]] * 3}, "rate": 1.0},
+        {"a": ser.matrix_to_json(LOWER), "rate": "0.5"}]}, "4 entries"),
+    ("--lindblad", {"dim": 2, "jumps": [
+        {"a": ser.matrix_to_json(LOWER), "rate": 1.0},
+        {"a": ser.matrix_to_json(np.eye(3)), "rate": 1.0}]},
+     "jump operator dimension mismatch"),
+    ("--lindblad", {"dim": 2, "jumps": [
+        {"a": ser.matrix_to_json(np.eye(3)), "rate": 1.0}] * 2},
+     "jump operator dimension mismatch"),
+    ("--path", {"times": [0, 1, 2], "states": [MATRIX_3, MATRIX_2, MATRIX_2]},
+     "ragged"),
+    ("--resources", {"dim": 2, "elements": [MATRIX_2, MATRIX_3]},
+     "resource element dimension mismatch"),
+    ("--resources", {"dim": 2, "elements": [MATRIX_3, MATRIX_3]},
+     "resource element dimension mismatch"),
+    ("--rho", {"dim": 2, "entries": [[2 ** 64, 0], [0, 0], [0, 0], [0, 0]]},
+     "[re, im] number pairs"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
         "kossakowski-not-hermitian", "kossakowski-wrong-size",
@@ -733,7 +833,10 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "lift-x-not-hermitian", "tangent-x-not-hermitian",
         "dim-negative", "dim-zero", "lindblad-dim-negative",
         "lindblad-dim-zero", "k-zero", "unitary-not-unitary",
-        "unitary-wrong-dim", "derivs-not-tangent"])
+        "unitary-wrong-dim", "derivs-not-tangent",
+        "jump-0-rate-before-jump-1-matrix", "jump-0-matrix-before-jump-1-rate",
+        "jump-other-dim", "jumps-all-other-dim", "states-ragged-first",
+        "elements-mixed-dim", "elements-all-other-dim", "entries-int-2**64"])
 def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     if flag == "plan":
         argv = ["plan", "--k", "1"] + bad
@@ -747,6 +850,7 @@ def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
         argv = {"--plan": run_plan, "run-plan --rho": run_plan,
                 "--K": reach, "reach --sigma": reach,
                 "--path": ["lift-path", "--path", None],
+                "--resources": ["check-hormander", "--resources", None],
                 "--x": ["gamma-check", "--lindblad", files["L"], "--x", None,
                         "--y", files["x"]],
                 "certify-tangent --x": ["certify-tangent"] + tangent,
@@ -821,6 +925,17 @@ def _documents(rng, command):
              "cone_combinations": bool(rng.integers(2)), "max_total_rate": 1.0}
         return ({"--K": K, "--sigma": _matrix(rng, d, density=True)},
                 {"--epsilon": "0.05", "--n-samples": "20"})
+    if command == "reach":
+        K = {"generators": [_lindbladian(rng, d)
+                            for _ in range(rng.integers(1, 3))],
+             "cone_combinations": bool(rng.integers(2)), "max_total_rate": 1.0}
+        return ({"--K": K, "--rho": _matrix(rng, d, density=True),
+                 "--sigma": _matrix(rng, d, density=True)},
+                {"--dt": "0.1", "--t-max": "1"})
+    if command == "check-hormander":
+        return ({"--resources": {"dim": d, "elements": [
+            _matrix(rng, d) for _ in range(rng.integers(1, 4))]}},
+                {"--max-depth": "4"})
     if command == "lift-path":
         A, B = (ser.matrix_from_json(_matrix(rng, d, density=True))
                 for _ in range(2))
@@ -890,7 +1005,8 @@ def _mutate(rng, doc):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["simulate", "gamma-check", "porcupine",
-                                "lift-path", "run-plan"]),
+                                "lift-path", "run-plan", "reach",
+                                "check-hormander"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_cli_fuzz_exit_0_or_2_and_valid_json(tmp_path_factory, command, seed):
     """README documents, valid or with one mutation, never make the CLI exit
