@@ -325,6 +325,13 @@ def _main(argv: list[str] | None) -> int:
         print(json.dumps({"code": "validation_error", "message": str(exc),
                           "context": {}}), file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # an input too large to compute with; numpy's message names the
+        # allocation
+        print(json.dumps({"code": "validation_error",
+                          "message": f"out of memory: {exc}", "context": {}}),
+              file=sys.stderr)
+        return 2
     except Exception as exc:
         print(json.dumps({"code": "internal_error", "message": str(exc),
                           "context": {}}), file=sys.stderr)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -109,56 +109,37 @@ class Lindbladian:
 
     @cached_property
     def real_superop(self) -> np.ndarray:
-        """Read-only real d^2 x d^2 matrix of the generator in the
-        orthonormal Hermitian basis (_real_form of build(self)), computed on
-        first use."""
+        """Read-only real d^2 x d^2 matrix of the generator in the basis
+        F_ij (_real_form of build(self)), computed on first use."""
         R = _real_form(build(self))
         R.setflags(write=False)
         return R
 
 
-@cache
-def _basis_maps(d: int):
-    """T, whose columns are the column-stacked orthonormal Hermitian basis
-    E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 for i < j (in triu
-    order), and T^*, each as two terms per row: M = (index, coef) has
-    (M X)[r] = coef[0, r] X[index[0, r]] + coef[1, r] X[index[1, r]]. A
-    diagonal entry is split into two halves."""
-    i, j = np.triu_indices(d, 1)
-    m = len(i)
-    diag, a, b = np.arange(d) * (d + 1), i + j * d, j + i * d   # vec positions of E_ii, E_ij, E_ji
-    re, im = d + np.arange(m), d + m + np.arange(m)            # coordinates of the pair (i, j)
-    s = 1 / math.sqrt(2)
-    index, coef = np.empty((2, d * d), dtype=int), np.empty((2, d * d), dtype=complex)
-    index[:, diag], coef[:, diag] = np.arange(d), 0.5
-    index[:, a] = index[:, b] = re, im
-    coef[:, a], coef[:, b] = [[s], [1j * s]], [[s], [-1j * s]]
-    # row k of T^* is the conjugate of column k of T
-    adj_index, adj_coef = np.empty_like(index), np.empty_like(coef)
-    adj_index[:, :d], adj_coef[:, :d] = diag, 0.5
-    adj_index[:, re] = adj_index[:, im] = a, b
-    adj_coef[:, re], adj_coef[:, im] = s, [[-1j * s], [1j * s]]
-    adjoint = adj_index, adj_coef
-    for M in (index, coef, *adjoint):
-        M.setflags(write=False)
-    return (index, coef), adjoint
+# F_ij = W E_ij + conj(W) E_ji is Hermitian, F_ii = E_ii, and the F_ij form an
+# orthonormal basis of the d x d matrices; the real coordinate of a Hermitian
+# rho on F_ij is tr(F_ij rho) = Re rho_ij + Im rho_ij
+W = (1 + 1j) / 2
 
 
-def _times(M, X: np.ndarray, conj: bool = False) -> np.ndarray:
-    """M X along X's first axis for M = (index, coef) of _basis_maps, or
-    conj(M) X."""
-    index, coef = M
-    if conj:
-        coef = coef.conj()
-    return coef[0][:, None] * X[index[0]] + coef[1][:, None] * X[index[1]]
+def _pair(X: np.ndarray, w: complex, axes: tuple[int, int] = (0, 1)) -> np.ndarray:
+    """w X + conj(w) X with the given two axes swapped. Over those axes, for
+    w = W it is sum_kl X_kl F_kl, and for w = conj(W) the coordinates
+    tr(F_kl X)."""
+    return w * X + w.conjugate() * X.swapaxes(*axes)
 
 
 def _real_form(S: np.ndarray) -> np.ndarray:
-    """Re(T^* S T) = Re(T^* (T^T S^T)^T): a Hermiticity-preserving
-    superoperator S in the orthonormal Hermitian basis, where it is real up
-    to rounding."""
-    _, adjoint = _basis_maps(math.isqrt(len(S)))
-    return _times(adjoint, _times(adjoint, S.T, conj=True).T).real
+    """Re tr(F_ij S(F_kl)) = Re(W S(F_kl)_ji + conj(W) S(F_kl)_ij): a
+    Hermiticity-preserving superoperator S in the basis F_ij, where it is
+    real up to rounding. Re(W z) = (Re z - Im z)/2 and Re(conj(W) z) =
+    (Re z + Im z)/2, so only the real parts are formed."""
+    d = math.isqrt(len(S))
+    S4 = S.reshape(d, d, d, d).transpose(1, 0, 3, 2)   # S4[a, b, k, l] = S(E_kl)_ab
+    A = _pair(S4, W, (2, 3))                           # A[a, b, k, l] = S(F_kl)_ab
+    R = (A.real + A.imag) + (A.real - A.imag).transpose(1, 0, 2, 3)
+    R *= 0.5
+    return R.reshape(d * d, d * d)
 
 
 def _gksl(H: np.ndarray, ops: list[np.ndarray], g: np.ndarray) -> np.ndarray:
@@ -208,9 +189,9 @@ def apply(L: Lindbladian, rho: np.ndarray) -> np.ndarray:
 
 
 def _real_channel(L: Lindbladian, t: float) -> np.ndarray:
-    """exp(t L) in the orthonormal Hermitian basis, a real matrix, for a
-    finite nonnegative t small enough for it to be finite; an error names t
-    otherwise. The one place exp(t L) is formed."""
+    """exp(t L) in the basis F_ij, a real matrix, for a finite nonnegative t
+    small enough for it to be finite; an error names t otherwise. The one
+    place exp(t L) is formed."""
     require_nonnegative(t=t)
     P = mat_exp(t * L.real_superop)
     if not np.all(np.isfinite(P)):
@@ -220,48 +201,32 @@ def _real_channel(L: Lindbladian, t: float) -> np.ndarray:
 
 
 def channel_superop(L: Lindbladian, t: float) -> np.ndarray:
-    """exp(t L) as a superoperator: T P T^* = T (conj(T) P^T)^T for the
+    """exp(t L) as a superoperator: sum_ijkl F_ij P[ij, kl] tr(F_kl .) for the
     real P = _real_channel."""
-    T, _ = _basis_maps(L.dim)
-    return _times(T, _times(T, _real_channel(L, t).T, conj=True).T)
-
-
-@cache
-def _coord_index(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions, in the float view of a row-major complex d x d matrix, of
-    Re rho_ii, Re rho_ij and Im rho_ij for i < j (in _basis_maps' order),
-    and the weights (1 and sqrt2) that make them coordinates in the
-    orthonormal Hermitian basis."""
-    i, j = np.triu_indices(d, 1)
-    diag, upper = np.arange(d) * (d + 1), i * d + j
-    index = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
-    weight = np.repeat([1.0, math.sqrt(2)], [d, d * d - d])
-    for a in (index, weight):
-        a.setflags(write=False)
-    return index, weight
+    d = L.dim
+    P4 = _real_channel(L, t).reshape(d, d, d, d)
+    # C[a, b, c, e] is the coefficient of X_ce in the channel's output at ab
+    C = _pair(_pair(P4, W.conjugate(), (2, 3)), W)
+    return C.transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
 def _herm_coords(rho: np.ndarray) -> np.ndarray:
-    """Real coordinates of rho in the orthonormal Hermitian basis:
-    (rho_ii, sqrt2 Re rho_ij, sqrt2 Im rho_ij) for i < j, read from the
-    diagonal and the upper triangle."""
-    index, weight = _coord_index(len(rho))
-    return np.ascontiguousarray(rho, dtype=complex).reshape(-1).view(float)[index] * weight
+    """Real coordinates of a Hermitian rho in the basis F_ij, in row-major
+    order: tr(F_ij rho) = Re rho_ij + Im rho_ij."""
+    return (rho.real + rho.imag).reshape(-1)
 
 
 def _herm_matrix(x: np.ndarray) -> np.ndarray:
-    """The exactly Hermitian matrix with coordinates x (_herm_coords): U + U^*
-    for U holding half the diagonal and the upper triangle."""
+    """The exactly Hermitian matrix with coordinates x (_herm_coords): W Q +
+    conj(W) Q^T for Q = x as d x d, whose entries ij and ji add the same two
+    halves. Its diagonal is x_ii unless halving x_ii rounds (a subnormal)."""
     d = math.isqrt(len(x))
-    index, weight = _coord_index(d)
-    U = np.zeros((d, d), dtype=complex)
-    U.reshape(-1).view(float)[index] = x * (weight / 2)
-    return U + dag(U)
+    return _pair(x.reshape(d, d), W)
 
 
 def _evolve(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
-    """exp(t L) applied, in real coordinates, to the Hermitian matrix with
-    rho's diagonal and upper triangle; the result is exactly Hermitian."""
+    """exp(t L) applied to a Hermitian rho in real coordinates; the result is
+    exactly Hermitian."""
     return _herm_matrix(_real_channel(L, t) @ _herm_coords(rho))
 
 

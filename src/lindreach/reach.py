@@ -20,6 +20,9 @@ from .tangent import PathSample
 
 STALL_TOL = 1e-10
 EQ_TOL = 1e-12
+# the most steps reach_drive takes: a run that could take more is refused
+# before its first step, so a tiny dt cannot make it loop without end
+MAX_STEPS = 10 ** 6
 
 
 @dataclass
@@ -146,9 +149,13 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
     otherwise (alignment is linear in L, so the best point of the rate
     simplex is a vertex), and is recorded as (t0, t1, index, rate).
     Terminates on target_tol proximity in the Schatten p-norm, on stall (no
-    strictly descending choice) or at the first i with i dt >= t_max.
+    strictly descending choice) or at the first i with i dt >= t_max, so
+    after at most MAX_STEPS steps: MAX_STEPS dt < t_max raises.
     """
     require_positive(dt=dt, t_max=t_max, target_tol=target_tol)
+    if MAX_STEPS * dt < t_max:
+        raise ValueError(f"t_max / dt must be at most MAX_STEPS = {MAX_STEPS}: "
+                         f"dt = {dt}, t_max = {t_max}")
     _check_p(p)
     eta = _check_state(K, "rho0", rho0)
     sigma = _check_state(K, "sigma", sigma)

@@ -583,9 +583,17 @@ def test_main_restores_the_callers_gc_state(files, capsys, tmp_path,
     ("porcupine", ["--epsilon", "inf"], "epsilon"),
     ("porcupine", ["--sigma", "rho3"], "sigma"),
     ("reach", ["--dt", "1e300"], "t = 1e+300 overflows"),
+    # 10^20 steps: refused before the first one
+    ("reach", ["--dt", "1e-320", "--t-max", "1e-300"],
+     "dt = 1e-320, t_max = 1e-300"),
+    # 568 PiB of draws, more than any address space holds, so the
+    # allocation fails at once whatever the system's overcommit policy
+    ("porcupine", ["--n-samples", str(10 ** 16)],
+     "out of memory: Unable to allocate"),
 ], ids=["t-max-nan", "t-max-inf", "dt-nan", "dt-zero", "target-tol-nan",
         "target-tol-negative", "rho-dim", "sigma-dim", "epsilon-nan",
-        "epsilon-inf", "porcupine-sigma-dim", "dt-overflow"])
+        "epsilon-inf", "porcupine-sigma-dim", "dt-overflow", "too-many-steps",
+        "out-of-memory"])
 def test_reach_porcupine_reject_bad_scalars_and_dims(files, capsys, tmp_path,
                                                       command, extra, name):
     rho3 = write(tmp_path, "rho3.json", ser.matrix_to_json(np.eye(3) / 3))

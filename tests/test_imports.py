@@ -1,6 +1,7 @@
-"""Every name imported into a lindreach module is used there, and every
-public top-level function or class, and every public method or property of
-a class, is reached.
+"""Every name imported into a lindreach module is used there, every public
+top-level function or class, and every public method or property of a
+class, is reached, and every private top-level function is used by some
+module.
 
 The package __init__ is left out of the import check: its imports are the
 public API.
@@ -60,8 +61,8 @@ def test_unused_import_is_reported():
 
 
 def _unreached(init: str, sources: list[str]) -> list[str]:
-    """Public top-level functions and classes, and public methods and
-    properties of those classes (as Class.name), defined in sources whose
+    """Top-level functions, public top-level classes, and public methods
+    and properties of classes (as Class.name), defined in sources whose
     name init does not import and no source uses as a name or an
     attribute."""
     exported = {alias.asname or alias.name for node in ast.walk(ast.parse(init))
@@ -74,6 +75,8 @@ def _unreached(init: str, sources: list[str]) -> list[str]:
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     defined = {}
+    functions = {node.name for tree in trees for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
     for node in (node for tree in trees for node in tree.body):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined[node.name] = node.name
@@ -81,7 +84,8 @@ def _unreached(init: str, sources: list[str]) -> list[str]:
             defined.update((f"{node.name}.{m.name}", m.name) for m in node.body
                            if isinstance(m, ast.FunctionDef))
     return sorted(qualified for qualified, name in defined.items()
-                  if not name.startswith("_") and name not in exported | used)
+                  if (qualified in functions or not name.startswith("_"))
+                  and name not in exported | used)
 
 
 def test_every_public_name_is_reached():
@@ -91,13 +95,16 @@ def test_every_public_name_is_reached():
 
 def test_unreached_function_is_reported():
     sources = [p.read_text() for p in MODULES]
-    orphan = "def orphan(rho):\n    return rho\n"
+    orphan = ("def orphan(rho):\n    return rho\n"
+              "def _orphan(rho):\n    return rho\n")
     assert _unreached(INIT.read_text(), sources + [orphan]) == sorted(
-        [*KEPT, "orphan"])
+        [*KEPT, "_orphan", "orphan"])
     assert _unreached("from .m import f\n",
-                      ["def f():\n    return g, ser.h, C().m\n",
+                      ["def f():\n    return g, ser.h, C().m, _r\n",
                        "def g(): pass\ndef h(): pass\ndef k(): pass\n"
-                       "def _p(): pass\n",
+                       "def _p(): pass\ndef _r(): pass\n",
                        "class C:\n    def m(self): pass\n"
                        "    @property\n    def n(self): pass\n"
-                       "    def _q(self): pass\n"]) == ["C.n", "k"]
+                       "    def _q(self): pass\n"
+                       "class _D:\n    def o(self): pass\n"]) == [
+        "C.n", "_D.o", "_p", "k"]

@@ -21,6 +21,8 @@ from lindreach.lindblad import (
     JumpTerm,
     Lindbladian,
     _gksl,
+    _herm_coords,
+    _herm_matrix,
     apply,
     bilinear_dissipator,
     build,
@@ -329,13 +331,11 @@ def test_channel_superop_names_bad_t(t):
 
 
 def hermitian_basis(d):
-    """The orthonormal Hermitian basis E_ii, (E_ij + E_ji)/sqrt2,
-    i(E_ij - E_ji)/sqrt2 for i < j, in that order, as a (d^2, d, d) stack."""
+    """The orthonormal Hermitian basis F_ij = W E_ij + conj(W) E_ji, W =
+    (1 + i)/2, in row-major (i, j) order, as a (d^2, d, d) stack."""
     E = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
-    i, j = np.triu_indices(d, 1)
-    return np.concatenate([E[range(d), range(d)],
-                           (E[i, j] + E[j, i]) / np.sqrt(2),
-                           1j * (E[i, j] - E[j, i]) / np.sqrt(2)])
+    W = (1 + 1j) / 2
+    return (W * E + np.conj(W) * E.transpose(1, 0, 2, 3)).reshape(d * d, d, d)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -373,6 +373,29 @@ def test_real_form_matches_complex_route(d, n_jumps, n_ops, t, seed):
     out = propagate(L, rho, t)
     assert np.array_equal(out, dag(out))
     assert np.max(np.abs(out - apply_superop(P, rho))) <= tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(1, 6), log_scale=st.floats(-100, 100),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_herm_coordinates(data, d, log_scale, seed):
+    """_herm_matrix(x) is exactly Hermitian, and its diagonal is exactly the
+    coordinates x_ii at positions i(d + 1), with zero imaginary part, so its
+    trace is their sum. _herm_coords gives x back to rounding, and the
+    coordinates of a Hermitian rho have its Frobenius norm. x holds no
+    subnormal, whose halving rounds."""
+    x = np.array(data.draw(st.lists(
+        st.floats(-1e300, 1e300, allow_subnormal=False),
+        min_size=d * d, max_size=d * d)))
+    rho = _herm_matrix(x)
+    assert np.array_equal(rho, dag(rho))
+    assert np.array_equal(rho.diagonal().real, x[::d + 1])
+    assert not np.any(rho.diagonal().imag)
+    err = np.max(np.abs(_herm_coords(rho) - x))
+    assert err <= 4 * np.finfo(float).eps * np.max(np.abs(x))
+    H = 10.0 ** log_scale * random_hermitian(np.random.default_rng(seed), d)
+    norm = np.linalg.norm(H)
+    assert abs(np.linalg.norm(_herm_coords(H)) - norm) <= 1e-15 * norm
 
 
 def test_exponentials_cptp(rng):
