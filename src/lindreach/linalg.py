@@ -64,41 +64,61 @@ def is_diagonal(A: np.ndarray) -> bool:
 
 
 def _require_finite(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("matrix contains non-finite entries")
 
 
-def _require_unit_trace_psd(diagonal: np.ndarray, eigenvalues, eig_tol: float) -> float:
-    """The trace and spectrum tests of a density matrix: the sum of its real
-    diagonal within max(eig_tol, 1e-9) of 1, then no eigenvalue below
-    -eig_tol; eigenvalues() is called only once the trace passes. Return
-    the least eigenvalue."""
-    tr = diagonal.sum()
+def _require_unit_trace(tr: float, eig_tol: float) -> None:
+    """The trace test of a density matrix: tr, the sum of its real
+    diagonal, within max(eig_tol, 1e-9) of 1."""
     if abs(tr - 1.0) > max(eig_tol, 1e-9):
         raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
-    lmin = float(eigenvalues().min())
+
+
+def _require_psd(w: np.ndarray, eig_tol: float) -> None:
+    """The spectrum test of a density matrix: no eigenvalue in w below
+    -eig_tol."""
+    lmin = float(w.min())
     if lmin < -eig_tol:
         raise ValueError(f"density matrix has eigenvalue {lmin} below -{eig_tol}")
-    return lmin
 
 
 def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     """Validate Hermitian, PSD (up to eig_tol) and unit trace; return rho."""
-    return _check_density_lmin(rho, eig_tol)[0]
+    return _check_density_eig(rho, eig_tol)[0]
 
 
-def _check_density_lmin(rho: np.ndarray,
-                        eig_tol: float = EIG_TOL) -> tuple[np.ndarray, float]:
-    """check_density, which also returns the least eigenvalue of
-    hermitize(rho) that its PSD test computes."""
+def _check_density_eig(rho: np.ndarray, eig_tol: float = EIG_TOL,
+                       vectors: bool = False) -> tuple[np.ndarray, np.ndarray,
+                                                       np.ndarray | None]:
+    """check_density, in its order (finite, square, Hermitian, trace,
+    spectrum), which also returns the ascending eigenvalues of hermitize(rho)
+    that its spectrum test takes the least of, and with vectors their
+    eigenvectors from the same eigh (else None): (rho, w, V)."""
     rho = np.asarray(rho, dtype=complex)
     _require_finite(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     if not is_hermitian(rho, max(HERM_TOL_PER_DIM * rho.shape[0], eig_tol)):
         raise ValueError("density matrix is not Hermitian within tolerance")
-    return rho, _require_unit_trace_psd(
-        rho.diagonal().real, lambda: np.linalg.eigvalsh(hermitize(rho)), eig_tol)
+    _require_unit_trace(rho.diagonal().real.sum(), eig_tol)
+    H = hermitize(rho)
+    w, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+    _require_psd(w, eig_tol)
+    return rho, w, V
+
+
+def _check_built_density(H: np.ndarray, eig_tol: float) -> np.ndarray:
+    """check_density for a complex square H that a step built exactly
+    Hermitian (by hermitize or lindblad._herm_matrix), with entries below
+    half the largest float: hermitize(H) is then H bit for bit, so the
+    Hermiticity test cannot fail and is skipped, and the finiteness, trace
+    and spectrum tests run on H itself, in that order, with check_density's
+    tolerances and messages. Return H."""
+    _require_finite(H)
+    _require_unit_trace(H.diagonal().real.sum(), eig_tol)
+    _require_psd(np.linalg.eigvalsh(H), eig_tol)
+    return H
 
 
 def check_populations(p: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
@@ -107,7 +127,8 @@ def check_populations(p: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     matrix has its diagonal as its spectrum. Return p."""
     p = np.asarray(p, dtype=float)
     _require_finite(p)
-    _require_unit_trace_psd(p, lambda: p, eig_tol)
+    _require_unit_trace(p.sum(), eig_tol)
+    _require_psd(p, eig_tol)
     return p
 
 

@@ -13,6 +13,8 @@ import scipy.linalg as sla
 from .linalg import (
     EIG_TOL,
     SPAN_TOL,
+    _check_built_density,
+    _check_density_eig,
     apply_superop,
     check_density,
     choi,
@@ -239,8 +241,9 @@ def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
 
 def _propagate_checked(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
     """propagate for a rho already checked as a density matrix of L's
-    dimension."""
-    return check_density(_evolve(L, rho, t), eig_tol=1e-8)
+    dimension; the state it builds is exactly Hermitian, so its check skips
+    the Hermiticity test (_check_built_density)."""
+    return _check_built_density(_evolve(L, rho, t), eig_tol=1e-8)
 
 
 def _lower(i: int, j: int, d: int) -> np.ndarray:
@@ -269,9 +272,8 @@ def replacer_lindbladian(sigma: np.ndarray) -> Lindbladian:
     Kraus operators of R_sigma are sqrt(l_i) |v_i><j|; with the factor-2
     dissipator each enters at rate 1/2.
     """
-    sigma = check_density(sigma)
+    sigma, w, V = _check_density_eig(sigma, vectors=True)
     d = sigma.shape[0]
-    w, V = np.linalg.eigh(hermitize(sigma))
     keep = w > 1e-15
     # K[i, j] = sqrt(l_i) |v_i><j|, i-major over the kept eigenvalues
     K = np.einsum("ai,jb->ijab", V[:, keep] * np.sqrt(w[keep]), np.eye(d))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EIG_TOL, _check_density_lmin, _pnorm, check_density, dag,
+from .linalg import (EIG_TOL, _check_density_eig, _pnorm, check_density, dag,
                      devectorize, hermitize, is_diagonal, require_dim,
                      require_nonnegative, require_positive, schatten_norm,
                      vectorize)
@@ -75,7 +75,8 @@ def _weight(delta: np.ndarray, p: float) -> tuple[np.ndarray, float | np.ndarray
     eigen-solved: at p = 2, W = delta; on a stack that is exactly diagonal,
     the diagonal is the spectrum and W acts on it entrywise."""
     if p == 2:
-        return delta, schatten_norm(delta, 2)
+        # schatten_norm(delta, 2) without its hermitize, a no-op on delta
+        return delta, _pnorm(np.abs(delta).reshape(*delta.shape[:-2], -1), 2)
     if is_diagonal(delta):
         w, V = delta.diagonal(axis1=-2, axis2=-1).real, None
     else:
@@ -124,9 +125,13 @@ def alignment(L: Lindbladian, eta: np.ndarray, sigma: np.ndarray, p: float,
 def _descends(value: float, dist: float, p: float) -> bool:
     """Whether an alignment value lowers ||eta - sigma||_p = dist faster than
     STALL_TOL: the rate d/dt ||eta - sigma||_p is value / dist^(p-1), and the
-    one test behind both a reach stall and a porcupine obstruction."""
-    with np.errstate(over="ignore", under="ignore"):
-        scale = float(np.float64(dist) ** (p - 1))
+    one test behind both a reach stall and a porcupine obstruction. The
+    power is a Python float power, which raises on overflow where numpy's
+    would warn."""
+    try:
+        scale = float(dist) ** (float(p) - 1)
+    except OverflowError:           # beyond the largest float
+        scale = math.inf
     if not sys.float_info.min <= scale < math.inf:
         raise ValueError(f"p = {p} is too large for the distance {dist}: "
                          f"{dist}^(p-1) is not a normal float")
@@ -315,11 +320,11 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     require_positive(epsilon=epsilon)
     require_nonnegative(seed=seed)
     _check_p(p)
-    sigma, lmin = _check_density_lmin(sigma)
+    sigma, w, _ = _check_density_eig(sigma)
     require_dim(K.dim, sigma=sigma)
     rng = np.random.default_rng(seed)
     samples, W, drawn = _sphere_samples(sigma, epsilon, p, n_samples, rng,
-                                        diagonal_slice, lmin)
+                                        diagonal_slice, float(w.min()))
     counts = (f"{len(samples)} of {drawn} draws kept, "
               f"{max(n_samples // 10, 1)} needed")
     if not len(samples):

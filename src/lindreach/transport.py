@@ -11,8 +11,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import (check_density, check_populations, dag, hermitize,
-                     is_diagonal, require_dim)
+from .linalg import (_check_built_density, check_density, check_populations,
+                     dag, hermitize, is_diagonal, require_dim)
 
 PLAN_TOL = 1e-8
 RATIO_TOL = 1e-14
@@ -313,9 +313,11 @@ def _checked_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray
     """rho, then the state after each step: its d x d matrix, or its
     population vector while it is exactly diagonal.
 
-    Each state is checked once: damps and unitaries are checked, a
-    transposition permutes entries that were already checked, and a diagonal
-    state is checked on its populations, which are its spectrum.
+    Each state is checked once: damps and unitaries are hermitized and
+    checked with check_density's tests but the Hermiticity test, which
+    hermitize's output cannot fail (_check_built_density), a transposition
+    permutes entries that were already checked, and a diagonal state is
+    checked on its populations, which are its spectrum.
     """
     require_dim(plan.dim, rho=rho)
     rho = check_density(rho)
@@ -334,7 +336,7 @@ def _checked_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray
         elif x.ndim == 1:
             x = check_populations(x, eig_tol=1e-8)
         else:
-            x = _populations_if_diagonal(check_density(hermitize(x), eig_tol=1e-8))
+            x = _populations_if_diagonal(_check_built_density(hermitize(x), eig_tol=1e-8))
         yield x
 
 

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
+    EIG_TOL,
+    _check_built_density,
+    _check_density_eig,
     apply_superop,
     check_density,
     check_populations,
@@ -24,7 +29,9 @@ from lindreach.linalg import (
     trace_distance,
     vectorize,
 )
-from lindreach.lindblad import replacer_lindbladian, channel_superop
+from lindreach.lindblad import (_herm_coords, _herm_matrix, channel_superop,
+                               replacer_lindbladian)
+from lindreach.hormander import haar_unitary
 
 from conftest import random_complex, random_density, svd_schatten
 
@@ -286,6 +293,117 @@ def test_population_check_is_check_density_of_the_diagonal_matrix(d, fault):
         assert str(vec.value) == str(mat.value)
         assert {"nan": "non-finite", "inf": "non-finite", "negative": "eigenvalue",
                 "trace": "trace"}[fault] in str(vec.value)
+
+
+def _outcome(check, *args):
+    """check(*args), or the type and message of the exception it raises;
+    any warning raises too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return check(*args)
+        except (ValueError, RuntimeWarning) as exc:
+            return type(exc), str(exc)
+
+
+def _same_outcome(got, ref):
+    if isinstance(ref, tuple):
+        return got == ref
+    return isinstance(got, np.ndarray) and np.array_equal(got, ref)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(1, 5),
+       built_by=st.sampled_from(["hermitize", "herm_matrix"]),
+       fault=st.sampled_from([None, "trace", "negative", "nan", "inf", "-inf", "raw"]),
+       eig_tol=st.sampled_from([EIG_TOL, 1e-8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_built_density_check_matches_check_density(data, d, built_by, fault,
+                                                   eig_tol, seed):
+    """On a matrix built exactly Hermitian, by hermitize or by
+    lindblad._herm_matrix, _check_built_density returns what check_density
+    returns, or raises its exception with its message: a trace off by 1e-6,
+    an eigenvalue below -1e-8, a NaN or an infinite entry, or raw entries up
+    to 1e300 in size. hermitize leaves such a matrix as it is, so the
+    Hermiticity test it skips cannot fail."""
+    rng = np.random.default_rng(seed)
+    if fault == "raw":
+        A = np.array(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=2 * d * d,
+                                        max_size=2 * d * d))).view(complex).reshape(d, d)
+    else:
+        w = rng.dirichlet(np.ones(d))
+        if fault == "negative":
+            # trace still 1; for d = 1 the trace test fails first
+            w[0], w[-1] = -2e-8, w[-1] + w[0] + 2e-8
+        U = haar_unitary(d, rng)
+        A = (U * w) @ dag(U)          # Hermitian to rounding only
+        if fault == "trace":
+            A *= 1.0 + 1e-6 * rng.choice([-1, 1])
+        elif fault in ("nan", "inf", "-inf"):
+            A[tuple(rng.integers(d, size=2))] = float(fault)
+    with np.errstate(invalid="ignore"):     # an infinite entry may make NaNs
+        H = hermitize(A) if built_by == "hermitize" else _herm_matrix(_herm_coords(A))
+    if np.isfinite(H).all():
+        assert np.array_equal(hermitize(H), H)
+    ref = _outcome(check_density, H, eig_tol)
+    got = _outcome(_check_built_density, H, eig_tol)
+    assert _same_outcome(got, ref)
+    if not isinstance(ref, tuple):
+        assert got is H
+    expected = {"trace": "trace", "negative": "eigenvalue" if d > 1 else "trace",
+                "nan": "non-finite", "inf": "non-finite", "-inf": "non-finite"}
+    if fault in expected:
+        assert expected[fault] in ref[1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(1, 8),
+       fault=st.sampled_from([None, "nan", "inf", "-inf", "pair", "negative",
+                              "raw"]),
+       eig_tol=st.sampled_from([EIG_TOL, 1e-8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_population_check_parity_without_warnings(data, d, fault, eig_tol, seed):
+    """check_populations(p) returns p, or raises what check_density(diag(p))
+    raises, message included, with warnings made errors: a NaN, an inf, the
+    pair [inf, -inf], a negative population, or any float entries."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(d))
+    i, j = rng.integers(d, size=2)
+    if fault in ("nan", "inf", "-inf"):
+        p[i] = float(fault)
+    elif fault == "pair":
+        p = np.insert(p, [i, j], [np.inf, -np.inf])
+    elif fault == "negative":
+        p = np.append(p, -2e-8)
+        p[0] += 2e-8
+    elif fault == "raw":
+        p = np.array(data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                                        min_size=1, max_size=8)))
+    ref = _outcome(check_density, np.diag(p), eig_tol)
+    got = _outcome(check_populations, p, eig_tol)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert np.array_equal(got, p)
+
+
+def test_eigh_check_takes_the_spectrum_test_from_its_eigh(rng):
+    """_check_density_eig with vectors returns eigh(hermitize(rho)), and its
+    spectrum test is that of check_density on the same least eigenvalue, to
+    rounding: only the printed eigenvalue may differ in its last digits."""
+    for d in (1, 2, 4, 7):
+        rho = random_density(rng, d, rank=max(d - 2, 1))
+        got, w, V = _check_density_eig(rho, vectors=True)
+        w_ref, V_ref = np.linalg.eigh(hermitize(check_density(rho)))
+        assert np.array_equal(got, rho)
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+        assert _check_density_eig(rho)[2] is None
+    bad = np.diag([1.0 + 3e-8, -3e-8]).astype(complex)
+    for case, message in ((bad, "eigenvalue -3e-08 below"),
+                          (bad * 2, "trace 2.0"), (np.ones((2, 3)), "square"),
+                          (np.array([[0.5, 1.0], [0.0, 0.5]]), "Hermitian"),
+                          (np.diag([np.nan, 1.0]), "non-finite")):
+        for vectors in (False, True):
+            with pytest.raises(ValueError, match=message):
+                _check_density_eig(case, vectors=vectors)
 
 
 def test_is_diagonal(rng):

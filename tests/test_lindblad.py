@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
     apply_superop,
+    check_density,
     dag,
     hermitize,
     is_cp,
@@ -23,6 +24,8 @@ from lindreach.lindblad import (
     _gksl,
     _herm_coords,
     _herm_matrix,
+    _evolve,
+    _propagate_checked,
     apply,
     bilinear_dissipator,
     build,
@@ -396,6 +399,33 @@ def test_herm_coordinates(data, d, log_scale, seed):
     H = 10.0 ** log_scale * random_hermitian(np.random.default_rng(seed), d)
     norm = np.linalg.norm(H)
     assert abs(np.linalg.norm(_herm_coords(H)) - norm) <= 1e-15 * norm
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("trace", "trace"), ("negative", "eigenvalue"), ("nan", "non-finite")])
+def test_propagated_state_is_rejected_as_check_density_rejects_it(rng, fault,
+                                                                   message):
+    """A propagated state that is not a density matrix (here from an input
+    that skipped its check) raises check_density's exception and message:
+    the state is exactly Hermitian, so its check runs check_density's other
+    tests on it unchanged."""
+    L = Lindbladian(3, hamiltonian=random_hermitian(rng, 3),
+                    jumps=[JumpTerm(random_complex(rng, 3), 0.3)])
+    rho = random_density(rng, 3)
+    if fault == "trace":
+        rho = 1.001 * rho
+    elif fault == "negative":
+        U = haar_unitary(3, rng)
+        rho = (U * [1.2, -0.1, -0.1]) @ dag(U)
+    else:
+        rho[1, 2] = np.nan
+    for t in (0.0, 0.05):
+        with pytest.raises(ValueError) as ref:
+            check_density(_evolve(L, rho, t), eig_tol=1e-8)
+        with pytest.raises(ValueError) as got:
+            _propagate_checked(L, rho, t)
+        assert str(got.value) == str(ref.value)
+        assert message in str(got.value)
 
 
 def test_exponentials_cptp(rng):

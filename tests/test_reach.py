@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from lindreach.lindblad import (
 )
 from lindreach import reach
 from lindreach.reach import (
+    STALL_TOL,
     ReachReport,
     ResourceSetK,
     _check_p,
@@ -786,6 +789,62 @@ def test_porcupine_sees_descent_below_an_absolute_tolerance(eps, p):
     rep = porcupine_check(K, sigma, eps, p=p, n_samples=200)
     assert -1e-9 < rep.min_alignment_over_samples < 0
     assert not rep.obstruction_evidence
+
+
+def _descends_by_numpy(value, dist, p):
+    """The descent rule with dist^(p-1) a numpy power, its overflow and
+    underflow warnings silenced: the reference for the float power."""
+    with np.errstate(over="ignore", under="ignore"):
+        scale = float(np.float64(dist) ** (p - 1))
+    if not sys.float_info.min <= scale < math.inf:
+        raise ValueError(f"p = {p} is too large for the distance {dist}: "
+                         f"{dist}^(p-1) is not a normal float")
+    return value / scale < -STALL_TOL
+
+
+def _rule_outcome(rule, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return rule(*args)
+        except ValueError as exc:
+            return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=st.floats(-1e3, 1e3), dist=st.floats(1e-300, 1e300),
+       p=st.floats(1.0, 1e6, exclude_min=True))
+@example(value=-1.0, dist=1e200, p=1e6)        # overflow
+@example(value=-1.0, dist=1e-200, p=1e6)       # underflow to 0
+@example(value=-1.0, dist=0.5, p=1061.0)       # 2^-1060, subnormal
+@example(value=-1.0, dist=2.0, p=1024.0)       # 2^1023, the largest power of 2
+@example(value=-1e-3, dist=0.3, p=2.0)         # ordinary: descends
+@example(value=-1e-11, dist=1.0, p=3.0)        # ordinary: stalls
+def test_descent_rule_matches_the_numpy_power(value, dist, p):
+    """The float power returns and raises as the numpy power does, message
+    included, and warns of nothing."""
+    assert (_rule_outcome(_descends, value, dist, p)
+            == _rule_outcome(_descends_by_numpy, value, dist, p))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(), (1,), (3,), (2, 4)]), d=st.integers(1, 5),
+       log_scale=st.floats(-300, 300), diagonal=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_weight_at_p2_is_the_schatten_norm_bit_for_bit(shape, d, log_scale,
+                                                       diagonal, seed):
+    """On hermitized matrices and stacks, _weight at p = 2 returns delta
+    itself and schatten_norm(delta, 2) bit for bit, as a float or an array
+    alike."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((*shape, d, d)) + 1j * rng.standard_normal((*shape, d, d))
+    if diagonal:
+        G *= np.eye(d)
+    delta = hermitize(10.0 ** log_scale * G)
+    W, dist = _weight(delta, 2)
+    ref = schatten_norm(delta, 2)
+    assert W is delta
+    assert type(dist) is type(ref) and np.array_equal(dist, ref)
 
 
 def test_descent_rule_rejects_a_scale_that_is_not_a_normal_float():

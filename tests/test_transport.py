@@ -429,6 +429,36 @@ def test_plan_states_match_all_matrix_reference(family, k, diagonal_input, seed)
     assert np.array_equal(execute_plan(plan, rho), ref[-1])
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("scaled_unitary", "trace"), ("nan_unitary", "non-finite"),
+    ("overdamp", "eigenvalue")])
+def test_bad_matrix_step_is_rejected_as_the_reference_rejects_it(rng, fault,
+                                                                 message):
+    """A matrix step whose state is not a density matrix (from a step altered
+    after its own checks) raises what the all-matrix reference raises, whose
+    check is check_density: the hermitized state's check runs
+    check_density's other tests on it unchanged."""
+    rho = random_density(rng, 4)
+    plan = full_state_transport(rho, random_density(rng, 4))
+    step = plan.steps[0] if fault != "overdamp" else AmplitudeDamp(0, 0.5)
+    if fault == "scaled_unitary":
+        step.U = 1.01 * step.U
+    elif fault == "nan_unitary":
+        step.U = step.U.copy()
+        step.U[1, 0] = np.nan
+    else:
+        step.retention = 3.0          # grows the |1> block: 1 - a < 0
+        plan.steps.insert(0, step)
+    with pytest.raises(ValueError) as ref:
+        list(_reference_plan_states(plan, rho))
+    for run in (lambda: list(plan_states(plan, rho)),
+                lambda: execute_plan(plan, rho)):
+        with pytest.raises(ValueError) as got:
+            run()
+        assert str(got.value) == str(ref.value)
+    assert message in str(ref.value)
+
+
 @pytest.mark.parametrize("step, message", [
     (Transposition(0, 2), r"transposition \(0, 2\) outside 0\.\.1"),
     (Transposition(-1, 0), r"transposition \(-1, 0\) outside 0\.\.1"),
