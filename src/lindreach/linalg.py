@@ -77,9 +77,12 @@ def _require_unit_trace(tr: float, eig_tol: float) -> None:
 
 def _require_psd(w: np.ndarray, eig_tol: float) -> None:
     """The spectrum test of a density matrix: no eigenvalue in w below
-    -eig_tol."""
+    -eig_tol. A NaN least eigenvalue, which a finite matrix gets when
+    hermitize overflows one of its entries, fails too."""
     lmin = float(w.min())
-    if lmin < -eig_tol:
+    if not lmin >= -eig_tol:
+        if lmin != lmin:
+            raise ValueError("density matrix spectrum is not finite")
         raise ValueError(f"density matrix has eigenvalue {lmin} below -{eig_tol}")
 
 
@@ -193,8 +196,12 @@ def superop_from_action(f, d: int) -> np.ndarray:
 
 
 def apply_superop(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The complex superoperator S applied to the d x d matrix M,
+    devectorize(S @ vectorize(M), d): the rows of M^T, read in order, are
+    the column-stacked vector, and the product's transposed view is the
+    result."""
     d = M.shape[0]
-    return devectorize(S @ vectorize(M), d)
+    return (S @ M.T.reshape(d * d)).reshape(d, d).T
 
 
 def kron_superop(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -257,7 +264,15 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _pnorm(s: np.ndarray, p: float) -> float | np.ndarray:
     """p-norm along the last axis of the nonnegative s, as m ||s / m||_p for
     its largest entry m, so no s ** p underflows or overflows, however large
-    p is; a stack of vectors gives an array of norms."""
+    p is; a stack of vectors gives an array of norms. A single vector takes
+    m and the root in Python floats, around the same numpy division, powers
+    and sum that a stack's row gets; the root is libm's pow there and numpy's
+    power loop on a stack, which may differ in the last bit or two."""
+    if s.ndim == 1:
+        n = float(s.max(initial=0.0))
+        if math.isinf(p):
+            return n
+        return n * float(((s / n if n > 0 else s) ** p).sum()) ** (1.0 / p)
     n = s.max(-1, initial=0.0)
     if not np.isinf(p):
         r = s / np.where(n > 0, n, 1.0)[..., None]     # 0 / 1 for a zero vector

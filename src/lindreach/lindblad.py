@@ -196,7 +196,7 @@ def _real_channel(L: Lindbladian, t: float) -> np.ndarray:
     place exp(t L) is formed."""
     require_nonnegative(t=t)
     P = mat_exp(t * L.real_superop)
-    if not np.all(np.isfinite(P)):
+    if not np.isfinite(P).all():
         raise ValueError("t must be small enough for exp(t L) to be finite; "
                          f"t = {t} overflows")
     return P

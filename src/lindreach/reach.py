@@ -86,8 +86,10 @@ def _weight(delta: np.ndarray, p: float) -> tuple[np.ndarray, float | np.ndarray
 
 def _spectral_weight(w: np.ndarray, V: np.ndarray | None, p: float) -> np.ndarray:
     """V diag(f(w)) V* for f(x) = sign(x)|x|^(p-1), with f(0) = 0; V None
-    stands for the identity."""
-    f = np.where(np.abs(w) > 0, np.sign(w) * np.abs(w) ** (p - 1), 0.0)
+    stands for the identity. f(0) = 0 needs no case of its own: p > 1
+    (_check_p), so |0|^(p-1) = 0, and sign(0) = sign(-0.0) = 0.0, so f(±0)
+    is +0.0."""
+    f = np.sign(w) * np.abs(w) ** (p - 1)
     if V is None:
         return np.eye(w.shape[-1]) * f[..., None, :]
     return (V * f[..., None, :]) @ dag(V)

@@ -377,6 +377,26 @@ def test_porcupine_reproducible(files, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--lindblad", "L", "--rho", "bad", "--t", "1"],
+    ["porcupine", "--K", "K", "--sigma", "bad", "--epsilon", "0.05"],
+], ids=["simulate-rho", "porcupine-sigma"])
+def test_nan_spectrum_exits_2(files, capsys, tmp_path, argv):
+    """A finite Hermitian state whose hermitize overflows has a NaN
+    spectrum: exit 2 with one JSON error line that says so, and no
+    warning."""
+    bad = write(tmp_path, "bad.json",
+                ser.matrix_to_json(np.array([[0.5, 1.5e308], [1.5e308, 0.5]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [files.get(a, bad if a == "bad" else a)
+                                      for a in argv])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg == {"code": "validation_error", "context": {},
+                   "message": "density matrix spectrum is not finite"}
+
+
 @pytest.mark.parametrize("d, eps, kept, message", [
     (2, 5.0, 0, "ball lies outside the state space and the sphere does not "
                 "intersect it"),

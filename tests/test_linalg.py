@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from lindreach.linalg import (
     EIG_TOL,
     _check_built_density,
     _check_density_eig,
+    _pnorm,
     apply_superop,
     check_density,
     check_populations,
@@ -169,6 +171,73 @@ def test_schatten_2_norm_is_the_frobenius_sum(d, n, zero, scale, seed):
     assert got.shape == (n,)
     assert np.all(np.abs(got - expect) <= 1e-14 * expect)
     assert np.all((got == 0) == (expect == 0))
+
+
+def _same_bits(a, b) -> bool:
+    """Equal floats with the same sign (so 0.0 is not -0.0), or both NaN."""
+    a, b = float(a), float(b)
+    return (a != a and b != b) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+def _pnorm_numpy_form(s, p):
+    """_pnorm's reduction in numpy, as it is applied to a stack."""
+    n = s.max(-1, initial=0.0)
+    if not np.isinf(p):
+        r = s / np.where(n > 0, n, 1.0)[..., None]
+        n = n * (r ** p).sum(-1) ** (1.0 / p)
+    return n
+
+
+_PNORM_PS = [1.5, 2.0, 3.0, 10.0, np.inf]
+# entries of the nonnegative vectors _pnorm takes, with zeros, subnormals
+# and the non-finite values among them
+_pnorm_entries = st.one_of(
+    st.floats(0, 1e300), st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2e-308,
+                                          np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 4).flatmap(lambda k: st.lists(
+           st.lists(_pnorm_entries, min_size=k, max_size=k), min_size=1, max_size=4)),
+       p=st.sampled_from(_PNORM_PS))
+def test_pnorm_of_a_vector_matches_its_stack_row(rows, p):
+    """A vector's p-norm is the numpy form on that vector, bit for bit (the
+    root a numpy float64 power, which is libm's pow), and its max, division,
+    powers and sum are those of its row in a stack. Only the root can move
+    the last bits, since a stack takes it with numpy's power loop: row and
+    vector agree bit for bit at p = inf, and within 4 ulp elsewhere."""
+    S = np.array(rows)
+    with np.errstate(all="ignore"):
+        stack = _pnorm(S, p)
+        for i, s in enumerate(S):
+            got = _pnorm(s, p)
+            assert type(got) is float
+            assert _same_bits(got, _pnorm_numpy_form(s, p))
+            if np.isinf(p):
+                assert _same_bits(got, stack[i])
+                continue
+            m = S.max(-1, initial=0.0)
+            total = ((S / np.where(m > 0, m, 1.0)[:, None]) ** p).sum(-1)[i]
+            assert _same_bits(got, m[i] * float(total) ** (1.0 / p))
+            if np.isfinite(got):
+                assert abs(got - stack[i]) <= 4 * np.spacing(got)
+            else:
+                assert _same_bits(got, stack[i])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 6), real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_superop_is_the_vectorize_form(d, real, seed):
+    """apply_superop(S, M) is devectorize(S @ vectorize(M), d) bit for bit,
+    for a complex or a real M, and has its dtype and shape."""
+    rng = np.random.default_rng(seed)
+    S = random_complex(rng, d * d)
+    M = rng.standard_normal((d, d)) if real else random_complex(rng, d)
+    got = apply_superop(S, M)
+    ref = devectorize(S @ vectorize(M), d)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(ref).view(np.int64))
 
 
 def test_superop_from_action_identity():
@@ -397,13 +466,19 @@ def test_eigh_check_takes_the_spectrum_test_from_its_eigh(rng):
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
         assert _check_density_eig(rho)[2] is None
     bad = np.diag([1.0 + 3e-8, -3e-8]).astype(complex)
+    # finite and Hermitian, but hermitize overflows the off-diagonal entries,
+    # so the spectrum is NaN, which a test written lmin < -eig_tol passes
+    nan_spectrum = np.array([[0.5, 1.5e308], [1.5e308, 0.5]])
     for case, message in ((bad, "eigenvalue -3e-08 below"),
                           (bad * 2, "trace 2.0"), (np.ones((2, 3)), "square"),
                           (np.array([[0.5, 1.0], [0.0, 0.5]]), "Hermitian"),
-                          (np.diag([np.nan, 1.0]), "non-finite")):
+                          (np.diag([np.nan, 1.0]), "non-finite"),
+                          (nan_spectrum, "spectrum is not finite")):
         for vectors in (False, True):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=message), \
+                    np.errstate(over="ignore", invalid="ignore"):
                 _check_density_eig(case, vectors=vectors)
+
 
 
 def test_is_diagonal(rng):

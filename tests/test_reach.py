@@ -33,6 +33,7 @@ from lindreach.reach import (
     _check_state,
     _descends,
     _rate,
+    _spectral_weight,
     _sphere_samples,
     _weight,
     alignment,
@@ -345,6 +346,41 @@ def test_weight_closed_forms_match_the_eigen_solve(d, n, p, diagonal, seed):
     assert W.shape == W_ref.shape and np.shape(dist) == (n,)
     assert np.max(np.abs(W - W_ref)) <= 1e-14 * np.max(np.abs(W_ref))
     assert np.all(np.abs(dist - dist_ref) <= 1e-13 * dist_ref)
+
+
+def _spectral_weight_by_where(w, V, p):
+    """_spectral_weight with f(0) = 0 as a case of its own: the reference
+    for the form without one."""
+    f = np.where(np.abs(w) > 0, np.sign(w) * np.abs(w) ** (p - 1), 0.0)
+    if V is None:
+        return np.eye(w.shape[-1]) * f[..., None, :]
+    return (V * f[..., None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+_finite_eigenvalues = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, -2.2e-308]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(w=st.integers(1, 5).flatmap(lambda d: st.lists(
+           st.lists(_finite_eigenvalues, min_size=d, max_size=d), min_size=1,
+           max_size=3)),
+       p=st.one_of(st.sampled_from([1.5, 2.0, 3.0, 10.0]), st.floats(1.0, 50.0,
+                                                                    exclude_min=True)),
+       unitary=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_spectral_weight_needs_no_case_for_zero(w, p, unitary, seed):
+    """For every finite spectrum, ±0.0 and subnormals included, the weight
+    without a case for f(0) is the np.where form bit for bit, signed zeros
+    too: at p > 1, sign(±0.0) |±0.0|^(p-1) is +0.0."""
+    w = np.array(w)
+    V = (np.stack([haar_unitary(w.shape[-1], np.random.default_rng([seed, i]))
+                   for i in range(len(w))]) if unitary else None)
+    with np.errstate(all="ignore"):
+        got = _spectral_weight(w, V, p)
+        ref = _spectral_weight_by_where(w, V, p)
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_reach_drive_within_eq_tol_of_sigma_reports(rng):
