@@ -172,7 +172,7 @@ def _cmd_run_plan(args, out):
 
 def _cmd_check_hormander(args, out):
     S = ser.resource_set_from_json(ser.load_json(args.resources))
-    rep = lie_closure(S, max_depth=args.max_depth)
+    rep = lie_closure(S)
     _emit({"dim_found": rep.dim_found, "depth_used": rep.depth_used,
            "is_hormander": rep.is_hormander,
            "basis": [ser.matrix_to_json(b) for b in rep.basis]}, out)
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("check-hormander", help="Lie-closure certification")
     s.add_argument("--resources", required=True)
-    s.add_argument("--max-depth", type=int, default=20)
     s.set_defaults(func=_cmd_check_hormander)
 
     s = sub.add_parser("dilate", help="Trotterized dilation error sweep")

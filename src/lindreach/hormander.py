@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,35 +32,33 @@ class LieClosureReport:
     is_hormander: bool
 
 
-def lie_closure(S: ResourceSet, max_depth: int = 20) -> LieClosureReport:
+def lie_closure(S: ResourceSet) -> LieClosureReport:
     """Iterated-commutator closure of the traceless anti-Hermitian parts of S.
 
     Hermitian content of an element enters as iH, anti-Hermitian content as
     it is, and identity components are projected out. Each round brackets
-    the whole basis with the generators, so a round that adds nothing would
-    hand the next one the same input: the closure stops there, at su(d) or
-    at max_depth, and depth_used is the depth of the last round that added a
+    the generators only with the directions the last round added: with B_r
+    the span after round r, [B_(r-1), g] lies in B_r, so [B_r, g] lies in
+    B_r + [new_r, g], and a round spans what bracketing the whole basis
+    would. depth_used is the depth of the last round that added a
     direction. is_hormander iff the closure spans su(d).
     """
     if not S.elements:
         raise ValueError("resource set is empty")
-    if (isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral)
-            or max_depth < 1):
-        raise ValueError(f"max_depth must be an integer >= 1, got {max_depth!r}")
     d = S.dim
     E = np.asarray(S.elements)
     gens = np.concatenate([1j * hermitize(E), E - hermitize(E)])
     gens -= np.trace(gens, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
     gens = gens[np.linalg.norm(gens, axis=(1, 2)) > SPAN_DROP_TOL]
-    basis = extend_basis(np.zeros((0, d, d), dtype=complex), gens)
+    basis = new = extend_basis(np.zeros((0, d, d), dtype=complex), gens)
     target = d * d - 1
     depth = 1
-    while depth < max_depth and len(basis) < target:
-        b, g = basis[:, None], gens[None]
+    while len(basis) < target:
+        b, g = new[:, None], gens[None]
         grown = extend_basis(basis, (b @ g - g @ b).reshape(-1, d, d))
         if len(grown) == len(basis):
             break
-        basis, depth = grown, depth + 1
+        basis, new, depth = grown, grown[len(basis):], depth + 1
     return LieClosureReport(basis=list(basis), dim_found=len(basis),
                             depth_used=depth,
                             is_hormander=len(basis) == target)

@@ -105,7 +105,9 @@ def _check_density_eig(rho: np.ndarray, eig_tol: float = EIG_TOL,
     if not is_hermitian(rho, max(HERM_TOL_PER_DIM * rho.shape[0], eig_tol)):
         raise ValueError("density matrix is not Hermitian within tolerance")
     _require_unit_trace(rho.diagonal().real.sum(), eig_tol)
-    H = hermitize(rho)
+    # an overflow leaves a NaN spectrum, which _require_psd reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = hermitize(rho)
     w, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
     _require_psd(w, eig_tol)
     return rho, w, V
@@ -197,11 +199,15 @@ def superop_from_action(f, d: int) -> np.ndarray:
 
 def apply_superop(S: np.ndarray, M: np.ndarray) -> np.ndarray:
     """The complex superoperator S applied to the d x d matrix M,
-    devectorize(S @ vectorize(M), d): the rows of M^T, read in order, are
-    the column-stacked vector, and the product's transposed view is the
-    result."""
-    d = M.shape[0]
-    return (S @ M.T.reshape(d * d)).reshape(d, d).T
+    devectorize(S @ vectorize(M), d): M^T read in order is the
+    column-stacked vector. Stacks of superoperators and of matrices
+    broadcast, in one product of the column-stacked rows with S^T: an
+    (m, d^2, d^2) S and an (n, d, d) M give every S_i(M_k), (m, n, d, d)."""
+    d = M.shape[-1]
+    if S.ndim == M.ndim == 2:
+        return (S @ M.T.reshape(d * d)).reshape(d, d).T
+    out = vectorize(M) @ S.swapaxes(-1, -2)
+    return out.reshape(*out.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 def kron_superop(A: np.ndarray, B: np.ndarray) -> np.ndarray:

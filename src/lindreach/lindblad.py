@@ -19,7 +19,6 @@ from .linalg import (
     check_density,
     choi,
     dag,
-    devectorize,
     extend_basis,
     hermitize,
     is_hermitian,
@@ -195,7 +194,9 @@ def _real_channel(L: Lindbladian, t: float) -> np.ndarray:
     small enough for it to be finite; an error names t otherwise. The one
     place exp(t L) is formed."""
     require_nonnegative(t=t)
-    P = mat_exp(t * L.real_superop)
+    # an overflow is the error below, not a warning before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = mat_exp(t * L.real_superop)
     if not np.isfinite(P).all():
         raise ValueError("t must be small enough for exp(t L) to be finite; "
                          f"t = {t} overflows")
@@ -295,14 +296,10 @@ def stationary_states(L: Lindbladian) -> list[np.ndarray]:
         return []
     # orthogonal projector onto the kernel, as acting on vectorized operators
     P = K @ dag(K)
-
-    def proj_kernel(M):
-        return devectorize(P @ vectorize(M), d)
-
     found: list[np.ndarray] = []
     seeds = [np.eye(d) / d] + [_lower(i, i, d) for i in range(d)]
     for seed in seeds:
-        M = proj_kernel(seed)
+        M = apply_superop(P, seed)
         ok = False
         for _ in range(500):
             M = hermitize(M)
@@ -312,7 +309,7 @@ def stationary_states(L: Lindbladian) -> list[np.ndarray]:
             if tr < 1e-12:
                 break
             Mp = Mp / tr
-            M2 = proj_kernel(Mp)
+            M2 = apply_superop(P, Mp)
             if np.max(np.abs(M2 - Mp)) < 1e-12:
                 M = M2
                 ok = True

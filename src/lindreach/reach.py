@@ -10,12 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EIG_TOL, _check_density_eig, _pnorm, check_density, dag,
-                     devectorize, hermitize, is_diagonal, require_dim,
-                     require_nonnegative, require_positive, schatten_norm,
-                     vectorize)
-from .lindblad import (JumpTerm, Lindbladian, _lower, _propagate_checked, apply,
-                       build)
+from .linalg import (EIG_TOL, _check_density_eig, _pnorm, apply_superop,
+                     check_density, dag, hermitize, is_diagonal, require_dim,
+                     require_nonnegative, require_positive, schatten_norm)
+from .lindblad import JumpTerm, Lindbladian, _lower, _propagate_checked, apply
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
@@ -33,7 +31,7 @@ class ResourceSetK:
 
     def __post_init__(self):
         if not self.generators:
-            raise ValueError("resource set must be nonempty")
+            raise ValueError("generators must be nonempty")
         dims = {L.dim for L in self.generators}
         if len(dims) != 1:
             raise ValueError("generators must share a dimension")
@@ -337,8 +335,7 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     if len(samples) < n_samples // 10:
         raise ValueError(f"too few sphere points intersect the state space: {counts}")
     # L(eta) for every (generator, sample) pair in one stacked product
-    S = np.stack([build(L) for L in K.generators])
-    Leta = devectorize(vectorize(samples) @ S.swapaxes(1, 2), sigma.shape[0])
+    Leta = apply_superop(np.stack([L.superop for L in K.generators]), samples)
     delta = _checked_delta(samples, sigma)
     if W is None:
         W, _ = _weight(delta, p)

@@ -11,8 +11,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import (_check_built_density, check_density, check_populations,
-                     dag, hermitize, is_diagonal, require_dim)
+from .linalg import (_check_built_density, _check_density_eig, check_density,
+                     check_populations, dag, hermitize, is_diagonal,
+                     require_dim)
 
 PLAN_TOL = 1e-8
 RATIO_TOL = 1e-14
@@ -263,14 +264,12 @@ def plan_diagonal_transport(lam: np.ndarray, mu: np.ndarray,
 def full_state_transport(rho: np.ndarray, sigma: np.ndarray) -> TransportPlan:
     """Diagonalize rho, transport spectra, then rotate onto sigma's
     eigenbasis; the two conjugations are explicit unitary steps."""
-    rho = check_density(rho)
-    sigma = check_density(sigma)
-    d = rho.shape[0]
+    _, wr, Vr = _check_density_eig(rho, vectors=True)
+    _, ws, Vs = _check_density_eig(sigma, vectors=True)
+    d = len(wr)
     k = int(round(math.log2(d)))
     if 2 ** k != d:
         raise ValueError("dimension must be a power of 2")
-    wr, Vr = np.linalg.eigh(hermitize(rho))
-    ws, Vs = np.linalg.eigh(hermitize(sigma))
     wr, Vr = wr[::-1], Vr[:, ::-1]
     ws, Vs = ws[::-1], Vs[:, ::-1]
     lam = np.clip(wr, 0.0, None)

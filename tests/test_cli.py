@@ -1,11 +1,14 @@
+import argparse
 import contextlib
 import gc
 import io
 import json
 import os
+import re
 import stat
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from lindreach import cli, serialize as ser
 from lindreach.cli import build_parser, main
 from lindreach.linalg import dag, hermitize
-from lindreach.lindblad import JumpTerm, Lindbladian, replacer_lindbladian
+from lindreach.lindblad import (BilinearTerm, JumpTerm, Lindbladian,
+                               replacer_lindbladian)
 from lindreach.tangent import PathSample, central_differences, lift
 from lindreach.transport import (AmplitudeDamp, ApplyUnitary, PlanStep,
                                  Transposition, plan_diagonal_transport)
@@ -72,6 +76,15 @@ def test_certify_and_lift(files, capsys):
                                 "--x", files["x"]])
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-10
+
+
+def test_certify_tangent_rejects_nonzero_trace(files, capsys, tmp_path):
+    """At the full-rank I/2 only the trace rule of T+ can fail: a Hermitian
+    x with tr x = 0.3 is outside the cone."""
+    x = write(tmp_path, "x_trace.json", ser.matrix_to_json(np.diag([0.2, 0.1])))
+    code, out, _ = run(capsys, ["certify-tangent", "--rho", files["mixed"],
+                                "--x", x])
+    assert code == 0 and json.loads(out)["in_tangent_cone"] is False
 
 
 def test_lift_path_csv(files, capsys, tmp_path):
@@ -458,6 +471,30 @@ def test_every_plan_step_round_trips_through_json():
             assert np.array_equal(getattr(back, name), getattr(step, name))
 
 
+def test_bilinear_lindbladian_and_derivs_round_trip_through_json(rng):
+    """A bilinear term and a path's derivatives are written and read back
+    bit for bit."""
+    L = Lindbladian(2, hermitize(random_complex(rng, 2)),
+                    jumps=[JumpTerm(LOWER, 0.5)],
+                    bilinear=BilinearTerm((LOWER, dag(LOWER)),
+                                          np.array([[1.0, 0.5], [0.5, 1.0]])))
+    back = ser.lindbladian_from_json(json.loads(json.dumps(
+        ser.lindbladian_to_json(L))))
+    assert back.bilinear is not None
+    assert np.array_equal(back.bilinear.ops, L.bilinear.ops)
+    assert np.array_equal(back.bilinear.kossakowski, L.bilinear.kossakowski)
+    assert np.array_equal(back.superop, L.superop)
+    states = [np.eye(2) / 2, np.diag([0.6, 0.4]), np.diag([0.7, 0.3])]
+    path = PathSample([0.0, 1.0, 2.0], states, [random_complex(rng, 2)
+                                                for _ in states])
+    back = ser.path_sample_from_json(json.loads(json.dumps(
+        ser.path_sample_to_json(path))))
+    assert back.derivs is not None
+    assert np.array_equal(back.times, path.times)
+    assert np.array_equal(back.states, path.states)
+    assert np.array_equal(back.derivs, path.derivs)
+
+
 def test_run_plan_csv_invalid_step_writes_nothing(files, capsys, tmp_path):
     """A step rejected when the plan is read, and one that fails after a
     valid step has run: either way no CSV row is written."""
@@ -551,6 +588,46 @@ def test_parser_built_once_serves_bad_then_good_argv(files, capsys):
     assert main(["simulate", "--rho", files["rho"], "--t", "x"]) == 2
     assert main(["simulate", "--lindblad", files["L"], "--rho", files["rho"],
                  "--t", "1"]) == 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _command_options() -> dict[str, set[str]]:
+    """Every subcommand's option strings, --help left out."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+def _readme_mismatches(text: str, options: dict[str, set[str]]) -> list[str]:
+    """Options the text never names, and --flags on a `lindreach <command>`
+    line (continuations joined) that the command does not take."""
+    undocumented = sorted(f"{name} {o} is undocumented"
+                          for name, opts in options.items() for o in opts
+                          if not re.search(re.escape(o) + r"(?![\w-])", text))
+    unknown = []
+    for line in re.sub(r"\s*\\\n\s*", " ", text).splitlines():
+        if line.startswith("lindreach "):
+            _, cmd, *words = line.split()
+            unknown += [f"{cmd} {w} is not an option" for w in words
+                        if w.startswith("--") and w not in options.get(cmd, ())]
+    return undocumented + unknown
+
+
+def test_readme_and_parser_name_the_same_options():
+    """Every option of every subcommand appears in README.md, and every
+    --flag on a README command line is an option of that command."""
+    assert _readme_mismatches(README.read_text(), _command_options()) == []
+
+
+def test_readme_mismatches_are_reported():
+    text = "Use `--seed`.\n\nlindreach porcupine --K K.json \\\n    --max-depth 4\n"
+    options = {"porcupine": {"--K", "--seed", "--epsilon"}}
+    assert _readme_mismatches(text, options) == [
+        "porcupine --epsilon is undocumented",
+        "porcupine --max-depth is not an option"]
 
 
 @pytest.mark.parametrize("was_enabled", [True, False])
@@ -838,6 +915,21 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
      "resource element dimension mismatch"),
     ("--rho", {"dim": 2, "entries": [[2 ** 64, 0], [0, 0], [0, 0], [0, 0]]},
      "[re, im] number pairs"),
+    ("--lindblad", {"dim": 2, "jumps": [{"a": ser.matrix_to_json(LOWER),
+                                         "rate": -1.0}]}, "jump rate -1.0"),
+    ("--lindblad", {"dim": 2, "hamiltonian": MATRIX_3},
+     "Hamiltonian dimension mismatch"),
+    ("--lindblad", {"dim": 2, "hamiltonian": ser.matrix_to_json(LOWER)},
+     "Hamiltonian must be Hermitian"),
+    ("--K", {"generators": []}, "generators must be nonempty"),
+    ("--K", {"generators": [
+        ser.lindbladian_to_json(Lindbladian(2)),
+        ser.lindbladian_to_json(Lindbladian(3))]},
+     "generators must share a dimension"),
+    ("--path", {"times": [0, 1], "states": [MATRIX_2] * 3},
+     "times and states length mismatch"),
+    ("--path", {"times": [0, 1], "states": [MATRIX_2] * 2},
+     "need at least three samples"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
         "kossakowski-not-hermitian", "kossakowski-wrong-size",
@@ -864,7 +956,10 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "unitary-wrong-dim", "derivs-not-tangent",
         "jump-0-rate-before-jump-1-matrix", "jump-0-matrix-before-jump-1-rate",
         "jump-other-dim", "jumps-all-other-dim", "states-ragged-first",
-        "elements-mixed-dim", "elements-all-other-dim", "entries-int-2**64"])
+        "elements-mixed-dim", "elements-all-other-dim", "entries-int-2**64",
+        "rate-negative", "hamiltonian-wrong-dim", "hamiltonian-not-hermitian",
+        "generators-empty", "generators-mixed-dim", "times-states-mismatch",
+        "path-two-samples"])
 def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     if flag == "plan":
         argv = ["plan", "--k", "1"] + bad
@@ -962,8 +1057,7 @@ def _documents(rng, command):
                 {"--dt": "0.1", "--t-max": "1"})
     if command == "check-hormander":
         return ({"--resources": {"dim": d, "elements": [
-            _matrix(rng, d) for _ in range(rng.integers(1, 4))]}},
-                {"--max-depth": "4"})
+            _matrix(rng, d) for _ in range(rng.integers(1, 4))]}}, {})
     if command == "lift-path":
         A, B = (ser.matrix_from_json(_matrix(rng, d, density=True))
                 for _ in range(2))

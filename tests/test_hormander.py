@@ -8,7 +8,8 @@ from lindreach.hormander import (
     lie_closure,
     orbit_span,
 )
-from lindreach.linalg import dag, hermitize, tensor, vectorize
+from lindreach.linalg import (SPAN_DROP_TOL, dag, extend_basis, hermitize,
+                              tensor, vectorize)
 
 from conftest import random_complex
 
@@ -44,17 +45,6 @@ def test_empty_set_rejected():
 def test_non_finite_element_rejected_by_index(bad):
     with pytest.raises(ValueError, match="resource element 1 has non-finite"):
         ResourceSet(2, [1j * X, np.diag([bad, 0])])
-
-
-@pytest.mark.parametrize("depth", [0, -1, np.nan, np.inf, 2.0, 2.5, True, "3"])
-def test_max_depth_must_be_an_integer_of_at_least_one(depth):
-    with pytest.raises(ValueError, match="max_depth must be an integer >= 1"):
-        lie_closure(ResourceSet(2, [1j * X, 1j * Y]), max_depth=depth)
-
-
-def test_numpy_integer_max_depth_accepted():
-    rep = lie_closure(ResourceSet(2, [1j * X, 1j * Y]), max_depth=np.int64(1))
-    assert rep.depth_used == 1 and rep.dim_found == 2
 
 
 def test_monotone_in_elements():
@@ -126,6 +116,109 @@ def test_depth_used_is_last_round_that_added():
     assert lie_closure(ResourceSet(2, [1j * X, 1j * Y])).depth_used == 2
     rep = lie_closure(ResourceSet(4, [1j * tensor(X, I2), 1j * tensor(Y, I2)]))
     assert (rep.dim_found, rep.depth_used, rep.is_hormander) == (3, 2, False)
+
+
+def _pauli(n, ops):
+    """The n-qubit Pauli string with ops[q] on qubit q, identity elsewhere."""
+    return tensor(*(ops.get(q, I2) for q in range(n)))
+
+
+def _chain(n):
+    return ([1j * _pauli(n, {q: X}) for q in range(n)]
+            + [1j * _pauli(n, {q: Z}) for q in range(n)]
+            + [1j * _pauli(n, {q: Z, q + 1: Z}) for q in range(n - 1)])
+
+
+def _ising(n):
+    return ([1j * _pauli(n, {q: X}) for q in range(n)]
+            + [1j * _pauli(n, {q: Z, q + 1: Z}) for q in range(n - 1)])
+
+
+@pytest.mark.parametrize("n, chain, ising", [
+    (2, (15, 5), (6, 3)), (3, (63, 9), (15, 5)), (4, (255, 13), (28, 7))])
+def test_multi_qubit_closures(n, chain, ising):
+    """At n = 2, 3, 4 the chain {X_q, Z_q, Z_q Z_(q+1)} spans su(2^n) at
+    depth 4n - 3, and the transverse-field Ising set {X_q, Z_q Z_(q+1)}
+    spans so(2n), of dimension n(2n - 1), at depth 2n - 1."""
+    for els, (dim, depth) in ((_chain(n), chain), (_ising(n), ising)):
+        rep = lie_closure(ResourceSet(2 ** n, els))
+        assert (rep.dim_found, rep.depth_used) == (dim, depth)
+        assert rep.is_hormander == (dim == 4 ** n - 1)
+
+
+def test_closure_deeper_than_twenty_rounds():
+    """The 12-level ladder of hoppings i(|k><k+1| + |k+1><k|) and the phase
+    i|0><0| spans su(12) only at depth 22: no round cap cuts it short."""
+    d = 12
+    E = np.eye(d)
+    els = [1j * (np.outer(E[k], E[k + 1]) + np.outer(E[k + 1], E[k]))
+           for k in range(d - 1)] + [1j * np.outer(E[0], E[0])]
+    rep = lie_closure(ResourceSet(d, els))
+    assert (rep.dim_found, rep.depth_used, rep.is_hormander) == (143, 22, True)
+
+
+def _whole_basis_closure(S):
+    """The reference closure: each round brackets the whole basis with the
+    generators, until a round adds nothing or the basis spans su(d). Return
+    (basis, depth_used)."""
+    d = S.dim
+    gens = []
+    for e in S.elements:
+        for g in (1j * hermitize(e), e - hermitize(e)):
+            g = g - np.trace(g) / d * np.eye(d)
+            if np.linalg.norm(g) > SPAN_DROP_TOL:
+                gens.append(g)
+    gens = np.reshape(gens, (-1, d, d))
+    basis = extend_basis(np.zeros((0, d, d), dtype=complex), gens)
+    depth = 1
+    while len(basis) < d * d - 1:
+        brackets = [b @ g - g @ b for b in basis for g in gens]
+        grown = extend_basis(basis, np.reshape(brackets, (-1, d, d)))
+        if len(grown) == len(basis):
+            break
+        basis, depth = grown, depth + 1
+    return basis, depth
+
+
+def _closure_element(kind, rng, d):
+    """One resource element of the given kind, drawn from rng."""
+    if kind == "generic":
+        return random_complex(rng, d)
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(d))
+    if kind == "identity":
+        return complex(*rng.standard_normal(2)) * np.eye(d)
+    M = np.zeros((d, d), dtype=complex)
+    if kind == "block":   # supported on a random subset of the levels
+        idx = rng.choice(d, rng.integers(1, d + 1), replace=False)
+        M[np.ix_(idx, idx)] = random_complex(rng, len(idx))
+        return M
+    i, j = rng.choice(d, 2, replace=False)
+    if kind == "hopping":
+        M[i, j] = M[j, i] = 1j
+    else:                 # one entry |i><j| of a random phase and size
+        M[i, j] = complex(*rng.standard_normal(2))
+    return M
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(["generic", "diagonal", "identity",
+                                       "block", "hopping", "entry"]),
+                      min_size=1, max_size=4))
+def test_closure_matches_whole_basis_reference(d, seed, kinds):
+    """Bracketing only the newest directions finds the whole-basis closure:
+    the same dim_found, depth_used and is_hormander, and the same span."""
+    rng = np.random.default_rng(seed)
+    S = ResourceSet(d, [_closure_element(k, rng, d) for k in kinds])
+    rep = lie_closure(S)
+    ref, depth = _whole_basis_closure(S)
+    assert (rep.dim_found, rep.depth_used, rep.is_hormander) == (
+        len(ref), depth, len(ref) == d * d - 1)
+    # the orthogonal projectors onto the two real spans agree
+    P, Q = (np.asarray(B, dtype=complex).reshape(len(B), d * d).view(float)
+            for B in (rep.basis, ref))
+    assert np.max(np.abs(P.T @ P - Q.T @ Q), initial=0.0) <= 1e-12
 
 
 def test_haar_seeded_reproducible():

@@ -31,6 +31,7 @@ KEPT = {
     "path_sample_to_json": "the CLI tests write path files with it",
     "haar_unitary": "acceptance criterion 11 and the sampled orbit-span "
                     "reference in tests/test_hormander.py",
+    "devectorize": "the reference apply_superop is tested against",
 }
 
 

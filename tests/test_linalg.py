@@ -229,15 +229,26 @@ def test_pnorm_of_a_vector_matches_its_stack_row(rows, p):
 @given(d=st.integers(1, 6), real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_apply_superop_is_the_vectorize_form(d, real, seed):
     """apply_superop(S, M) is devectorize(S @ vectorize(M), d) bit for bit,
-    for a complex or a real M, and has its dtype and shape."""
+    for a complex or a real M, and has its dtype and shape. Stacks of
+    superoperators and of matrices broadcast in the one row product
+    devectorize(vectorize(M) @ S^T, d), bit for bit, and each image is the
+    single one to rounding."""
     rng = np.random.default_rng(seed)
     S = random_complex(rng, d * d)
     M = rng.standard_normal((d, d)) if real else random_complex(rng, d)
-    got = apply_superop(S, M)
-    ref = devectorize(S @ vectorize(M), d)
-    assert got.dtype == ref.dtype and got.shape == ref.shape
-    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
-                          np.ascontiguousarray(ref).view(np.int64))
+    Ms = np.stack([M, 2 * M, random_complex(rng, d)])
+    Ss = np.stack([S, random_complex(rng, d * d)])
+    for S_, M_ in ((S, M), (S, Ms), (Ss, M), (Ss, Ms)):
+        got = apply_superop(S_, M_)
+        ref = (devectorize(S @ vectorize(M), d) if S_.ndim == M_.ndim == 2
+               else devectorize(vectorize(M_) @ S_.swapaxes(-1, -2), d))
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                              np.ascontiguousarray(ref).view(np.int64))
+    images = apply_superop(Ss, Ms)
+    for i, k in np.ndindex(len(Ss), len(Ms)):
+        assert np.allclose(images[i, k], apply_superop(Ss[i], Ms[k]),
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_superop_from_action_identity():
@@ -467,7 +478,8 @@ def test_eigh_check_takes_the_spectrum_test_from_its_eigh(rng):
         assert _check_density_eig(rho)[2] is None
     bad = np.diag([1.0 + 3e-8, -3e-8]).astype(complex)
     # finite and Hermitian, but hermitize overflows the off-diagonal entries,
-    # so the spectrum is NaN, which a test written lmin < -eig_tol passes
+    # so the spectrum is NaN, which a test written lmin < -eig_tol passes;
+    # the error is the only signal, with no overflow warning before it
     nan_spectrum = np.array([[0.5, 1.5e308], [1.5e308, 0.5]])
     for case, message in ((bad, "eigenvalue -3e-08 below"),
                           (bad * 2, "trace 2.0"), (np.ones((2, 3)), "square"),
@@ -476,7 +488,8 @@ def test_eigh_check_takes_the_spectrum_test_from_its_eigh(rng):
                           (nan_spectrum, "spectrum is not finite")):
         for vectors in (False, True):
             with pytest.raises(ValueError, match=message), \
-                    np.errstate(over="ignore", invalid="ignore"):
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
                 _check_density_eig(case, vectors=vectors)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -326,11 +327,17 @@ def test_unital_check_scales_with_generator(d, log_rate, unitary, seed):
     assert not unital_fixed_point_check(Lindbladian(d, H, [JumpTerm(lower, rate)]))
 
 
-@pytest.mark.parametrize("t", [np.nan, -1.0, 1e300])
+@pytest.mark.parametrize("t", [np.nan, -1.0, 1e20, 1e300])
 def test_channel_superop_names_bad_t(t):
-    L = Lindbladian(2, jumps=[JumpTerm(LOWER, 1.0)])
-    with pytest.raises(ValueError, match="^t must"):
-        channel_superop(L, t)
+    """channel_superop and propagate name a bad t, and that error is the
+    only signal: an exp(tL) that overflows warns nothing first."""
+    L = chain_lindbladian([2.0, 1.0])
+    for evolve in (lambda: channel_superop(L, t),
+                   lambda: propagate(L, np.eye(2) / 2, t)):
+        with pytest.raises(ValueError, match="^t must"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolve()
 
 
 def hermitian_basis(d):

@@ -88,6 +88,17 @@ def test_cone_interior_all_traceless(rng):
     assert in_tangent_cone(rho, x)
 
 
+def test_cone_rejects_nonzero_trace(rng):
+    """T+ holds only traceless directions: at a full-rank rho, where the
+    block rule holds for every x, a Hermitian x with tr x = 0.3 is outside;
+    within the trace tolerance it is inside."""
+    rho = random_density(rng, 3)
+    x = random_hermitian(rng, 3)
+    x -= (np.trace(x).real - 0.3) / 3 * np.eye(3)
+    assert not in_tangent_cone(rho, x)
+    assert in_tangent_cone(rho, x, tol=0.5)
+
+
 def test_cone_closed_under_sums(rng):
     rho = random_density(rng, 4, rank=2)
     x1 = random_cone_element(rng, rho, 4)

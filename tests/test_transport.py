@@ -124,11 +124,16 @@ def test_plan_rejects_non_finite_distribution(lam):
 
 
 def test_full_state_transport(rng):
+    """The plan conjugates into rho's eigenbasis, from one eigh of rho, and
+    out to sigma's, and counts tallies both unitaries."""
     for d in (2, 4, 8):
         rho = random_density(rng, d)
         sigma = random_density(rng, d)
         plan = full_state_transport(rho, sigma)
         assert trace_distance(execute_plan(plan, rho), sigma) <= 1e-8
+        _, V = np.linalg.eigh(hermitize(rho))
+        assert np.array_equal(plan.steps[0].U, dag(V[:, ::-1]))
+        assert plan.counts["unitaries"] == 2
 
 
 def test_full_state_transport_to_uniform(rng):
