@@ -53,8 +53,9 @@ def _parse_probvec(flag: str, text: str, normalize: bool) -> np.ndarray:
         raise ValidationError("not_a_distribution", f"{flag} {message}",
                               {"vector": text})
 
+    entries = text.split(",")
     v = []
-    for x in text.split(","):
+    for x in entries:
         try:
             v.append(float(x))
         except ValueError:
@@ -64,9 +65,13 @@ def _parse_probvec(flag: str, text: str, normalize: bool) -> np.ndarray:
     if normalize:
         if not (np.isfinite(total) and total > 0):
             fail(f"entries sum to {total}, not a positive number")
-        return v / total
-    if not abs(total - 1.0) <= 1e-9:
+        v = v / total
+    elif not abs(total - 1.0) <= 1e-9:
         fail(f"entries sum to {total}, not 1")
+    # the tolerance of transport._require_distribution
+    negative = np.flatnonzero(v < -1e-12)
+    if negative.size:
+        fail(f"entry {entries[negative[0]]!r} is negative")
     return v
 
 
@@ -198,9 +203,14 @@ def _cmd_gamma_check(args, out):
            "norm": float(np.linalg.norm(G))}, out)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser by name."""
     p = argparse.ArgumentParser(prog="lindreach",
                                 description="Controllability analysis for "
                                 "Markovian open quantum systems")
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", required=True)
     s.add_argument("--y", required=True)
     s.set_defaults(func=_cmd_gamma_check)
-    return p
+    return p, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -304,10 +314,27 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """build_parser().parse_args(argv). The full parser hands everything
+    after the command name to that command's parser, so that parser is run
+    directly, without the full parser's own pass over every argument. When
+    argv does not start with a command, or the command's parser leaves
+    arguments over, the full parser runs, so that every usage message, error
+    and exit code stays its own."""
+    commands = _parsers()[1]
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def _main(argv: list[str] | None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -44,7 +44,7 @@ def lie_closure(S: ResourceSet) -> LieClosureReport:
     direction. is_hormander iff the closure spans su(d).
     """
     if not S.elements:
-        raise ValueError("resource set is empty")
+        raise ValueError("elements must be nonempty")
     d = S.dim
     E = np.asarray(S.elements)
     gens = np.concatenate([1j * hermitize(E), E - hermitize(E)])

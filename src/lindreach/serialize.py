@@ -197,14 +197,15 @@ def step_to_json(step) -> dict:
 
 
 def step_from_json(obj):
-    kind = _field(obj, "kind", str)
+    kind = _field(obj, "kind", str)     # obj is an object from here on
     if kind == ApplyUnitary.kind:
-        return ApplyUnitary(matrix_from_json(_field(obj, "U", dict)))
+        return ApplyUnitary(matrix_from_json(_value(obj.get("U"), "U", dict)))
     if kind == AmplitudeDamp.kind:
-        return AmplitudeDamp(_field(obj, "register", int),
-                             _field(obj, "retention", float))
+        return AmplitudeDamp(_value(obj.get("register"), "register", int),
+                             _value(obj.get("retention"), "retention", float))
     if kind == Transposition.kind:
-        return Transposition(_field(obj, "i", int), _field(obj, "j", int))
+        return Transposition(_value(obj.get("i"), "i", int),
+                             _value(obj.get("j"), "j", int))
     raise SchemaError(f"unknown plan step kind {kind!r}")
 
 
@@ -216,7 +217,7 @@ def plan_to_json(plan: TransportPlan) -> dict:
 
 def plan_from_json(obj) -> TransportPlan:
     plan = TransportPlan(_positive(obj, "k"))
-    plan.steps.extend(step_from_json(s) for s in _field(obj, "steps", list))
+    plan.steps = [step_from_json(s) for s in _field(obj, "steps", list)]
     return plan
 
 

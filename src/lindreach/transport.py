@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -106,16 +107,27 @@ def _register_view(x: np.ndarray, register: int, k: int) -> np.ndarray:
     return x.reshape((2 ** register, 2, 2 ** (k - 1 - register)) * x.ndim)
 
 
+@functools.cache
+def _register_pairs(register: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis indices whose register bit is 0 and 1, in matching order:
+    the two halves of _register_view's register axis, as index arrays."""
+    lo, hi = _register_view(np.arange(2 ** k), register, k).transpose(1, 0, 2)
+    lo, hi = lo.ravel(), hi.ravel()
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
 def apply_step_diag(d: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
     """A damp or transposition applied to a diagonal population vector; each
     entry is the one apply_step computes on the diagonal of diag(d)."""
     d = d.copy()
     if isinstance(step, AmplitudeDamp):
-        v = _register_view(d, step.register, k)
-        s = math.sqrt(step.retention)
-        v[:, 0] += (1.0 - step.retention) * v[:, 1]
-        v[:, 1] *= s      # by sqrt(a) twice, in the order of the Kraus rule
-        v[:, 1] *= s
+        lo, hi = _register_pairs(step.register, k)
+        a = step.retention
+        s = math.sqrt(a)
+        h = d[hi]
+        d[lo] += (1.0 - a) * h
+        d[hi] = h * s * s     # by sqrt(a) twice, in the order of the Kraus rule
     elif isinstance(step, Transposition):
         d[step.i], d[step.j] = d[step.j], d[step.i]
     else:
@@ -294,8 +306,8 @@ def apply_step(x: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
         return step.U @ x @ dag(step.U)
     if isinstance(step, Transposition):
         perm = np.arange(len(x))
-        perm[[step.i, step.j]] = step.j, step.i
-        return x[np.ix_(perm, perm)]
+        perm[step.i], perm[step.j] = step.j, step.i
+        return x.take(perm, 0).take(perm, 1)
     if isinstance(step, AmplitudeDamp):
         # Kraus pair K0 = P0 + sqrt(a) P1, K1 = sqrt(1 - a) |0><1| on the
         # register: exp(t D_{|0><1|}) at a = e^{-2t}, its t -> inf limit at a = 0

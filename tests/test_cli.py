@@ -6,6 +6,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import typing
 import warnings
 from pathlib import Path
@@ -590,6 +592,54 @@ def test_parser_built_once_serves_bad_then_good_argv(files, capsys):
                  "--t", "1"]) == 0
 
 
+def _parse_outcome(capsys, parse, argv):
+    """parse(argv)'s namespace, or the code it exits with, and what it
+    printed."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+PLAN_ARGV = ["plan", "--k", "1", "--lambda", "1,0", "--mu", "0,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    PLAN_ARGV,
+    ["run-plan", "--help"],
+    ["run-plan", "--plan", "plan.json"],
+    ["simulate", "--lindblad", "L.json", "--rho", "rho.json", "--t", "abc"],
+    PLAN_ARGV + ["--bogus"],
+    ["plan", "--k", "1", "--lam", "1,0", "--mu", "0,1", "--norm"],
+    ["frobnicate"],
+    [],
+    ["--out", "out.json"] + PLAN_ARGV,
+], ids=["valid", "help", "missing-required", "float-not-a-number",
+        "unknown-flag", "abbreviated", "unknown-command", "empty",
+        "out-before-command"])
+def test_command_parser_matches_full_parser(capsys, argv):
+    """A command's own parser reads argv as the full parser does, and main
+    exits and prints as the full parser does when parsing stops it."""
+    full = _parse_outcome(capsys, build_parser().parse_args, argv)
+    assert _parse_outcome(capsys, cli._parse, argv) == full
+    result, out, err = full
+    if isinstance(result, dict):
+        assert result["func"] is cli._cmd_plan
+    else:
+        assert run(capsys, argv) == (0 if result in (0, None) else 2, out, err)
+
+
+def test_python_m_lindreach_help():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "lindreach", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: lindreach")
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -823,6 +873,10 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
      "--lambda entry 'abc' is not a number"),
     ("plan", ["--lambda", "0.5,0.5", "--mu", ""], "--mu entry '' is not"),
     ("plan", ["--lambda", "0.5,0.5", "--mu", "1,,0"], "--mu entry '' is not"),
+    ("plan", ["--lambda", "2,-1", "--mu", "1,1", "--normalize"],
+     "--lambda entry '-1' is negative"),
+    ("plan", ["--lambda", "0.5,0.5", "--mu", "1.5,-0.5"],
+     "--mu entry '-0.5' is negative"),
     ("--rho", '{"dim": 1e400, "entries": []}', "'dim'"),
     ("--rho", {**MATRIX_2, "dim": 2.5}, "'dim'"),
     ("--rho", {**MATRIX_2, "dim": True}, "'dim'"),
@@ -930,6 +984,7 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
      "times and states length mismatch"),
     ("--path", {"times": [0, 1], "states": [MATRIX_2] * 2},
      "need at least three samples"),
+    ("--resources", {"dim": 2, "elements": []}, "elements must be nonempty"),
 ], ids=["entries-null", "entries-not-list", "entries-strings",
         "entries-null-pair", "entries-ragged", "rate-nan", "rate-inf",
         "kossakowski-not-hermitian", "kossakowski-wrong-size",
@@ -937,7 +992,8 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "step-dephase", "register-out-of-range", "index-out-of-range",
         "index-negative", "mu-nan", "lambda-nan", "normalize-zero-sum",
         "normalize-cancelling-sum", "normalize-nan", "lambda-not-a-number",
-        "mu-empty", "mu-empty-entry", "dim-1e400", "dim-float",
+        "mu-empty", "mu-empty-entry", "lambda-negative-normalized",
+        "mu-negative", "dim-1e400", "dim-float",
         "dim-bool", "k-1e400", "k-float", "step-not-object", "i-float",
         "j-bool", "register-float", "retention-string", "rate-string",
         "jump-not-object", "cone-combinations-string", "max-rate-string",
@@ -959,7 +1015,7 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "elements-mixed-dim", "elements-all-other-dim", "entries-int-2**64",
         "rate-negative", "hamiltonian-wrong-dim", "hamiltonian-not-hermitian",
         "generators-empty", "generators-mixed-dim", "times-states-mismatch",
-        "path-two-samples"])
+        "path-two-samples", "elements-empty"])
 def test_malformed_input_exit_2(files, capsys, tmp_path, flag, bad, reason):
     if flag == "plan":
         argv = ["plan", "--k", "1"] + bad

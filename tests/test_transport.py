@@ -224,15 +224,47 @@ def test_transposition_matches_permutation_unitary(rng, k):
             assert np.array_equal(out, U @ rho @ dag(U))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_step_diagonal_matches_full_step(rng, k):
+    """The population rule gives the diagonal of the matrix rule bit for
+    bit: along a plan, and for a damp on every register at a = 0, a random
+    a and a = 1, each on 50 random population vectors."""
     lam = rng.dirichlet(np.ones(2 ** k))
     plan = plan_diagonal_transport(lam, rng.dirichlet(np.ones(2 ** k)), k)
     p = lam
     for step in plan.steps:
         full = np.diag(apply_step(diag_density(p), step, k)).real
         p = apply_step_diag(p, step, k)
-        assert np.max(np.abs(full - p)) <= 1e-15
+        assert np.array_equal(full, p)
+    for register in range(k):
+        for a in (0.0, rng.uniform(), 1.0):
+            step = AmplitudeDamp(register, a)
+            for p in rng.dirichlet(np.ones(2 ** k), size=50):
+                full = np.diag(apply_step(diag_density(p), step, k)).real
+                assert np.array_equal(full, apply_step_diag(p, step, k))
+
+
+def _strided_damp(p, register, a, k):
+    """The damp on a population vector through a strided view of its
+    register axis, which the index-pair rule replaced; kept as its
+    reference."""
+    p = p.copy()
+    v = p.reshape(2 ** register, 2, 2 ** (k - 1 - register))
+    s = math.sqrt(a)
+    v[:, 0] += (1.0 - a) * v[:, 1]
+    v[:, 1] *= s
+    v[:, 1] *= s
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), k=st.integers(1, 6), a=st.floats(0.0, 1.0))
+def test_index_pair_damp_matches_strided_view(data, k, a):
+    register = data.draw(st.integers(0, k - 1))
+    p = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 ** k,
+                                    max_size=2 ** k)))
+    assert np.array_equal(apply_step_diag(p, AmplitudeDamp(register, a), k),
+                          _strided_damp(p, register, a, k))
 
 
 def test_random_plan_k5_reaches_target(rng):
