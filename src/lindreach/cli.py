@@ -17,7 +17,8 @@ from .linalg import trace_distance
 from .lindblad import gamma_form, propagate
 from .reach import porcupine_check, reach_drive
 from .tangent import in_tangent_cone, lift, lift_path
-from .transport import execute_plan, plan_diagonal_transport, plan_states
+from .transport import (_require_k, execute_plan, plan_diagonal_transport,
+                        plan_states)
 from .dilation import dilation_error_vs_exact
 from .serialize import SchemaError
 
@@ -48,7 +49,7 @@ def _load_matrix(path: str) -> np.ndarray:
     return ser.matrix_from_json(ser.load_json(path))
 
 
-def _parse_probvec(flag: str, text: str, normalize: bool) -> np.ndarray:
+def _parse_probvec(flag: str, text: str, normalize: bool, n: int) -> np.ndarray:
     def fail(message):
         raise ValidationError("not_a_distribution", f"{flag} {message}",
                               {"vector": text})
@@ -60,6 +61,8 @@ def _parse_probvec(flag: str, text: str, normalize: bool) -> np.ndarray:
             v.append(float(x))
         except ValueError:
             fail(f"entry {x!r} is not a number")
+    if len(v) != n:
+        fail(f"has {len(v)} entries, not 2^k = {n}")
     v = np.array(v)
     total = v.sum()
     if normalize:
@@ -155,8 +158,11 @@ def _cmd_porcupine(args, out):
 
 
 def _cmd_plan(args, out):
-    lam = _parse_probvec("--lambda", args.lam, args.normalize)
-    mu = _parse_probvec("--mu", args.mu, args.normalize)
+    # k first, so that a bad k is named before a length that follows from it
+    _require_k(args.k)
+    n = 2 ** args.k
+    lam = _parse_probvec("--lambda", args.lam, args.normalize, n)
+    mu = _parse_probvec("--mu", args.mu, args.normalize, n)
     plan = plan_diagonal_transport(lam, mu, args.k)
     _emit(ser.plan_to_json(plan), out)
 

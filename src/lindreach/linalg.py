@@ -113,6 +113,20 @@ def _check_density_eig(rho: np.ndarray, eig_tol: float = EIG_TOL,
     return rho, w, V
 
 
+def _check_state(rho, name: str, d: int | None = None, vectors: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The one check of a caller-supplied state: require_dim when the
+    operation fixes d, then _check_density_eig's tests, whose errors are
+    prefixed with "name: ", so every error names the state. Return
+    _check_density_eig's (rho, w, V)."""
+    if d is not None:
+        require_dim(d, **{name: rho})
+    try:
+        return _check_density_eig(rho, vectors=vectors)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _check_built_density(H: np.ndarray, eig_tol: float) -> np.ndarray:
     """check_density for a complex square H that a step built exactly
     Hermitian (by hermitize or lindblad._herm_matrix), with entries below

@@ -14,9 +14,8 @@ from .linalg import (
     EIG_TOL,
     SPAN_TOL,
     _check_built_density,
-    _check_density_eig,
+    _check_state,
     apply_superop,
-    check_density,
     choi,
     dag,
     extend_basis,
@@ -235,9 +234,7 @@ def _evolve(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
 
 def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
     """exp(t L) applied to rho, revalidated as a density matrix."""
-    rho = check_density(rho)
-    require_dim(L.dim, rho=rho)
-    return _propagate_checked(L, rho, t)
+    return _propagate_checked(L, _check_state(rho, "rho", L.dim)[0], t)
 
 
 def _propagate_checked(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
@@ -273,7 +270,7 @@ def replacer_lindbladian(sigma: np.ndarray) -> Lindbladian:
     Kraus operators of R_sigma are sqrt(l_i) |v_i><j|; with the factor-2
     dissipator each enters at rate 1/2.
     """
-    sigma, w, V = _check_density_eig(sigma, vectors=True)
+    sigma, w, V = _check_state(sigma, "sigma", vectors=True)
     d = sigma.shape[0]
     keep = w > 1e-15
     # K[i, j] = sqrt(l_i) |v_i><j|, i-major over the kept eigenvalues

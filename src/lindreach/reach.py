@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EIG_TOL, _check_density_eig, _pnorm, apply_superop,
-                     check_density, dag, hermitize, is_diagonal, require_dim,
-                     require_nonnegative, require_positive, schatten_norm)
-from .lindblad import JumpTerm, Lindbladian, _lower, _propagate_checked, apply
+from .linalg import (EIG_TOL, _check_state, _pnorm, apply_superop, dag,
+                     hermitize, is_diagonal, require_nonnegative,
+                     require_positive, schatten_norm)
+from .lindblad import (JumpTerm, Lindbladian, _lower, _propagate_checked, apply,
+                       build)
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
@@ -26,7 +27,6 @@ MAX_STEPS = 10 ** 6
 @dataclass
 class ResourceSetK:
     generators: list[Lindbladian]
-    cone_combinations: bool = False
     max_total_rate: float = 1.0
 
     def __post_init__(self):
@@ -138,21 +138,15 @@ def _descends(value: float, dist: float, p: float) -> bool:
     return value / scale < -STALL_TOL
 
 
-def _check_state(K: ResourceSetK, name: str, rho: np.ndarray) -> np.ndarray:
-    rho = check_density(rho)
-    require_dim(K.dim, **{name: rho})
-    return rho
-
-
 def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
                 p: float = 2.0, dt: float = 0.01, t_max: float = 50.0,
                 target_tol: float = 1e-4) -> ReachReport:
     """Greedy closed-loop steering of rho0 toward sigma.
 
     Step i runs the generator of least alignment at the current state over
-    [i dt, (i+1) dt], at rate max_total_rate with cone_combinations and 1
-    otherwise (alignment is linear in L, so the best point of the rate
-    simplex is a vertex), and is recorded as (t0, t1, index, rate).
+    [i dt, (i+1) dt], at rate max_total_rate (alignment is linear in L, so
+    the best point of the rate simplex is a vertex), and is recorded as
+    (t0, t1, index, rate).
     Terminates on target_tol proximity in the Schatten p-norm, on stall (no
     strictly descending choice) or at the first i with i dt >= t_max, so
     after at most MAX_STEPS steps: MAX_STEPS dt < t_max raises.
@@ -162,9 +156,9 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         raise ValueError(f"t_max / dt must be at most MAX_STEPS = {MAX_STEPS}: "
                          f"dt = {dt}, t_max = {t_max}")
     _check_p(p)
-    eta = _check_state(K, "rho0", rho0)
-    sigma = _check_state(K, "sigma", sigma)
-    rate = K.max_total_rate if K.cone_combinations else 1.0
+    eta = _check_state(rho0, "rho0", K.dim)[0]
+    sigma = _check_state(sigma, "sigma", K.dim)[0]
+    rate = K.max_total_rate
     states = [eta]
     schedule: list[tuple[float, float, int, float]] = []
     stall = None
@@ -320,22 +314,18 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     require_positive(epsilon=epsilon)
     require_nonnegative(seed=seed)
     _check_p(p)
-    sigma, w, _ = _check_density_eig(sigma)
-    require_dim(K.dim, sigma=sigma)
+    sigma, w, _ = _check_state(sigma, "sigma", K.dim)
     rng = np.random.default_rng(seed)
     samples, W, drawn = _sphere_samples(sigma, epsilon, p, n_samples, rng,
                                         diagonal_slice, float(w.min()))
-    counts = (f"{len(samples)} of {drawn} draws kept, "
-              f"{max(n_samples // 10, 1)} needed")
-    if not len(samples):
-        raise ValueError("ball lies outside the state space and the sphere "
-                         f"does not intersect it: {counts}")
     # around a sigma with lambda_min > epsilon every draw is a state, since
     # ||X||_inf <= ||X||_p: only a boundary sigma can keep too few
-    if len(samples) < n_samples // 10:
-        raise ValueError(f"too few sphere points intersect the state space: {counts}")
+    need = max(n_samples // 10, 1)
+    if len(samples) < need:
+        raise ValueError("too few sphere points intersect the state space: "
+                         f"{len(samples)} of {drawn} draws kept, {need} needed")
     # L(eta) for every (generator, sample) pair in one stacked product
-    Leta = apply_superop(np.stack([L.superop for L in K.generators]), samples)
+    Leta = apply_superop(np.stack([build(L) for L in K.generators]), samples)
     delta = _checked_delta(samples, sigma)
     if W is None:
         W, _ = _weight(delta, p)
@@ -348,8 +338,8 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
 def replacer_overshoot(rho: np.ndarray, sigma: np.ndarray, eps: float) -> dict:
     """Replacer trajectory with overshoot target sigma_tilde = sigma +
     eps (sigma - rho); hits sigma exactly at s = ln(1 + 1/eps)."""
-    rho = check_density(rho)
-    sigma = check_density(sigma)
+    rho = _check_state(rho, "rho")[0]
+    sigma = _check_state(sigma, "sigma", len(rho))[0]
     require_positive(eps=eps)
     sigma_t = sigma + eps * (sigma - rho)
     if np.linalg.eigvalsh(hermitize(sigma_t)).min() < -1e-12:
@@ -367,8 +357,8 @@ def tan_schedule(rho: np.ndarray, sigma: np.ndarray, n_steps: int) -> dict:
     on [0, pi/2]; the endpoint is sigma and generator norms vanish there."""
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
-    rho = check_density(rho)
-    sigma = check_density(sigma)
+    rho = _check_state(rho, "rho")[0]
+    sigma = _check_state(sigma, "sigma", len(rho))[0]
     ts = np.linspace(0.0, math.pi / 2, n_steps)
     # every time but the last, which linspace puts exactly at pi/2: there
     # the state is sigma and the generator norm 0

@@ -82,14 +82,13 @@ def matrices_from_json(objs: list) -> list[np.ndarray]:
 
 def _stack(objs: list) -> np.ndarray | None:
     """objs as an (n, d, d) complex stack, or None when the list is empty or
-    any object breaks a rule of _matrix_from_json or has another dim. The
-    rules are checked over the whole list in a few passes at C speed: each
-    object is a dict with one int dim d and a list of d*d entries, each
-    entry a list of two ints or floats (not bools), all finite. A list
-    holding ints is taken only when every number is below 2**53 in size,
-    where float(x) is exact, so the values are those numpy reads. The pairs
-    are combined as re + 1j*im, as _matrix_from_json does, so signed zeros
-    come out alike."""
+    any object breaks a rule of _matrix_from_json, has another dim or holds
+    a number that is not a JSON float (what matrix_to_json writes; a list
+    with an int takes the per-matrix route). The rules are checked over the
+    whole list in a few passes at C speed: each object is a dict with one
+    int dim d and a list of d*d entries, each entry a list of two finite
+    floats. The pairs are combined as re + 1j*im, as _matrix_from_json
+    does, so signed zeros come out alike."""
     if not objs or set(map(type, objs)) != {dict}:
         return None
     dims = [obj.get("dim") for obj in objs]
@@ -104,16 +103,10 @@ def _stack(objs: list) -> np.ndarray | None:
     if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
         return None
     flat = list(itertools.chain.from_iterable(pairs))
-    kinds = set(map(type, flat))
-    if not kinds <= {int, float}:
+    if set(map(type, flat)) != {float}:
         return None
-    try:
-        values = np.fromiter(flat, float, len(flat))
-    except OverflowError:           # an int beyond the float range
-        return None
+    values = np.fromiter(flat, float, len(flat))
     if not np.isfinite(values).all():
-        return None
-    if int in kinds and not np.abs(values).max() < 2.0 ** 53:
         return None
     values = values.reshape(len(objs), d, d, 2)
     return values[..., 0] + 1j * values[..., 1]
@@ -181,7 +174,6 @@ def resource_set_k_from_json(obj) -> ResourceSetK:
     return ResourceSetK(
         generators=[lindbladian_from_json(L)
                     for L in _field(obj, "generators", list)],
-        cone_combinations=_field(obj, "cone_combinations", bool, False),
         max_total_rate=_field(obj, "max_total_rate", float, 1.0))
 
 

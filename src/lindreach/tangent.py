@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    _check_density_eig,
+    _check_state,
     dag,
     hermitize,
     is_hermitian,
@@ -70,7 +70,7 @@ class PathSample:
 def support_projection(rho: np.ndarray, tol: float = SUPPORT_TOL) -> SupportDecomposition:
     """Validate rho and eigendecompose it once; the support is the span of
     the eigenvectors whose eigenvalue exceeds tol."""
-    _, w, V = _check_density_eig(rho, vectors=True)
+    _, w, V = _check_state(rho, "rho", vectors=True)
     p, V = w[::-1], V[:, ::-1]
     return SupportDecomposition(basis=V, rank=int(np.sum(p > tol)), p=p)
 

@@ -12,9 +12,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import (_check_built_density, _check_density_eig, check_density,
-                     check_populations, dag, hermitize, is_diagonal,
-                     require_dim)
+from .linalg import (_check_built_density, _check_state, check_populations,
+                     dag, hermitize, is_diagonal, require_dim)
 
 PLAN_TOL = 1e-8
 RATIO_TOL = 1e-14
@@ -276,9 +275,9 @@ def plan_diagonal_transport(lam: np.ndarray, mu: np.ndarray,
 def full_state_transport(rho: np.ndarray, sigma: np.ndarray) -> TransportPlan:
     """Diagonalize rho, transport spectra, then rotate onto sigma's
     eigenbasis; the two conjugations are explicit unitary steps."""
-    _, wr, Vr = _check_density_eig(rho, vectors=True)
-    _, ws, Vs = _check_density_eig(sigma, vectors=True)
+    _, wr, Vr = _check_state(rho, "rho", vectors=True)
     d = len(wr)
+    _, ws, Vs = _check_state(sigma, "sigma", d, vectors=True)
     k = int(round(math.log2(d)))
     if 2 ** k != d:
         raise ValueError("dimension must be a power of 2")
@@ -330,8 +329,7 @@ def _checked_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray
     permutes entries that were already checked, and a diagonal state is
     checked on its populations, which are its spectrum.
     """
-    require_dim(plan.dim, rho=rho)
-    rho = check_density(rho)
+    rho = _check_state(rho, "rho", plan.dim)[0]
     yield rho
     # the input is the only state that may be inexactly Hermitian, and a
     # transposition is not followed by hermitize

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import gc
 import io
@@ -224,7 +225,8 @@ def _matrix_by_numpy(obj):
 
 _tiny = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310])
 # floats alone (what matrix_to_json writes), ints and floats below 2**53 in
-# size, and ints up to 2**62 among floats of any size
+# size, and ints up to 2**62 among floats of any size; a list with an int
+# takes the per-matrix route
 _entry_mixes = [
     _finite | _tiny | st.sampled_from([1e308, -1e308]),
     st.integers(-3, 3) | st.integers(-2 ** 53 + 1, 2 ** 53 - 1)
@@ -238,8 +240,8 @@ _entry_mixes = [
 def test_matrices_from_json_matches_numpy_bit_for_bit(data, entries, d, n):
     """Finite lists of 0, 1 and many matrices decode to the bits, signed
     zeros included, that numpy's nested-list route gives each matrix. A
-    nonempty list is read as one stack when its numbers are all floats, or
-    all below 2**53 in size."""
+    nonempty list is read as one stack exactly when its numbers are all
+    floats."""
     pair = st.lists(entries, min_size=2, max_size=2)
     objs = [{"dim": d, "entries": data.draw(
         st.lists(pair, min_size=d * d, max_size=d * d))} for _ in range(n)]
@@ -251,9 +253,9 @@ def test_matrices_from_json_matches_numpy_bit_for_bit(data, entries, d, n):
         assert g.dtype == w.dtype and g.shape == w.shape == (d, d)
         assert g.view(float).tobytes() == w.view(float).tobytes()
     scalars = [x for obj in objs for p in obj["entries"] for x in p]
-    if n and (all(type(x) is float for x in scalars)
-              or all(abs(x) < 2 ** 53 for x in scalars)):
-        assert ser._stack(objs) is not None
+    if n:
+        floats = all(type(x) is float for x in scalars)
+        assert (ser._stack(objs) is not None) == floats
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -398,8 +400,8 @@ def test_porcupine_reproducible(files, capsys):
 ], ids=["simulate-rho", "porcupine-sigma"])
 def test_nan_spectrum_exits_2(files, capsys, tmp_path, argv):
     """A finite Hermitian state whose hermitize overflows has a NaN
-    spectrum: exit 2 with one JSON error line that says so, and no
-    warning."""
+    spectrum: exit 2 with one JSON error line that says so and names the
+    state, and no warning."""
     bad = write(tmp_path, "bad.json",
                 ser.matrix_to_json(np.array([[0.5, 1.5e308], [1.5e308, 0.5]])))
     with warnings.catch_warnings():
@@ -408,20 +410,42 @@ def test_nan_spectrum_exits_2(files, capsys, tmp_path, argv):
                                       for a in argv])
     assert code == 2 and out == "" and err.count("\n") == 1
     msg = json.loads(err)
+    name = argv[argv.index("bad") - 1].lstrip("-")
     assert msg == {"code": "validation_error", "context": {},
-                   "message": "density matrix spectrum is not finite"}
+                   "message": f"{name}: density matrix spectrum is not finite"}
 
 
-@pytest.mark.parametrize("d, eps, kept, message", [
-    (2, 5.0, 0, "ball lies outside the state space and the sphere does not "
-                "intersect it"),
-    (3, 1.0, 7, "too few sphere points intersect the state space"),
-], ids=["outside", "too-few"])
-def test_porcupine_sphere_errors_give_the_counts(capsys, tmp_path, d, eps, kept,
-                                                 message):
-    """A sphere around |0><0| that the state space barely meets exits 2 with
-    the samples kept, the draws taken (the cap, 50 n) and the n // 10
-    needed."""
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--lindblad", "L", "--rho", "bad", "--t", "1"], "rho"),
+    (["reach", "--K", "K", "--rho", "bad", "--sigma", "sigma"], "rho0"),
+    (["reach", "--K", "K", "--rho", "rho", "--sigma", "bad"], "sigma"),
+    (["porcupine", "--K", "K", "--sigma", "bad", "--epsilon", "0.05"], "sigma"),
+    (["certify-tangent", "--rho", "bad", "--x", "x"], "rho"),
+    (["lift", "--rho", "bad", "--x", "x"], "rho"),
+    (["run-plan", "--plan", "plan", "--rho", "bad"], "rho"),
+], ids=["simulate-rho", "reach-rho", "reach-sigma", "porcupine-sigma",
+        "certify-tangent-rho", "lift-rho", "run-plan-rho"])
+def test_non_density_state_is_named(files, capsys, tmp_path, argv, name):
+    """A state flag given a matrix of the right dimension that is not a
+    density matrix (unit trace, an eigenvalue of -0.2) exits 2, and the
+    message names the state argument."""
+    files = {**files, "bad": write(tmp_path, "bad.json",
+                                   ser.matrix_to_json(np.diag([1.2, -0.2]))),
+             "plan": write(tmp_path, "plan.json", {"k": 1, "steps": []})}
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["code"] == "validation_error"
+    assert msg["message"] == (f"{name}: density matrix has eigenvalue -0.2 "
+                              "below -1e-10")
+
+
+@pytest.mark.parametrize("d, eps, kept", [(2, 5.0, 0), (3, 1.0, 7)],
+                         ids=["outside", "too-few"])
+def test_porcupine_sphere_errors_give_the_counts(capsys, tmp_path, d, eps, kept):
+    """A sphere around |0><0| that the state space misses or barely meets
+    exits 2 with the samples kept, the draws taken (the cap, 50 n) and the
+    n // 10 needed."""
     L = Lindbladian(d, jumps=[JumpTerm(np.eye(d, k=1), 1.0)])
     K = write(tmp_path, "K.json", {"generators": [ser.lindbladian_to_json(L)]})
     sigma = write(tmp_path, "sigma.json", ser.matrix_to_json(np.diag(np.eye(d)[0])))
@@ -431,7 +455,8 @@ def test_porcupine_sphere_errors_give_the_counts(capsys, tmp_path, d, eps, kept,
     assert code == 2 and out == ""
     msg = json.loads(err)
     assert msg["code"] == "validation_error"
-    assert msg["message"] == f"{message}: {kept} of 5000 draws kept, 10 needed"
+    assert msg["message"] == ("too few sphere points intersect the state "
+                              f"space: {kept} of 5000 draws kept, 10 needed")
 
 
 def test_plan_roundtrip(files, capsys, tmp_path):
@@ -680,6 +705,55 @@ def test_readme_mismatches_are_reported():
         "porcupine --max-depth is not an option"]
 
 
+def _serialize_fields(source: str) -> set[str]:
+    """The JSON field names a serialize source reads or writes: the name
+    argument of _field, _value and _positive, the string key of a .get
+    call, a subscript or an `in` test, and the string keys of a dict
+    literal."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        keys = []
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("_field", "_value", "_positive"):
+                keys = node.args[1:2]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "get":
+                keys = node.args[:1]
+        elif isinstance(node, ast.Subscript):
+            keys = [node.slice]
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
+            keys = [node.left]
+        elif isinstance(node, ast.Dict):
+            keys = node.keys
+        names |= {k.value for k in keys
+                  if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+    return names
+
+
+def _readme_fields(text: str) -> set[str]:
+    """The JSON keys ("name": ...) of README's File formats section."""
+    section = text.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r'"(\w+)":', section))
+
+
+def test_readme_file_formats_name_the_fields_serialize_reads():
+    """The keys README's File formats section shows are the JSON field
+    names serialize reads or writes, no more and no fewer: a field the
+    decoder stops reading must leave the README, and one it starts reading
+    must enter it. (counts is the one field that is written and not read.)"""
+    fields = _serialize_fields(Path(ser.__file__).read_text())
+    assert {"dim", "entries", "max_total_rate", "counts"} <= fields
+    assert _readme_fields(README.read_text()) == fields
+
+
+def test_serialize_field_extraction():
+    source = ('_field(o, "a", int)\n_positive(o, "b")\no.get("c")\n'
+              'o["d"]\n"e" in o\n{"f": 1, g: 2}\nh(o, "i")\no.get(name)\n')
+    assert _serialize_fields(source) == {"a", "b", "c", "d", "e", "f"}
+    assert _readme_fields('"x": 1\n## File formats\n{"y": [1], "z":\n2}\n'
+                          '"w" alone\n## Testing\n"v": 3\n') == {"y", "z"}
+
+
 @pytest.mark.parametrize("was_enabled", [True, False])
 @pytest.mark.parametrize("case, expected", [
     ("valid", 0), ("schema-error", 2), ("command-raises", 1), ("help", 0),
@@ -877,6 +951,8 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
      "--lambda entry '-1' is negative"),
     ("plan", ["--lambda", "0.5,0.5", "--mu", "1.5,-0.5"],
      "--mu entry '-0.5' is negative"),
+    ("plan", ["--lambda", "0.25,0.25,0.25,0.25", "--mu", "0.5,0.5"],
+     "--lambda has 4 entries, not 2^k = 2"),
     ("--rho", '{"dim": 1e400, "entries": []}', "'dim'"),
     ("--rho", {**MATRIX_2, "dim": 2.5}, "'dim'"),
     ("--rho", {**MATRIX_2, "dim": True}, "'dim'"),
@@ -890,7 +966,6 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
     ("--lindblad", {"dim": 2, "jumps": [{"a": ser.matrix_to_json(LOWER),
                                          "rate": "0.5"}]}, "'rate'"),
     ("--lindblad", {"dim": 2, "jumps": [3]}, "JSON object"),
-    ("--K", resource_set(cone_combinations="false"), "'cone_combinations'"),
     ("--K", resource_set(max_total_rate="1"), "'max_total_rate'"),
     ("--K", resource_set(max_total_rate=float("nan")), "'max_total_rate'"),
     ("--K", {"generators": [3]}, "JSON object"),
@@ -993,10 +1068,10 @@ DAMP = {"kind": "amplitude_damp", "register": 0, "retention": 0.5}
         "index-negative", "mu-nan", "lambda-nan", "normalize-zero-sum",
         "normalize-cancelling-sum", "normalize-nan", "lambda-not-a-number",
         "mu-empty", "mu-empty-entry", "lambda-negative-normalized",
-        "mu-negative", "dim-1e400", "dim-float",
+        "mu-negative", "lambda-wrong-length", "dim-1e400", "dim-float",
         "dim-bool", "k-1e400", "k-float", "step-not-object", "i-float",
         "j-bool", "register-float", "retention-string", "rate-string",
-        "jump-not-object", "cone-combinations-string", "max-rate-string",
+        "jump-not-object", "max-rate-string",
         "max-rate-nan", "generator-not-object", "matrix-nan",
         "matrix-infinity", "matrix-1e400", "entries-bool-with-int",
         "entries-bool-with-float", "entries-all-bool", "times-not-numbers",
@@ -1100,14 +1175,13 @@ def _documents(rng, command):
         return ({"--lindblad": _lindbladian(rng, d), "--x": _matrix(rng, d),
                  "--y": _matrix(rng, d)}, {})
     if command == "porcupine":
-        K = {"generators": [_lindbladian(rng, d)],
-             "cone_combinations": bool(rng.integers(2)), "max_total_rate": 1.0}
+        K = {"generators": [_lindbladian(rng, d)], "max_total_rate": 1.0}
         return ({"--K": K, "--sigma": _matrix(rng, d, density=True)},
                 {"--epsilon": "0.05", "--n-samples": "20"})
     if command == "reach":
         K = {"generators": [_lindbladian(rng, d)
                             for _ in range(rng.integers(1, 3))],
-             "cone_combinations": bool(rng.integers(2)), "max_total_rate": 1.0}
+             "max_total_rate": 1.0}
         return ({"--K": K, "--rho": _matrix(rng, d, density=True),
                  "--sigma": _matrix(rng, d, density=True)},
                 {"--dt": "0.1", "--t-max": "1"})

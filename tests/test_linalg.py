@@ -9,6 +9,7 @@ from lindreach.linalg import (
     EIG_TOL,
     _check_built_density,
     _check_density_eig,
+    _check_state,
     _pnorm,
     apply_superop,
     check_density,
@@ -24,6 +25,7 @@ from lindreach.linalg import (
     kron_superop,
     mat_exp,
     partial_trace,
+    require_dim,
     schatten_norm,
     span_residual,
     superop_from_action,
@@ -492,6 +494,31 @@ def test_eigh_check_takes_the_spectrum_test_from_its_eigh(rng):
                 warnings.simplefilter("error")
                 _check_density_eig(case, vectors=vectors)
 
+
+def _message(f, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        f(*args, **kwargs)
+    return str(info.value)
+
+
+def test_state_check_names_the_state(rng):
+    """_check_state returns what _check_density_eig returns, raises its
+    errors with the state's name before them, and tests the dimension it is
+    given first."""
+    rho = random_density(rng, 3)
+    for vectors in (False, True):
+        got = _check_state(rho, "rho", 3, vectors=vectors)
+        ref = _check_density_eig(rho, vectors=vectors)
+        for g, r in zip(got, ref):
+            assert g is r is None or np.array_equal(g, r)
+    bad = np.diag([1.0 + 3e-8, -3e-8]).astype(complex)
+    for case in (bad, bad * 2, np.ones((2, 3)), np.diag([np.nan, 1.0]),
+                 np.array([[0.5, 1.0], [0.0, 0.5]])):
+        for vectors in (False, True):
+            assert _message(_check_state, case, "sigma", vectors=vectors) == (
+                "sigma: " + _message(check_density, case))
+    assert _message(_check_state, bad * 2, "rho0", 3) == _message(
+        require_dim, 3, rho0=bad)
 
 
 def test_is_diagonal(rng):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lindreach.linalg import (EIG_TOL, apply_superop, check_density, hermitize,
-                              mat_exp, require_positive, schatten_norm,
-                              trace_distance)
+from lindreach.linalg import (EIG_TOL, _check_state, apply_superop,
+                              check_density, hermitize, mat_exp,
+                              require_positive, schatten_norm, trace_distance)
 from lindreach.hormander import haar_unitary
 from lindreach.tangent import PathSample
 from lindreach.lindblad import (
@@ -24,13 +24,13 @@ from lindreach.lindblad import (
     propagate,
     replacer_lindbladian,
 )
-from lindreach import reach
+from lindreach import reach, serialize as ser
+from lindreach.transport import full_state_transport
 from lindreach.reach import (
     STALL_TOL,
     ReachReport,
     ResourceSetK,
     _check_p,
-    _check_state,
     _descends,
     _rate,
     _spectral_weight,
@@ -120,14 +120,14 @@ def test_reach_without_steps_reports_one_sample():
         assert np.array_equal(rep.trajectory.states, eta[None])
 
 
-@pytest.mark.parametrize("cone", [False, True])
-def test_reach_bilinear_generator_matches_jump(cone):
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+def test_reach_bilinear_generator_matches_jump(rate):
     a = np.array([[0, 1], [0, 0]], dtype=complex)
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     sigma = np.diag([1.0, 0.0]).astype(complex)
 
     def run(L):
-        K = ResourceSetK([L], cone_combinations=cone, max_total_rate=2.0)
+        K = ResourceSetK([L], max_total_rate=rate)
         return reach_drive(K, rho0, sigma, dt=0.05, t_max=1.0)
 
     jump = run(Lindbladian(2, jumps=[JumpTerm(a, 1.0)]))
@@ -136,10 +136,9 @@ def test_reach_bilinear_generator_matches_jump(cone):
     assert len(jump.trajectory.states) > 2
     for x, y in zip(bil.trajectory.states, jump.trajectory.states):
         assert np.max(np.abs(x - y)) <= 1e-12
-    # the cone budget scales the rate: populations decay like exp(-2 w t)
-    w = 2.0 if cone else 1.0
+    # max_total_rate scales the rate: populations decay like exp(-2 rate t)
     t = jump.trajectory.times[-1]
-    assert abs(jump.final_state[1, 1].real - np.exp(-2 * w * t)) <= 1e-10
+    assert abs(jump.final_state[1, 1].real - np.exp(-2 * rate * t)) <= 1e-10
 
 
 def greedy_reference(gens, eta, sigma, p, dt, t_max, tol):
@@ -194,8 +193,8 @@ def _reference_reach_drive(K, rho0, sigma, p, dt, t_max, target_tol):
     Steps are counted on the i dt grid, as in reach_drive."""
     require_positive(dt=dt, t_max=t_max, target_tol=target_tol)
     _check_p(p)
-    eta = _check_state(K, "rho0", rho0)
-    sigma = _check_state(K, "sigma", sigma)
+    eta = _check_state(rho0, "rho0", K.dim)[0]
+    sigma = _check_state(sigma, "sigma", K.dim)[0]
     states, schedule = [eta], []
     dist = schatten_norm(eta - sigma, p)
     reached = dist <= target_tol
@@ -208,7 +207,7 @@ def _reference_reach_drive(K, rho0, sigma, p, dt, t_max, target_tol):
             break
         vals = [alignment(L, eta, sigma, p) for L in K.generators]
         idx = int(np.argmin(vals))
-        rate = K.max_total_rate if K.cone_combinations else 1.0
+        rate = K.max_total_rate
         val = rate * vals[idx]
         if not _descends(val, dist, p):
             stall = (eta, float(val))
@@ -226,8 +225,8 @@ def _reference_reach_drive(K, rho0, sigma, p, dt, t_max, target_tol):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(2, 5), p=st.sampled_from([1.5, 2.0, 3.0]),
-       cone=st.booleans(), near=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_reach_drive_matches_reference_loop(d, p, cone, near, seed):
+       near=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_reach_drive_matches_reference_loop(d, p, near, seed):
     """One eigendecomposition per state, shared by the distance and every
     alignment, and no recheck of eta before each step give the reference's
     report exactly: reached, stalled (a Hamiltonian can only stall) or out
@@ -237,7 +236,7 @@ def test_reach_drive_matches_reference_loop(d, p, cone, near, seed):
     rho0 = 0.997 * sigma + 0.003 * random_density(rng, d) if near else random_density(rng, d)
     gens = [replacer_lindbladian(sigma), chain_lindbladian(rng.random(d) + 0.1),
             Lindbladian(d, hamiltonian=random_hermitian(rng, d))]
-    K = ResourceSetK(gens[int(rng.integers(3)):], cone_combinations=cone,
+    K = ResourceSetK(gens[int(rng.integers(3)):],
                      max_total_rate=float(rng.uniform(0.5, 2.0)))
     args = (K, rho0, sigma, p, 0.1, 1.0, 1e-3)
     got, ref = reach_drive(*args), _reference_reach_drive(*args)
@@ -279,25 +278,23 @@ def test_reach_drive_counts_round_t_max_over_dt_steps():
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(2, 4), p=st.sampled_from([1.5, 2.0, 3.0]),
-       cone=st.booleans(), dt=st.sampled_from([0.05, 0.1, 0.3, 0.7]),
+       dt=st.sampled_from([0.05, 0.1, 0.3, 0.7]),
        t_max=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_reach_schedule_replays_the_trajectory(d, p, cone, dt, t_max, seed):
+def test_reach_schedule_replays_the_trajectory(d, p, dt, t_max, seed):
     """Entry i of the schedule is (i dt, (i+1) dt, index, rate): propagating
     state i by generator index for rate dt gives state i+1 bit for bit, the
-    rate is max_total_rate with cone_combinations and 1 otherwise, and the
-    trajectory times are i dt."""
+    rate is max_total_rate, and the trajectory times are i dt."""
     rng = np.random.default_rng(seed)
     sigma = random_density(rng, d)
     gens = [chain_lindbladian(rng.random(d) + 0.1), replacer_lindbladian(sigma),
             Lindbladian(d, jumps=[JumpTerm(random_complex(rng, d), 0.5)])]
-    K = ResourceSetK(gens, cone_combinations=cone,
-                     max_total_rate=float(rng.uniform(0.5, 2.0)))
+    K = ResourceSetK(gens, max_total_rate=float(rng.uniform(0.5, 2.0)))
     rep = reach_drive(K, random_density(rng, d), sigma, p=p, dt=dt,
                       t_max=t_max, target_tol=1e-3)
     states = rep.trajectory.states
     assert len(states) == len(rep.generator_schedule) + 1
     assert np.array_equal(rep.trajectory.times, dt * np.arange(len(states)))
-    rate = K.max_total_rate if cone else 1.0
+    rate = K.max_total_rate
     for i, (t0, t1, index, r) in enumerate(rep.generator_schedule):
         assert (t0, t1, r) == (i * dt, (i + 1) * dt, rate)
         assert np.array_equal(propagate(K.generators[index], states[i], r * dt),
@@ -951,6 +948,31 @@ def test_resource_set_requires_positive_rate_budget(rate):
     with pytest.raises(ValueError,
                        match="max_total_rate must be finite and positive"):
         ResourceSetK([lowering_jump(0, 1, 2)], max_total_rate=rate)
+
+
+def test_resource_set_file_sets_the_step_rate():
+    """A resource set file that gives only max_total_rate: 2 runs every reach
+    step at rate 2, and its schedule says so."""
+    L = Lindbladian(2, jumps=[JumpTerm(np.eye(2, k=1), 1.0)])
+    K = ser.resource_set_k_from_json({"generators": [ser.lindbladian_to_json(L)],
+                                      "max_total_rate": 2})
+    rep = reach_drive(K, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), dt=0.05,
+                      t_max=0.5)
+    assert len(rep.generator_schedule) == 10
+    assert {entry[3] for entry in rep.generator_schedule} == {2.0}
+    assert abs(rep.final_state[1, 1].real - np.exp(-2 * 2.0 * 0.5)) <= 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda rho, sigma: replacer_overshoot(rho, sigma, 0.1),
+    lambda rho, sigma: tan_schedule(rho, sigma, 8),
+    full_state_transport,
+], ids=["replacer_overshoot", "tan_schedule", "full_state_transport"])
+def test_sigma_of_another_dimension_is_named(make):
+    """A sigma of another dimension than rho is refused by name, before any
+    arithmetic mixes the two."""
+    with pytest.raises(ValueError, match=r"^sigma has shape \(4, 4\), not \(2, 2\)"):
+        make(np.eye(2) / 2, np.eye(4) / 4)
 
 
 def test_tan_schedule(rng):
