@@ -16,7 +16,7 @@ from .hormander import lie_closure
 from .linalg import trace_distance
 from .lindblad import gamma_form, propagate
 from .reach import porcupine_check, reach_drive
-from .tangent import in_tangent_cone, lift, lift_path
+from .tangent import SUPPORT_TOL, in_tangent_cone, lift, lift_path
 from .transport import (_require_k, execute_plan, plan_diagonal_transport,
                         plan_states)
 from .dilation import dilation_error_vs_exact
@@ -39,9 +39,10 @@ def _write_csv(path: str, header: list[str], rows: list[list[float]]):
     ser.write_text(path, "\n".join(lines) + "\n")
 
 
-def _emit(obj: dict, out: str | None):
-    text = ser.dump_json(obj, out)
-    if out is None:
+def _emit(obj: dict, args: argparse.Namespace):
+    """Write obj, the command's JSON result, to args.out, or to stdout."""
+    text = ser.dump_json(obj, args.out)
+    if args.out is None:
         print(text)
 
 
@@ -89,28 +90,28 @@ def _parse_counts(text: str) -> list[int]:
     return ns
 
 
-def _cmd_simulate(args, out):
+def _cmd_simulate(args):
     L = ser.lindbladian_from_json(ser.load_json(args.lindblad))
     rho = _load_matrix(args.rho)
     result = propagate(L, rho, args.t)
-    _emit(ser.matrix_to_json(result), out)
+    _emit(ser.matrix_to_json(result), args)
 
 
-def _cmd_lift(args, out):
+def _cmd_lift(args):
     rho = _load_matrix(args.rho)
     x = _load_matrix(args.x)
     cert = lift(rho, x)
     _emit({"lindbladian": ser.lindbladian_to_json(cert.lindbladian),
-           "residual": cert.residual, "cp_margin": cert.cp_margin}, out)
+           "residual": cert.residual, "cp_margin": cert.cp_margin}, args)
 
 
-def _cmd_certify_tangent(args, out):
+def _cmd_certify_tangent(args):
     rho = _load_matrix(args.rho)
     x = _load_matrix(args.x)
-    _emit({"in_tangent_cone": bool(in_tangent_cone(rho, x, args.tol))}, out)
+    _emit({"in_tangent_cone": bool(in_tangent_cone(rho, x, args.tol))}, args)
 
 
-def _cmd_lift_path(args, out):
+def _cmd_lift_path(args):
     path = ser.path_sample_from_json(ser.load_json(args.path))
     report = lift_path(path)
     if args.csv:
@@ -119,10 +120,10 @@ def _cmd_lift_path(args, out):
     _emit({"integrability": report["integrability"],
            "reconstruction_error": report["reconstruction_error"],
            "generators": [ser.lindbladian_to_json(L)
-                          for L in report["generators"]]}, out)
+                          for L in report["generators"]]}, args)
 
 
-def _cmd_reach(args, out):
+def _cmd_reach(args):
     K = ser.resource_set_k_from_json(ser.load_json(args.K))
     rho = _load_matrix(args.rho)
     sigma = _load_matrix(args.sigma)
@@ -143,10 +144,10 @@ def _cmd_reach(args, out):
            "stall": None if rep.stall_certificate is None else
            {"eta": ser.matrix_to_json(rep.stall_certificate[0]),
             "min_alignment": rep.stall_certificate[1]},
-           "n_steps": len(rep.generator_schedule)}, out)
+           "n_steps": len(rep.generator_schedule)}, args)
 
 
-def _cmd_porcupine(args, out):
+def _cmd_porcupine(args):
     K = ser.resource_set_k_from_json(ser.load_json(args.K))
     sigma = _load_matrix(args.sigma)
     rep = porcupine_check(K, sigma, args.epsilon, p=args.p,
@@ -154,20 +155,20 @@ def _cmd_porcupine(args, out):
                           diagonal_slice=args.diagonal_slice)
     _emit({"epsilon": rep.epsilon, "p": rep.p, "samples": rep.samples,
            "min_alignment_over_samples": rep.min_alignment_over_samples,
-           "obstruction_evidence": rep.obstruction_evidence}, out)
+           "obstruction_evidence": rep.obstruction_evidence}, args)
 
 
-def _cmd_plan(args, out):
+def _cmd_plan(args):
     # k first, so that a bad k is named before a length that follows from it
     _require_k(args.k)
     n = 2 ** args.k
     lam = _parse_probvec("--lambda", args.lam, args.normalize, n)
     mu = _parse_probvec("--mu", args.mu, args.normalize, n)
     plan = plan_diagonal_transport(lam, mu, args.k)
-    _emit(ser.plan_to_json(plan), out)
+    _emit(ser.plan_to_json(plan), args)
 
 
-def _cmd_run_plan(args, out):
+def _cmd_run_plan(args):
     plan = ser.plan_from_json(ser.load_json(args.plan))
     rho = _load_matrix(args.rho)
     if args.csv:
@@ -178,18 +179,18 @@ def _cmd_run_plan(args, out):
                    ["step"] + [f"p{i}" for i in range(plan.dim)], rows)
     else:
         result = execute_plan(plan, rho)
-    _emit(ser.matrix_to_json(result), out)
+    _emit(ser.matrix_to_json(result), args)
 
 
-def _cmd_check_hormander(args, out):
+def _cmd_check_hormander(args):
     S = ser.resource_set_from_json(ser.load_json(args.resources))
     rep = lie_closure(S)
     _emit({"dim_found": rep.dim_found, "depth_used": rep.depth_used,
            "is_hormander": rep.is_hormander,
-           "basis": [ser.matrix_to_json(b) for b in rep.basis]}, out)
+           "basis": [ser.matrix_to_json(b) for b in rep.basis]}, args)
 
 
-def _cmd_dilate(args, out):
+def _cmd_dilate(args):
     a = _load_matrix(args.a)
     ns = _parse_counts(args.n)
     errors = dilation_error_vs_exact(a, args.t, ns)
@@ -197,16 +198,16 @@ def _cmd_dilate(args, out):
     if args.csv:
         _write_csv(args.csv, ["n", "choi_trace_norm_error"], rows)
     _emit({"t": args.t, "errors": [{"n": int(n), "error": e}
-                                   for n, e in rows]}, out)
+                                   for n, e in rows]}, args)
 
 
-def _cmd_gamma_check(args, out):
+def _cmd_gamma_check(args):
     L = ser.lindbladian_from_json(ser.load_json(args.lindblad))
     x = _load_matrix(args.x)
     y = _load_matrix(args.y)
     G = gamma_form(L, x, y)
     _emit({"gamma": ser.matrix_to_json(G),
-           "norm": float(np.linalg.norm(G))}, out)
+           "norm": float(np.linalg.norm(G))}, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +242,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     s = sub.add_parser("certify-tangent", help="tangent-cone membership test")
     s.add_argument("--rho", required=True)
     s.add_argument("--x", required=True)
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=float, default=SUPPORT_TOL)
     s.set_defaults(func=_cmd_certify_tangent)
 
     s = sub.add_parser("lift-path", help="lift a sampled path of states")
@@ -347,27 +348,25 @@ def _main(argv: list[str] | None) -> int:
         # overflow in a report surfaces as the non-finite error of dump_json,
         # so stderr holds nothing but the JSON error
         with np.errstate(all="ignore"):
-            args.func(args, args.out)
+            args.func(args)
         return 0
     except ValidationError as exc:
-        print(json.dumps({"code": exc.code, "message": str(exc),
-                          "context": exc.context}), file=sys.stderr)
-        return 2
+        return _error(exc.code, str(exc), exc.context)
     except (SchemaError, ValueError, OSError) as exc:
-        print(json.dumps({"code": "validation_error", "message": str(exc),
-                          "context": {}}), file=sys.stderr)
-        return 2
+        return _error("validation_error", str(exc))
     except MemoryError as exc:
-        # an input too large to compute with; numpy's message names the
-        # allocation
-        print(json.dumps({"code": "validation_error",
-                          "message": f"out of memory: {exc}", "context": {}}),
-              file=sys.stderr)
-        return 2
+        # an input too large to compute with; numpy names the allocation
+        return _error("validation_error", f"out of memory: {exc}")
     except Exception as exc:
-        print(json.dumps({"code": "internal_error", "message": str(exc),
-                          "context": {}}), file=sys.stderr)
-        return 1
+        return _error("internal_error", str(exc), status=1)
+
+
+def _error(code: str, message: str, context: dict | None = None,
+           status: int = 2) -> int:
+    """Write the JSON error line to stderr; return the exit status."""
+    print(json.dumps({"code": code, "message": message, "context": context or {}}),
+          file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ import scipy.linalg as sla
 
 HERM_TOL_PER_DIM = 1e-12
 EIG_TOL = 1e-10
+# the eig_tol of _check_built, for a state a plan step or a propagation built
+BUILT_EIG_TOL = 1e-8
 SPAN_DROP_TOL = 1e-9
 SPAN_TOL = 1e-8
 
@@ -86,18 +88,12 @@ def _require_psd(w: np.ndarray, eig_tol: float) -> None:
         raise ValueError(f"density matrix has eigenvalue {lmin} below -{eig_tol}")
 
 
-def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
-    """Validate Hermitian, PSD (up to eig_tol) and unit trace; return rho."""
-    return _check_density_eig(rho, eig_tol)[0]
-
-
-def _check_density_eig(rho: np.ndarray, eig_tol: float = EIG_TOL,
-                       vectors: bool = False) -> tuple[np.ndarray, np.ndarray,
-                                                       np.ndarray | None]:
-    """check_density, in its order (finite, square, Hermitian, trace,
-    spectrum), which also returns the ascending eigenvalues of hermitize(rho)
-    that its spectrum test takes the least of, and with vectors their
-    eigenvectors from the same eigh (else None): (rho, w, V)."""
+def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL, vectors: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Test that rho is a density matrix: finite, square, Hermitian, trace,
+    spectrum, in that order. Return (rho, w, V): rho as a complex array, the
+    ascending eigenvalues of hermitize(rho) that the spectrum test takes the
+    least of, and with vectors their eigenvectors from the same eigh, else None."""
     rho = np.asarray(rho, dtype=complex)
     _require_finite(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -116,39 +112,28 @@ def _check_density_eig(rho: np.ndarray, eig_tol: float = EIG_TOL,
 def _check_state(rho, name: str, d: int | None = None, vectors: bool = False
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The one check of a caller-supplied state: require_dim when the
-    operation fixes d, then _check_density_eig's tests, whose errors are
-    prefixed with "name: ", so every error names the state. Return
-    _check_density_eig's (rho, w, V)."""
+    operation fixes d, then check_density's tests, whose errors are prefixed
+    with "name: ", so every error names the state. Return check_density's
+    (rho, w, V)."""
     if d is not None:
         require_dim(d, **{name: rho})
     try:
-        return _check_density_eig(rho, vectors=vectors)
+        return check_density(rho, vectors=vectors)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
 
-def _check_built_density(H: np.ndarray, eig_tol: float) -> np.ndarray:
-    """check_density for a complex square H that a step built exactly
-    Hermitian (by hermitize or lindblad._herm_matrix), with entries below
-    half the largest float: hermitize(H) is then H bit for bit, so the
-    Hermiticity test cannot fail and is skipped, and the finiteness, trace
-    and spectrum tests run on H itself, in that order, with check_density's
-    tolerances and messages. Return H."""
-    _require_finite(H)
-    _require_unit_trace(H.diagonal().real.sum(), eig_tol)
-    _require_psd(np.linalg.eigvalsh(H), eig_tol)
-    return H
-
-
-def check_populations(p: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
-    """check_density(np.diag(p), eig_tol) for a real vector p, with the same
-    tests and messages, without the matrix: an exactly diagonal Hermitian
-    matrix has its diagonal as its spectrum. Return p."""
-    p = np.asarray(p, dtype=float)
-    _require_finite(p)
-    _require_unit_trace(p.sum(), eig_tol)
-    _require_psd(p, eig_tol)
-    return p
+def _check_built(x: np.ndarray) -> np.ndarray:
+    """check_density's finiteness, trace and spectrum tests at BUILT_EIG_TOL,
+    with its messages, for a state a step built: a population vector, its own
+    spectrum, or a matrix built exactly Hermitian (by hermitize or
+    lindblad._herm_matrix) with entries below half the largest float, which
+    hermitize leaves bit for bit, so the Hermiticity test cannot fail."""
+    _require_finite(x)
+    vector = x.ndim == 1
+    _require_unit_trace(x.sum() if vector else x.diagonal().real.sum(), BUILT_EIG_TOL)
+    _require_psd(x if vector else np.linalg.eigvalsh(x), BUILT_EIG_TOL)
+    return x
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 from .linalg import (
     EIG_TOL,
     SPAN_TOL,
-    _check_built_density,
+    _check_built,
     _check_state,
     apply_superop,
     choi,
@@ -103,7 +103,12 @@ class Lindbladian:
         if self.bilinear is not None:
             ops += self.bilinear.ops
             g = sla.block_diag(g, self.bilinear.kossakowski)
-        S = _gksl(self.hamiltonian, ops, g)
+        # an overflow is the error below, not a warning before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = _gksl(self.hamiltonian, ops, g)
+        if not np.isfinite(S).all():
+            raise ValueError("generator superoperator is not finite: operators "
+                             "and rates must be finite, with rate * a^*a finite")
         S.setflags(write=False)
         return S
 
@@ -240,11 +245,19 @@ def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
 def _propagate_checked(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
     """propagate for a rho already checked as a density matrix of L's
     dimension; the state it builds is exactly Hermitian, so its check skips
-    the Hermiticity test (_check_built_density)."""
-    return _check_built_density(_evolve(L, rho, t), eig_tol=1e-8)
+    the Hermiticity test (_check_built)."""
+    return _check_built(_evolve(L, rho, t))
+
+
+def _require_index(d: int, *indices: int) -> None:
+    """Raise naming the first index outside 0..d-1."""
+    for i in indices:
+        if not 0 <= i < d:
+            raise ValueError(f"index {i} is outside 0..{d - 1}")
 
 
 def _lower(i: int, j: int, d: int) -> np.ndarray:
+    _require_index(d, i, j)
     a = np.zeros((d, d), dtype=complex)
     a[i, j] = 1.0
     return a

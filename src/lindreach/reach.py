@@ -13,8 +13,8 @@ import numpy as np
 from .linalg import (EIG_TOL, _check_state, _pnorm, apply_superop, dag,
                      hermitize, is_diagonal, require_nonnegative,
                      require_positive, schatten_norm)
-from .lindblad import (JumpTerm, Lindbladian, _lower, _propagate_checked, apply,
-                       build)
+from .lindblad import (JumpTerm, Lindbladian, _lower, _propagate_checked,
+                       _require_index, apply, build)
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
@@ -379,6 +379,7 @@ def sparse_alignment_diagonal(rho: np.ndarray, sigma: np.ndarray,
         raise ValueError("r and s must differ")
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
+    _require_index(len(rho), r, s)
     for M in (rho, sigma):
         if np.max(np.abs(M - np.diag(np.diag(M)))) > 1e-12:
             raise ValueError("states must be diagonal")

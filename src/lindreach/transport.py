@@ -12,8 +12,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import (_check_built_density, _check_state, check_populations,
-                     dag, hermitize, is_diagonal, require_dim)
+from .linalg import (_check_built, _check_state, dag, hermitize, is_diagonal,
+                     require_dim)
 
 PLAN_TOL = 1e-8
 RATIO_TOL = 1e-14
@@ -325,9 +325,9 @@ def _checked_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray
 
     Each state is checked once: damps and unitaries are hermitized and
     checked with check_density's tests but the Hermiticity test, which
-    hermitize's output cannot fail (_check_built_density), a transposition
-    permutes entries that were already checked, and a diagonal state is
-    checked on its populations, which are its spectrum.
+    hermitize's output cannot fail, a diagonal state on its populations,
+    which are its spectrum (both _check_built), and a transposition permutes
+    entries that were already checked.
     """
     rho = _check_state(rho, "rho", plan.dim)[0]
     yield rho
@@ -343,9 +343,9 @@ def _checked_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray
         if isinstance(step, Transposition):
             pass
         elif x.ndim == 1:
-            x = check_populations(x, eig_tol=1e-8)
+            x = _check_built(x)
         else:
-            x = _populations_if_diagonal(_check_built_density(hermitize(x), eig_tol=1e-8))
+            x = _populations_if_diagonal(_check_built(hermitize(x)))
         yield x
 
 

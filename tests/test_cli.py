@@ -71,6 +71,24 @@ def test_simulate(files, capsys):
     assert abs(M[1, 1].real - np.exp(-2.0)) <= 1e-10
 
 
+def test_simulate_names_a_generator_whose_superoperator_overflows(files, capsys,
+                                                                   tmp_path):
+    """A jump with finite entries of 1e200, which the decoder accepts, has an
+    infinite superoperator: simulate exits 2 naming the operators and rates,
+    not t = 1e-300. A finite generator still names t when exp(tL)
+    overflows."""
+    L = Lindbladian(2, jumps=[JumpTerm(np.full((2, 2), 1e200), 1.0)])
+    huge = write(tmp_path, "huge.json", ser.lindbladian_to_json(L))
+    for lindblad, t, message in ((huge, "1e-300", "generator superoperator is "
+                                  "not finite: operators and rates"),
+                                 (files["L"], "1e300", "t = 1e+300 overflows")):
+        code, out, err = run(capsys, ["simulate", "--lindblad", lindblad,
+                                      "--rho", files["mixed"], "--t", t])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == "validation_error"
+        assert message in json.loads(err)["message"]
+
+
 def test_certify_and_lift(files, capsys):
     code, out, _ = run(capsys, ["certify-tangent", "--rho", files["sigma"],
                                 "--x", files["x"]])

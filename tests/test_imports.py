@@ -32,9 +32,6 @@ KEPT = {
     "haar_unitary": "acceptance criterion 11 and the sampled orbit-span "
                     "reference in tests/test_hormander.py",
     "devectorize": "the reference apply_superop is tested against",
-    "check_density": "the reference _check_built_density and "
-                      "check_populations are tested against; a layer "
-                      "bench/tracer.py measures",
 }
 
 

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
-    EIG_TOL,
-    _check_built_density,
-    _check_density_eig,
+    BUILT_EIG_TOL,
+    _check_built,
     _check_state,
     _pnorm,
     apply_superop,
     check_density,
-    check_populations,
     choi,
     dag,
     devectorize,
@@ -33,8 +31,11 @@ from lindreach.linalg import (
     trace_distance,
     vectorize,
 )
-from lindreach.lindblad import (_herm_coords, _herm_matrix, channel_superop,
-                               replacer_lindbladian)
+from lindreach import linalg
+from lindreach.lindblad import (_herm_coords, _herm_matrix, chain_lindbladian,
+                               channel_superop, propagate, replacer_lindbladian)
+from lindreach.reach import ResourceSetK, porcupine_check, reach_drive
+from lindreach.transport import execute_plan, plan_diagonal_transport, plan_states
 from lindreach.hormander import haar_unitary
 
 from conftest import random_complex, random_density, svd_schatten
@@ -365,13 +366,13 @@ def test_population_check_is_check_density_of_the_diagonal_matrix(d, fault):
     for seed in range(4):
         p = _populations(d, seed, fault)
         if fault is None:
-            assert check_populations(p, eig_tol=1e-8) is not None
-            check_density(np.diag(p), eig_tol=1e-8)
+            assert _check_built(p) is p
+            check_density(np.diag(p), BUILT_EIG_TOL)
             continue
         with pytest.raises(ValueError) as vec:
-            check_populations(p, eig_tol=1e-8)
+            _check_built(p)
         with pytest.raises(ValueError) as mat:
-            check_density(np.diag(p), eig_tol=1e-8)
+            check_density(np.diag(p), BUILT_EIG_TOL)
         assert str(vec.value) == str(mat.value)
         assert {"nan": "non-finite", "inf": "non-finite", "negative": "eigenvalue",
                 "trace": "trace"}[fault] in str(vec.value)
@@ -388,6 +389,11 @@ def _outcome(check, *args):
             return type(exc), str(exc)
 
 
+def _built_reference(x):
+    """What _check_built tests x against: check_density at BUILT_EIG_TOL."""
+    return check_density(x, BUILT_EIG_TOL)[0]
+
+
 def _same_outcome(got, ref):
     if isinstance(ref, tuple):
         return got == ref
@@ -398,15 +404,14 @@ def _same_outcome(got, ref):
 @given(data=st.data(), d=st.integers(1, 5),
        built_by=st.sampled_from(["hermitize", "herm_matrix"]),
        fault=st.sampled_from([None, "trace", "negative", "nan", "inf", "-inf", "raw"]),
-       eig_tol=st.sampled_from([EIG_TOL, 1e-8]), seed=st.integers(0, 2 ** 32 - 1))
-def test_built_density_check_matches_check_density(data, d, built_by, fault,
-                                                   eig_tol, seed):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_built_density_check_matches_check_density(data, d, built_by, fault, seed):
     """On a matrix built exactly Hermitian, by hermitize or by
-    lindblad._herm_matrix, _check_built_density returns what check_density
-    returns, or raises its exception with its message: a trace off by 1e-6,
-    an eigenvalue below -1e-8, a NaN or an infinite entry, or raw entries up
-    to 1e300 in size. hermitize leaves such a matrix as it is, so the
-    Hermiticity test it skips cannot fail."""
+    lindblad._herm_matrix, _check_built returns the matrix check_density
+    returns at BUILT_EIG_TOL, or raises its exception with its message: a
+    trace off by 1e-6, an eigenvalue below -1e-8, a NaN or an infinite
+    entry, or raw entries up to 1e300 in size. hermitize leaves such a
+    matrix as it is, so the Hermiticity test it skips cannot fail."""
     rng = np.random.default_rng(seed)
     if fault == "raw":
         A = np.array(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=2 * d * d,
@@ -426,8 +431,8 @@ def test_built_density_check_matches_check_density(data, d, built_by, fault,
         H = hermitize(A) if built_by == "hermitize" else _herm_matrix(_herm_coords(A))
     if np.isfinite(H).all():
         assert np.array_equal(hermitize(H), H)
-    ref = _outcome(check_density, H, eig_tol)
-    got = _outcome(_check_built_density, H, eig_tol)
+    ref = _outcome(_built_reference, H)
+    got = _outcome(_check_built, H)
     assert _same_outcome(got, ref)
     if not isinstance(ref, tuple):
         assert got is H
@@ -441,11 +446,12 @@ def test_built_density_check_matches_check_density(data, d, built_by, fault,
 @given(data=st.data(), d=st.integers(1, 8),
        fault=st.sampled_from([None, "nan", "inf", "-inf", "pair", "negative",
                               "raw"]),
-       eig_tol=st.sampled_from([EIG_TOL, 1e-8]), seed=st.integers(0, 2 ** 32 - 1))
-def test_population_check_parity_without_warnings(data, d, fault, eig_tol, seed):
-    """check_populations(p) returns p, or raises what check_density(diag(p))
-    raises, message included, with warnings made errors: a NaN, an inf, the
-    pair [inf, -inf], a negative population, or any float entries."""
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_population_check_parity_without_warnings(data, d, fault, seed):
+    """_check_built(p) returns p, or raises what check_density(diag(p))
+    raises at BUILT_EIG_TOL, message included, with warnings made errors: a
+    NaN, an inf, the pair [inf, -inf], a negative population, or any float
+    entries."""
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(d))
     i, j = rng.integers(d, size=2)
@@ -459,8 +465,8 @@ def test_population_check_parity_without_warnings(data, d, fault, eig_tol, seed)
     elif fault == "raw":
         p = np.array(data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True),
                                         min_size=1, max_size=8)))
-    ref = _outcome(check_density, np.diag(p), eig_tol)
-    got = _outcome(check_populations, p, eig_tol)
+    ref = _outcome(_built_reference, np.diag(p))
+    got = _outcome(_check_built, p)
     if isinstance(ref, tuple):
         assert got == ref
     else:
@@ -468,16 +474,17 @@ def test_population_check_parity_without_warnings(data, d, fault, eig_tol, seed)
 
 
 def test_eigh_check_takes_the_spectrum_test_from_its_eigh(rng):
-    """_check_density_eig with vectors returns eigh(hermitize(rho)), and its
-    spectrum test is that of check_density on the same least eigenvalue, to
-    rounding: only the printed eigenvalue may differ in its last digits."""
+    """check_density with vectors returns eigh(hermitize(rho)), and its
+    spectrum test is that of check_density without vectors on the same least
+    eigenvalue, to rounding: only the printed eigenvalue may differ in its
+    last digits."""
     for d in (1, 2, 4, 7):
         rho = random_density(rng, d, rank=max(d - 2, 1))
-        got, w, V = _check_density_eig(rho, vectors=True)
-        w_ref, V_ref = np.linalg.eigh(hermitize(check_density(rho)))
+        got, w, V = check_density(rho, vectors=True)
+        w_ref, V_ref = np.linalg.eigh(hermitize(check_density(rho)[0]))
         assert np.array_equal(got, rho)
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
-        assert _check_density_eig(rho)[2] is None
+        assert check_density(rho)[2] is None
     bad = np.diag([1.0 + 3e-8, -3e-8]).astype(complex)
     # finite and Hermitian, but hermitize overflows the off-diagonal entries,
     # so the spectrum is NaN, which a test written lmin < -eig_tol passes;
@@ -492,7 +499,7 @@ def test_eigh_check_takes_the_spectrum_test_from_its_eigh(rng):
             with pytest.raises(ValueError, match=message), \
                     warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _check_density_eig(case, vectors=vectors)
+                check_density(case, vectors=vectors)
 
 
 def _message(f, *args, **kwargs):
@@ -502,13 +509,13 @@ def _message(f, *args, **kwargs):
 
 
 def test_state_check_names_the_state(rng):
-    """_check_state returns what _check_density_eig returns, raises its
+    """_check_state returns what check_density returns, raises its
     errors with the state's name before them, and tests the dimension it is
     given first."""
     rho = random_density(rng, 3)
     for vectors in (False, True):
         got = _check_state(rho, "rho", 3, vectors=vectors)
-        ref = _check_density_eig(rho, vectors=vectors)
+        ref = check_density(rho, vectors=vectors)
         for g, r in zip(got, ref):
             assert g is r is None or np.array_equal(g, r)
     bad = np.diag([1.0 + 3e-8, -3e-8]).astype(complex)
@@ -519,6 +526,38 @@ def test_state_check_names_the_state(rng):
                 "sigma: " + _message(check_density, case))
     assert _message(_check_state, bad * 2, "rho0", 3) == _message(
         require_dim, 3, rho0=bad)
+
+
+def test_check_density_counts_each_caller_supplied_state_once(rng, monkeypatch):
+    """Every caller-supplied state goes through linalg.check_density, the
+    function the benchmark's tracer wraps, once; a state that a step builds
+    is never counted: reach_drive checks rho0 and sigma, porcupine_check
+    sigma, and execute_plan and propagate their input."""
+    calls = []
+    check = linalg.check_density
+
+    def counting(rho, *args, **kwargs):
+        calls.append(rho)
+        return check(rho, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "check_density", counting)
+    sigma = random_density(rng, 3)
+    K = ResourceSetK([replacer_lindbladian(sigma), chain_lindbladian([0.5, 0.3, 0.2])])
+    lam = np.array([0.1, 0.2, 0.3, 0.4])
+    plan = plan_diagonal_transport(lam, np.array([0.4, 0.3, 0.2, 0.1]), 2)
+
+    def counted(run):
+        calls.clear()
+        out = run()
+        return len(calls), out
+
+    n, rep = counted(lambda: reach_drive(K, np.eye(3) / 3, sigma, dt=0.05, t_max=1.0))
+    assert n == 2 and len(rep.trajectory.states) > 2
+    assert counted(lambda: porcupine_check(K, sigma, 0.05, n_samples=50))[0] == 1
+    n, states = counted(lambda: list(plan_states(plan, np.diag(lam))))
+    assert n == 1 and len(states) == len(plan.steps) + 1 > 2
+    assert counted(lambda: execute_plan(plan, np.diag(lam)))[0] == 1
+    assert counted(lambda: propagate(K.generators[1], sigma, 0.3))[0] == 1
 
 
 def test_is_diagonal(rng):

@@ -42,6 +42,7 @@ from lindreach.lindblad import (
     unital_fixed_point_check,
 )
 from lindreach.hormander import haar_unitary
+from lindreach.reach import alignment
 
 from conftest import random_complex, random_density, random_hermitian
 
@@ -338,6 +339,27 @@ def test_channel_superop_names_bad_t(t):
                 warnings.catch_warnings():
             warnings.simplefilter("error")
             evolve()
+
+
+def test_non_finite_superoperator_names_the_generator(rng):
+    """A generator whose superoperator is not finite is refused where the
+    superoperator is built, with an error that names its operators and
+    rates, not t, and no warning before it: a finite jump whose a^*a
+    overflows, a NaN jump, or a NaN Kossakowski matrix. (A finite generator
+    still names t when exp(tL) overflows: test_channel_superop_names_bad_t.)"""
+    huge = JumpTerm(np.full((2, 2), 1e200), 1.0)
+    nan = JumpTerm(np.array([[0, np.nan], [0, 0]]), 1.0)
+    term = BilinearTerm((LOWER, X), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    eta, sigma = random_density(rng, 2), random_density(rng, 2)
+    for L in (Lindbladian(2, jumps=[huge]), Lindbladian(2, jumps=[nan]),
+              Lindbladian(2, bilinear=term)):
+        for use in (lambda: build(L), lambda: propagate(L, np.eye(2) / 2, 1e-300),
+                    lambda: alignment(L, eta, sigma, 2.0)):
+            with pytest.raises(ValueError, match="^generator superoperator is "
+                               "not finite: operators and rates"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                use()
 
 
 def hermitian_basis(d):

@@ -158,7 +158,7 @@ def greedy_reference(gens, eta, sigma, p, dt, t_max, tol):
         if not _descends(vals[idx], schatten_norm(eta - sigma, p), p):
             break
         out = mat_exp(dt * _real_form(superop(gens[idx]))) @ _herm_coords(eta)
-        eta = check_density(_herm_matrix(out), eig_tol=1e-8)
+        eta = check_density(_herm_matrix(out), eig_tol=1e-8)[0]
         i = len(schedule)
         states.append(eta)
         schedule.append((i * dt, (i + 1) * dt, idx, 1.0))
@@ -994,6 +994,21 @@ def test_sparse_alignment_examples():
     assert sparse_alignment_diagonal(rho, rho, 0, 1) == 0.0
     with pytest.raises(ValueError):
         sparse_alignment_diagonal(rho, sigma, 1, 1)
+
+
+@pytest.mark.parametrize("r, s", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_level_index_outside_the_levels_is_named(r, s):
+    """lowering_jump and sparse_alignment_diagonal name an index outside
+    0..d-1. At d = 3, -1 used to wrap: lowering_jump(-1, 0, 3) was |2><0|,
+    and sparse_alignment_diagonal gave the value of the pair (2, 0); 3
+    raised numpy's IndexError."""
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    sigma = np.diag([0.2, 0.3, 0.5]).astype(complex)
+    bad = r if not 0 <= r < 3 else s
+    for call in (lambda: lowering_jump(r, s, 3),
+                 lambda: sparse_alignment_diagonal(rho, sigma, r, s)):
+        with pytest.raises(ValueError, match=f"^index {bad} is outside 0..2$"):
+            call()
 
 
 def test_sparse_alignment_matches_general(rng):

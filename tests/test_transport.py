@@ -430,10 +430,10 @@ def test_plan_with_pair_just_above_ratio_tol(k, pair_sum, j, split, seed):
 # applied to the d x d matrix, hermitized and checked, kept as the reference.
 def _reference_plan_states(plan, rho):
     require_dim(plan.dim, rho=rho)
-    rho = check_density(rho)
+    rho = check_density(rho)[0]
     yield rho
     for step in plan.steps:
-        rho = check_density(hermitize(apply_step(rho, step, plan.k)), eig_tol=1e-8)
+        rho = check_density(hermitize(apply_step(rho, step, plan.k)), eig_tol=1e-8)[0]
         yield rho
 
 
