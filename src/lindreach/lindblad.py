@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .linalg import (
     EIG_TOL,
@@ -99,16 +98,13 @@ class Lindbladian:
         """Read-only GKSL superoperator with Kossakowski matrix diag(rates)
         (+) bilinear, computed on first use."""
         ops = [j.a for j in self.jumps]
-        g = np.diag([j.rate for j in self.jumps])
+        rates = [j.rate for j in self.jumps]
+        g = np.diag(rates)
         if self.bilinear is not None:
             ops += self.bilinear.ops
-            g = sla.block_diag(g, self.bilinear.kossakowski)
-        # an overflow is the error below, not a warning before it
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = _gksl(self.hamiltonian, ops, g)
-        if not np.isfinite(S).all():
-            raise ValueError("generator superoperator is not finite: operators "
-                             "and rates must be finite, with rate * a^*a finite")
+            g = np.pad(self.bilinear.kossakowski, (len(rates), 0))
+            g[:len(rates), :len(rates)] = np.diag(rates)
+        S = _gksl(self.hamiltonian, ops, g)
         S.setflags(write=False)
         return S
 
@@ -155,18 +151,25 @@ def _gksl(H: np.ndarray, ops: list[np.ndarray], g: np.ndarray) -> np.ndarray:
     g_jk a_j rho a_k^* for K = -iH - G and M = iH - G (M = K^* when g is
     Hermitian). As choi(rho -> a rho b^*) = vec(a) vec(b)^* and choi is its
     own inverse, it is the choi of vec(K) vec(I)^* + vec(I) vec(M^*)^*
-    + 2 V g V^*, where V has the columns vec(a_j).
+    + 2 V g V^*, where V has the columns vec(a_j). A non-finite one is
+    refused here, where every GKSL superoperator is formed.
     """
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
     A = np.asarray(ops, dtype=complex).reshape(-1, d, d)
-    # G = [a_1^* ... a_m^*] @ [b_1; ...; b_m] with b_k = sum_j g_jk a_j
-    G = dag(A.reshape(-1, d)) @ (g.T @ A.reshape(len(A), d * d)).reshape(-1, d)
-    V = vectorize(A).T
-    one = vectorize(np.eye(d))
-    return choi(np.outer(vectorize(-1j * H - G), one)
-                + np.outer(one, vectorize(dag(1j * H - G)).conj())
-                + 2 * V @ g @ dag(V))
+    # an overflow is the error below, not a warning before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # G = [a_1^* ... a_m^*] @ [b_1; ...; b_m] with b_k = sum_j g_jk a_j
+        G = dag(A.reshape(-1, d)) @ (g.T @ A.reshape(len(A), d * d)).reshape(-1, d)
+        V = vectorize(A).T
+        one = vectorize(np.eye(d))
+        S = choi(np.outer(vectorize(-1j * H - G), one)
+                 + np.outer(one, vectorize(dag(1j * H - G)).conj())
+                 + 2 * V @ g @ dag(V))
+    if not np.isfinite(S).all():
+        raise ValueError("generator superoperator is not finite: operators "
+                         "and rates must be finite, with rate * a^*a finite")
+    return S
 
 
 def dissipator(a: np.ndarray) -> np.ndarray:
@@ -291,17 +294,17 @@ def replacer_lindbladian(sigma: np.ndarray) -> Lindbladian:
     return Lindbladian(d, jumps=[JumpTerm(k, 0.5) for k in K.reshape(-1, d, d)])
 
 
-def _kernel_basis(S: np.ndarray) -> np.ndarray:
-    _, s, Vh = np.linalg.svd(S)
-    return Vh[s <= NULL_TOL * max(1.0, s[0])].conj().T  # columns span the kernel
-
-
 def stationary_states(L: Lindbladian) -> list[np.ndarray]:
-    """Extreme stationary densities: kernel of the superoperator intersected
-    with the density cone by iterated projection from matrix-unit seeds."""
+    """Stationary densities, low rank first: the seeds I/d and |i><i|
+    projected once onto the kernel U(0 (+) sum_k M_{n_k} (x) omega_k)U* of
+    the generator (Baumgartner and Narnhofer, Rev. Math. Phys. 24, 2012),
+    which maps PSD to PSD, with rounding clipped and the trace normalized.
+    A state that a second projection moves by 1e-12 is skipped: the SVD's
+    kernel is accurate to about eps ||S|| / gap."""
     S = build(L)
     d = L.dim
-    K = _kernel_basis(S)
+    _, s, Vh = np.linalg.svd(S)
+    K = Vh[s <= NULL_TOL * max(1.0, s[0])].conj().T  # columns span the kernel
     if K.shape[1] == 0:
         return []
     # orthogonal projector onto the kernel, as acting on vectorized operators
@@ -309,25 +312,16 @@ def stationary_states(L: Lindbladian) -> list[np.ndarray]:
     found: list[np.ndarray] = []
     seeds = [np.eye(d) / d] + [_lower(i, i, d) for i in range(d)]
     for seed in seeds:
-        M = apply_superop(P, seed)
-        ok = False
-        for _ in range(500):
-            M = hermitize(M)
-            w, V = np.linalg.eigh(M)
-            Mp = (V * np.clip(w, 0, None)) @ dag(V)
-            tr = np.trace(Mp).real
-            if tr < 1e-12:
-                break
-            Mp = Mp / tr
-            M2 = apply_superop(P, Mp)
-            if np.max(np.abs(M2 - Mp)) < 1e-12:
-                M = M2
-                ok = True
-                break
-            M = M2
-        if not ok:
+        w, V = np.linalg.eigh(hermitize(apply_superop(P, seed)))
+        M = (V * np.clip(w, 0, None)) @ dag(V)
+        tr = np.trace(M).real
+        if tr < 1e-12:
             continue
-        M = hermitize(M / np.trace(M).real)
+        M = M / tr
+        M2 = apply_superop(P, M)
+        if np.max(np.abs(M2 - M)) >= 1e-12:
+            continue
+        M = hermitize(M2 / np.trace(M2).real)
         if all(np.max(np.abs(M - F)) > 1e-8 for F in found):
             found.append(M)
     # keep a linearly independent basis, preferring extreme (low-rank) states

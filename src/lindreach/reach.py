@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (EIG_TOL, _check_state, _pnorm, apply_superop, dag,
-                     hermitize, is_diagonal, require_nonnegative,
-                     require_positive, schatten_norm)
+                     hermitize, is_diagonal, require_dim, require_nonnegative,
+                     require_positive)
 from .lindblad import (JumpTerm, Lindbladian, _lower, _propagate_checked,
                        _require_index, apply, build)
 from .tangent import PathSample
@@ -267,7 +267,7 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
             x = X.diagonal(axis1=1, axis2=2).real
             idx = np.arange(size)
             if p == 2:
-                nrm = schatten_norm(X, 2)
+                nrm = _pnorm(np.abs(X).reshape(size, -1), 2)  # X is Hermitian
             else:
                 w, V = np.linalg.eigh(X)
                 nrm = _pnorm(np.abs(w), p)
@@ -379,6 +379,7 @@ def sparse_alignment_diagonal(rho: np.ndarray, sigma: np.ndarray,
         raise ValueError("r and s must differ")
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
+    require_dim(len(rho), sigma=sigma)
     _require_index(len(rho), r, s)
     for M in (rho, sigma):
         if np.max(np.abs(M - np.diag(np.diag(M)))) > 1e-12:

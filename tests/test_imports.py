@@ -1,7 +1,7 @@
 """Every name imported into a lindreach module is used there, every public
 top-level function or class, and every public method or property of a
-class, is reached, and every private top-level function is used by some
-module.
+class, is reached, every private top-level function is used by some
+module, and linalg is the only module that imports scipy.
 
 The package __init__ is left out of the import check: its imports are the
 public API.
@@ -59,6 +59,26 @@ def test_every_import_is_used(path):
 def test_unused_import_is_reported():
     assert _unused_imports("import os\nimport numpy as np\nnp.eye(2)\n") == [
         "os (line 1)"]
+
+
+def _imports_scipy(source: str) -> bool:
+    """Whether source imports scipy or one of its submodules."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return "scipy" in packages
+
+
+def test_only_linalg_imports_scipy():
+    """scipy stays behind linalg.mat_exp: no other module imports it."""
+    paths = sorted(INIT.parent.glob("*.py"))
+    assert [p.name for p in paths if _imports_scipy(p.read_text())] == ["linalg.py"]
+    assert _imports_scipy("from scipy.linalg import expm\n")
+    assert _imports_scipy("import numpy, scipy.linalg as sla\n")
+    assert not _imports_scipy("from .linalg import mat_exp\nimport scipyish\n")
 
 
 def _unreached(init: str, sources: list[str]) -> list[str]:

@@ -41,6 +41,7 @@ from lindreach.lindblad import (
     stationary_states,
     unital_fixed_point_check,
 )
+from lindreach import lindblad
 from lindreach.hormander import haar_unitary
 from lindreach.reach import alignment
 
@@ -283,6 +284,69 @@ def test_dephasing_stationary_structure():
         assert np.max(np.abs(s - np.diag(np.diag(s)))) <= 1e-8
 
 
+def test_near_degenerate_dephasing_projects_each_seed_twice(monkeypatch):
+    """Dephasing by a self-adjoint jump with the close eigenvalues 1 and
+    1 + 1e-3, in a Haar-random basis: the coherence between them decays at
+    (1e-3)^2, so the kernel basis the SVD returns is resolved only to about
+    1e-11, and a seed's normalized projection moves under a second one by
+    more than 1e-12. Each of the d + 1 seeds still costs two projections,
+    and whatever is returned is a density matrix."""
+    d = 5
+    U = haar_unitary(d, np.random.default_rng(0))
+    L = Lindbladian(d, jumps=[JumpTerm(U @ np.diag([0, 1, 1 + 1e-3, 2, 3]) @ dag(U), 1.0)])
+    build(L)
+    calls = []
+
+    def counted(S, rho):
+        calls.append(S.shape)
+        return apply_superop(S, rho)
+
+    monkeypatch.setattr(lindblad, "apply_superop", counted)
+    ss = stationary_states(L)
+    assert 0 < len(calls) <= 2 * (d + 1)
+    for s in ss:
+        check_density(s)
+
+
+def _structured_generator(kind, d, n_jumps, rng):
+    """A generator with a structured kernel: jumps block-diagonal in a random
+    basis, self-adjoint jumps (dephasing) in a random basis, jumps a (x) I on
+    C^d (x) C^2 (a decoherence-free subsystem), or jumps |0><v| with v
+    orthogonal to |0> (dark states: |0> and the complement of the v's)."""
+    rates = rng.uniform(0.1, 2.0, n_jumps)
+    U = haar_unitary(d, rng)
+    if kind == "block":
+        k = int(rng.integers(1, d))
+        ops = [sla.block_diag(random_complex(rng, k), random_complex(rng, d - k))
+               for _ in rates]
+        ops = [U @ a @ dag(U) for a in ops]
+    elif kind == "dephasing":
+        ops = [U @ np.diag(rng.standard_normal(d)) @ dag(U) for _ in rates]
+    elif kind == "subsystem":
+        ops = [np.kron(random_complex(rng, d), np.eye(2)) for _ in rates]
+        d *= 2
+    else:
+        ops = [np.zeros((d, d), dtype=complex) for _ in rates]
+        for a in ops:
+            a[0, 1:] = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
+    return Lindbladian(d, jumps=[JumpTerm(a, r) for a, r in zip(ops, rates)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["block", "dephasing", "subsystem", "dark"]),
+       d=st.integers(2, 5), n_jumps=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stationary_states_are_stationary_densities(kind, d, n_jumps, seed):
+    """Every state stationary_states returns on a structured generator is a
+    density matrix in the kernel, up to rounding that grows with the
+    generator's scale."""
+    L = _structured_generator(kind, d, n_jumps, np.random.default_rng(seed))
+    S = build(L)
+    for rho in stationary_states(L):
+        check_density(rho)
+        assert np.max(np.abs(apply_superop(S, rho))) <= 1e-9 * max(1.0, np.max(np.abs(S)))
+
+
 def test_spectral_gap_zero_for_trivial():
     assert spectral_gap(Lindbladian(2)) == 0.0
 
@@ -345,21 +409,27 @@ def test_non_finite_superoperator_names_the_generator(rng):
     """A generator whose superoperator is not finite is refused where the
     superoperator is built, with an error that names its operators and
     rates, not t, and no warning before it: a finite jump whose a^*a
-    overflows, a NaN jump, or a NaN Kossakowski matrix. (A finite generator
-    still names t when exp(tL) overflows: test_channel_superop_names_bad_t.)"""
+    overflows, a NaN jump, or a NaN Kossakowski matrix. The reference
+    builders dissipator and bilinear_dissipator refuse the same operators.
+    (A finite generator still names t when exp(tL) overflows:
+    test_channel_superop_names_bad_t.)"""
     huge = JumpTerm(np.full((2, 2), 1e200), 1.0)
     nan = JumpTerm(np.array([[0, np.nan], [0, 0]]), 1.0)
     term = BilinearTerm((LOWER, X), np.array([[1.0, np.nan], [np.nan, 1.0]]))
     eta, sigma = random_density(rng, 2), random_density(rng, 2)
+    uses = [lambda a=j.a: dissipator(a) for j in (huge, nan)]
+    uses += [lambda a=j.a: bilinear_dissipator(a, a) for j in (huge, nan)]
     for L in (Lindbladian(2, jumps=[huge]), Lindbladian(2, jumps=[nan]),
               Lindbladian(2, bilinear=term)):
-        for use in (lambda: build(L), lambda: propagate(L, np.eye(2) / 2, 1e-300),
-                    lambda: alignment(L, eta, sigma, 2.0)):
-            with pytest.raises(ValueError, match="^generator superoperator is "
-                               "not finite: operators and rates"), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("error")
-                use()
+        uses += [lambda L=L: build(L),
+                 lambda L=L: propagate(L, np.eye(2) / 2, 1e-300),
+                 lambda L=L: alignment(L, eta, sigma, 2.0)]
+    for use in uses:
+        with pytest.raises(ValueError, match="^generator superoperator is "
+                           "not finite: operators and rates"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            use()
 
 
 def hermitian_basis(d):

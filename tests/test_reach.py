@@ -967,7 +967,9 @@ def test_resource_set_file_sets_the_step_rate():
     lambda rho, sigma: replacer_overshoot(rho, sigma, 0.1),
     lambda rho, sigma: tan_schedule(rho, sigma, 8),
     full_state_transport,
-], ids=["replacer_overshoot", "tan_schedule", "full_state_transport"])
+    lambda rho, sigma: sparse_alignment_diagonal(rho, sigma, 0, 1),
+], ids=["replacer_overshoot", "tan_schedule", "full_state_transport",
+        "sparse_alignment_diagonal"])
 def test_sigma_of_another_dimension_is_named(make):
     """A sigma of another dimension than rho is refused by name, before any
     arithmetic mixes the two."""
