@@ -18,7 +18,6 @@ from .linalg import (
     choi,
     dag,
     extend_basis,
-    hermitize,
     is_hermitian,
     mat_exp,
     require_dim,
@@ -295,33 +294,28 @@ def replacer_lindbladian(sigma: np.ndarray) -> Lindbladian:
 
 
 def stationary_states(L: Lindbladian) -> list[np.ndarray]:
-    """Stationary densities, low rank first: the seeds I/d and |i><i|
-    projected once onto the kernel U(0 (+) sum_k M_{n_k} (x) omega_k)U* of
-    the generator (Baumgartner and Narnhofer, Rev. Math. Phys. 24, 2012),
-    which maps PSD to PSD, with rounding clipped and the trace normalized.
-    A state that a second projection moves by 1e-12 is skipped: the SVD's
-    kernel is accurate to about eps ||S|| / gap."""
-    S = build(L)
+    """Stationary densities, low rank first: the seeds I/d and |i><i|, as
+    coordinates c in the basis F_ij, projected once onto the kernel
+    U(0 (+) sum_k M_{n_k} (x) omega_k)U* of real_superop (Baumgartner and
+    Narnhofer, Rev. Math. Phys. 24, 2012) as K^T (K c), which maps PSD to PSD,
+    with rounding clipped and the trace normalized. A state that a second
+    projection moves by 1e-12 is skipped."""
     d = L.dim
-    _, s, Vh = np.linalg.svd(S)
-    K = Vh[s <= NULL_TOL * max(1.0, s[0])].conj().T  # columns span the kernel
-    if K.shape[1] == 0:
-        return []
-    # orthogonal projector onto the kernel, as acting on vectorized operators
-    P = K @ dag(K)
+    _, s, Vh = np.linalg.svd(L.real_superop)
+    K = Vh[s <= NULL_TOL * max(1.0, s[0])]  # orthonormal rows span the kernel
+    E = np.eye(d * d)[::d + 1]              # the |i><i|; their mean is I/d
     found: list[np.ndarray] = []
-    seeds = [np.eye(d) / d] + [_lower(i, i, d) for i in range(d)]
-    for seed in seeds:
-        w, V = np.linalg.eigh(hermitize(apply_superop(P, seed)))
+    for c in [E.mean(0), *E]:
+        w, V = np.linalg.eigh(_herm_matrix(K.T @ (K @ c)))
         M = (V * np.clip(w, 0, None)) @ dag(V)
         tr = np.trace(M).real
         if tr < 1e-12:
             continue
         M = M / tr
-        M2 = apply_superop(P, M)
+        M2 = _herm_matrix(K.T @ (K @ _herm_coords(M)))
         if np.max(np.abs(M2 - M)) >= 1e-12:
             continue
-        M = hermitize(M2 / np.trace(M2).real)
+        M = M2 / np.trace(M2).real
         if all(np.max(np.abs(M - F)) > 1e-8 for F in found):
             found.append(M)
     # keep a linearly independent basis, preferring extreme (low-rank) states
@@ -336,7 +330,7 @@ def stationary_states(L: Lindbladian) -> list[np.ndarray]:
 
 
 def spectral_gap(L: Lindbladian) -> float:
-    ev = np.linalg.eigvals(build(L))
+    ev = np.linalg.eigvals(L.real_superop)
     nz = ev[np.abs(ev) > NULL_TOL]
     if nz.size == 0:
         return 0.0
@@ -345,11 +339,11 @@ def spectral_gap(L: Lindbladian) -> float:
 
 def unital_fixed_point_check(L: Lindbladian) -> bool:
     """Whether L(I/d) = 0, up to rounding that grows with the generator's
-    scale: 1e-11 max(1, max|S|)."""
-    S = build(L)
-    d = L.dim
-    residual = np.max(np.abs(apply_superop(S, np.eye(d) / d)))
-    return bool(residual <= 1e-11 * max(1.0, np.max(np.abs(S))))
+    scale: R(c) within 1e-11 max(1, max|R|) for R = real_superop and c the
+    coordinates of I/d."""
+    R = L.real_superop
+    residual = np.max(np.abs(R @ (np.eye(L.dim).ravel() / L.dim)))
+    return bool(residual <= 1e-11 * max(1.0, np.max(np.abs(R))))
 
 
 def gamma_form(L: Lindbladian, x: np.ndarray, y: np.ndarray) -> np.ndarray:

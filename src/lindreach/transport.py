@@ -98,20 +98,15 @@ class TransportPlan:
         return c
 
 
-def _register_view(x: np.ndarray, register: int, k: int) -> np.ndarray:
-    """x with every axis split as (higher registers, register bit, lower
-    registers); register 0 is the most significant bit of a basis index."""
-    if not 0 <= register < k:
-        raise ValueError(f"register {register} outside 0..{k - 1}")
-    return x.reshape((2 ** register, 2, 2 ** (k - 1 - register)) * x.ndim)
-
-
 @functools.cache
 def _register_pairs(register: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The basis indices whose register bit is 0 and 1, in matching order:
-    the two halves of _register_view's register axis, as index arrays."""
-    lo, hi = _register_view(np.arange(2 ** k), register, k).transpose(1, 0, 2)
-    lo, hi = lo.ravel(), hi.ravel()
+    """The basis indices whose register bit is 0 and 1, in matching order;
+    register 0 is the most significant bit of a basis index."""
+    if not 0 <= register < k:
+        raise ValueError(f"register {register} outside 0..{k - 1}")
+    bit = 1 << (k - 1 - register)
+    lo = np.flatnonzero((np.arange(2 ** k) & bit) == 0)
+    hi = lo + bit
     lo.flags.writeable = hi.flags.writeable = False
     return lo, hi
 
@@ -294,10 +289,11 @@ def full_state_transport(rho: np.ndarray, sigma: np.ndarray) -> TransportPlan:
 def apply_step(x: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
     """One plan step applied in closed form to a density matrix, or by
     apply_step_diag to a 1-D population vector (damps and transpositions)."""
-    if isinstance(step, Transposition):
-        d = 2 ** k
-        if not (0 <= step.i < d and 0 <= step.j < d):
-            raise ValueError(f"transposition ({step.i}, {step.j}) outside 0..{d - 1}")
+    d = 2 ** k
+    if len(x) != d:
+        raise ValueError(f"state dimension {len(x)} is not 2^k = {d}")
+    if isinstance(step, Transposition) and not (0 <= step.i < d and 0 <= step.j < d):
+        raise ValueError(f"transposition ({step.i}, {step.j}) outside 0..{d - 1}")
     if x.ndim == 1:
         return apply_step_diag(x, step, k)
     if isinstance(step, ApplyUnitary):
@@ -311,11 +307,12 @@ def apply_step(x: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
         # Kraus pair K0 = P0 + sqrt(a) P1, K1 = sqrt(1 - a) |0><1| on the
         # register: exp(t D_{|0><1|}) at a = e^{-2t}, its t -> inf limit at a = 0
         a = step.retention
-        v = _register_view(x, step.register, k)
-        s = np.sqrt([1.0, a])
-        out = v * s[:, None, None, None, None] * s[:, None]
-        out[:, 0, :, :, 0] += (1.0 - a) * v[:, 1, :, :, 1]
-        return out.reshape(x.shape)
+        lo, hi = _register_pairs(step.register, k)
+        s = np.ones(d)
+        s[hi] = math.sqrt(a)
+        out = x * s[:, None] * s
+        out[lo[:, None], lo] += (1.0 - a) * x.take(hi, 0).take(hi, 1)
+        return out
     raise ValueError(f"unknown step kind {step!r}")
 
 

@@ -7,14 +7,17 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
+    SPAN_TOL,
     apply_superop,
     check_density,
     dag,
+    extend_basis,
     hermitize,
     is_cp,
     is_tp,
     kron_superop,
     mat_exp,
+    span_residual,
     superop_from_action,
     trace_distance,
 )
@@ -286,26 +289,36 @@ def test_dephasing_stationary_structure():
 
 def test_near_degenerate_dephasing_projects_each_seed_twice(monkeypatch):
     """Dephasing by a self-adjoint jump with the close eigenvalues 1 and
-    1 + 1e-3, in a Haar-random basis: the coherence between them decays at
-    (1e-3)^2, so the kernel basis the SVD returns is resolved only to about
-    1e-11, and a seed's normalized projection moves under a second one by
-    more than 1e-12. Each of the d + 1 seeds still costs two projections,
-    and whatever is returned is a density matrix."""
+    1 + 1e-3, in a Haar-random basis (seeds 0-11): the coherence between
+    them decays at (1e-3)^2, so the kernel is close to the rest of the
+    spectrum, and I/d is stationary. Each of the d + 1 seeds costs at most
+    two projections onto the kernel of real_superop, each turned into a
+    matrix once by _herm_matrix. At least one state is returned, each a
+    density matrix with max|L(rho)| <= 1e-12, and I/d lies within SPAN_TOL
+    of their span. (Projected on the complex superoperator's kernel and
+    hermitized, every seed moved by more than 1e-12 under a second
+    projection, and no state was returned on any of the twelve.)"""
     d = 5
-    U = haar_unitary(d, np.random.default_rng(0))
-    L = Lindbladian(d, jumps=[JumpTerm(U @ np.diag([0, 1, 1 + 1e-3, 2, 3]) @ dag(U), 1.0)])
-    build(L)
     calls = []
 
-    def counted(S, rho):
-        calls.append(S.shape)
-        return apply_superop(S, rho)
+    def counted(x):
+        calls.append(x.shape)
+        return _herm_matrix(x)
 
-    monkeypatch.setattr(lindblad, "apply_superop", counted)
-    ss = stationary_states(L)
-    assert 0 < len(calls) <= 2 * (d + 1)
-    for s in ss:
-        check_density(s)
+    monkeypatch.setattr(lindblad, "_herm_matrix", counted)
+    for seed in range(12):
+        U = haar_unitary(d, np.random.default_rng(seed))
+        L = Lindbladian(d, jumps=[JumpTerm(U @ np.diag([0, 1, 1 + 1e-3, 2, 3]) @ dag(U), 1.0)])
+        S = build(L)
+        calls.clear()
+        ss = stationary_states(L)
+        assert 0 < len(calls) <= 2 * (d + 1)
+        assert ss
+        for s in ss:
+            check_density(s)
+            assert np.max(np.abs(apply_superop(S, s))) <= 1e-12
+        span = extend_basis(np.zeros((0, d, d), dtype=complex), np.array(ss))
+        assert span_residual(span, np.eye(d) / d) <= SPAN_TOL
 
 
 def _structured_generator(kind, d, n_jumps, rng):
@@ -390,6 +403,39 @@ def test_unital_check_scales_with_generator(d, log_rate, unitary, seed):
     lower = np.zeros((d, d))
     lower[0, 1] = 1.0
     assert not unital_fixed_point_check(Lindbladian(d, H, [JumpTerm(lower, rate)]))
+
+
+def complex_spectral_gap(L):
+    """spectral_gap from the eigenvalues of the complex superoperator, as it
+    was computed before it read real_superop; kept as its reference."""
+    ev = np.linalg.eigvals(build(L))
+    nz = ev[np.abs(ev) > lindblad.NULL_TOL]
+    return 0.0 if nz.size == 0 else float(np.min(-nz.real))
+
+
+def complex_unital_check(L):
+    """unital_fixed_point_check on the complex superoperator, as it was
+    computed before it read real_superop; kept as its reference."""
+    S = build(L)
+    residual = np.max(np.abs(apply_superop(S, np.eye(L.dim) / L.dim)))
+    return bool(residual <= 1e-11 * max(1.0, np.max(np.abs(S))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), adjoint=st.lists(st.booleans(), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_real_form_gap_and_unitality_match_complex_route(d, adjoint, seed):
+    """real_superop is unitarily similar to the complex superoperator, so the
+    gap read from it agrees with the complex one within 1e-12 relative and
+    the unital verdict is the same, for a Hamiltonian plus 1-3 jumps, each
+    self-adjoint (unital) or not."""
+    rng = np.random.default_rng(seed)
+    jumps = [JumpTerm(random_hermitian(rng, d) if h else random_complex(rng, d),
+                      rng.uniform(0.1, 2.0)) for h in adjoint]
+    L = Lindbladian(d, random_hermitian(rng, d), jumps)
+    gap = complex_spectral_gap(L)
+    assert abs(spectral_gap(L) - gap) <= 1e-12 * gap
+    assert unital_fixed_point_check(L) == complex_unital_check(L) == all(adjoint)
 
 
 @pytest.mark.parametrize("t", [np.nan, -1.0, 1e20, 1e300])

@@ -257,14 +257,32 @@ def _strided_damp(p, register, a, k):
     return p
 
 
+def _strided_matrix_damp(x, register, a, k):
+    """The damp on a density matrix through a strided view of both axes as
+    (higher registers, register bit, lower registers), which the index-pair
+    rule replaced; kept as its reference."""
+    v = x.reshape((2 ** register, 2, 2 ** (k - 1 - register)) * 2)
+    s = np.sqrt([1.0, a])
+    out = v * s[:, None, None, None, None] * s[:, None]
+    out[:, 0, :, :, 0] += (1.0 - a) * v[:, 1, :, :, 1]
+    return out.reshape(x.shape)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), k=st.integers(1, 6), a=st.floats(0.0, 1.0))
-def test_index_pair_damp_matches_strided_view(data, k, a):
+@given(data=st.data(), k=st.integers(1, 6), a=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_index_pair_damp_matches_strided_view(data, k, a, seed):
+    """Both damp rules, on populations and on density matrices, give the
+    strided-view rule's bits."""
     register = data.draw(st.integers(0, k - 1))
+    step = AmplitudeDamp(register, a)
     p = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 ** k,
                                     max_size=2 ** k)))
-    assert np.array_equal(apply_step_diag(p, AmplitudeDamp(register, a), k),
+    assert np.array_equal(apply_step_diag(p, step, k),
                           _strided_damp(p, register, a, k))
+    rho = random_density(np.random.default_rng(seed), 2 ** k)
+    assert np.array_equal(apply_step(rho, step, k),
+                          _strided_matrix_damp(rho, register, a, k))
 
 
 def test_random_plan_k5_reaches_target(rng):
@@ -506,3 +524,13 @@ def test_population_steps_keep_the_matrix_argument_checks(step, message):
     for x in (np.array([0.25, 0.75]), diag_density([0.25, 0.75])):
         with pytest.raises(ValueError, match=message):
             apply_step(x, step, 1)
+
+
+def test_step_names_a_state_of_another_dimension():
+    """Every step indexes a state of dimension 2^k, so one of another
+    dimension is refused, as a population vector and as a matrix, before
+    any entry is read."""
+    for x in (np.full(8, 0.125), np.eye(8) / 8):
+        for step in (AmplitudeDamp(0, 0.5), Transposition(0, 1)):
+            with pytest.raises(ValueError, match=r"dimension 8 is not 2\^k = 4"):
+                apply_step(x, step, 2)
