@@ -187,7 +187,7 @@ def _cmd_check_hormander(args):
     rep = lie_closure(S)
     _emit({"dim_found": rep.dim_found, "depth_used": rep.depth_used,
            "is_hormander": rep.is_hormander,
-           "basis": [ser.matrix_to_json(b) for b in rep.basis]}, args)
+           "basis": ser.matrices_to_json(rep.basis)}, args)
 
 
 def _cmd_dilate(args):

@@ -8,23 +8,27 @@ import math
 
 import numpy as np
 
-from .linalg import (choi, dag, hermitize, kron_superop, mat_exp,
-                     require_nonnegative, schatten_norm, tensor)
+from .linalg import (choi, dag, kron_superop, mat_exp, require_nonnegative,
+                     schatten_norm, tensor)
 from .lindblad import JumpTerm, Lindbladian, channel_superop, dissipator
 
 
 def dilated_hamiltonian(a: np.ndarray) -> np.ndarray:
     """The Hermitian H_AE = a (x) |1><0|_E + a^* (x) |0><1|_E on system (x)
-    environment qubit.
+    environment qubit, where system level i and environment level e have
+    the index 2i + e.
 
     In the environment-block picture this is [[0, a], [a^*, 0]] with the
     block adjoint placement fixed by the reduction identity
-    tr_E(L_H(rho (x) |0><0|)) = D_a(rho).
+    tr_E(L_H(rho (x) |0><0|)) = D_a(rho). Its two blocks are written in
+    place, so it is exactly Hermitian.
     """
     a = np.asarray(a, dtype=complex)
-    e10 = np.array([[0, 0], [1, 0]], dtype=complex)
-    H = tensor(a, e10) + tensor(dag(a), dag(e10))
-    return hermitize(H)
+    d = a.shape[0]
+    H = np.zeros((2 * d, 2 * d), dtype=complex)
+    H[1::2, 0::2] = a
+    H[0::2, 1::2] = dag(a)
+    return H
 
 
 def prep_channel(rho_A: np.ndarray) -> np.ndarray:
@@ -51,10 +55,15 @@ def reduced_generator(a: np.ndarray) -> np.ndarray:
     return _reduce(dissipator(dilated_hamiltonian(a)), a.shape[0])
 
 
+def _mixture_unitary(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(i sqrt(2t) H), for a finite nonnegative t."""
+    require_nonnegative(t=t)
+    return mat_exp(1j * math.sqrt(2 * t) * np.asarray(H, dtype=complex))
+
+
 def unitary_mixture_step(H: np.ndarray, t: float) -> np.ndarray:
     """Superoperator of (Ad_{exp(i sqrt(2t) H)} + Ad_{exp(-i sqrt(2t) H)})/2."""
-    require_nonnegative(t=t)
-    U = mat_exp(1j * math.sqrt(2 * t) * np.asarray(H, dtype=complex))
+    U = _mixture_unitary(H, t)
     return 0.5 * (kron_superop(U, dag(U)) + kron_superop(dag(U), U))
 
 
@@ -69,15 +78,33 @@ def mixture_vs_semigroup_error(H: np.ndarray, t: float) -> float:
     return schatten_norm(choi(diff), 1.0)
 
 
+def _dilation_step(a: np.ndarray, t: float) -> np.ndarray:
+    """tr_E o unitary_mixture_step(H_AE, t) o prep as a superoperator on the
+    system, without the dilated channel: rho -> sum_e K_e rho K_e^* with the
+    Kraus blocks K_e = <e|U|0>_E = U[e::2, 0::2] of U = exp(i sqrt(2t) H_AE),
+    e = 0, 1, whose superoperator is sum_e conj(K_e) (x) K_e.
+
+    H_AE flips the environment level, so <0|H^k|0> vanishes for odd k and
+    <1|H^k|0> for even k, and the blocks of U^* = exp(-i sqrt(2t) H_AE) are
+    K_0 and -K_1: the mixture's U^* half reduces to the same channel as
+    its U half."""
+    a = np.asarray(a, dtype=complex)
+    d = a.shape[0]
+    U = _mixture_unitary(dilated_hamiltonian(a), t)
+    K = U[:, 0::2].reshape(d, 2, d).swapaxes(0, 1).reshape(2, d * d)
+    # S[i, k, j, l] = sum_e conj(K_e[i, j]) K_e[k, l]
+    S = (K.conj().T @ K).reshape(d, d, d, d).swapaxes(1, 2)
+    return S.reshape(d * d, d * d)
+
+
 def simulate_dissipator_via_dilation(a: np.ndarray, t: float,
                                      n_trotter: int) -> np.ndarray:
-    """n-fold composition of tr_E o unitary_mixture_step(H_AE, t/n) o prep,
-    as a superoperator on the system; converges to exp(t dissipator(a))."""
+    """n-fold composition of tr_E o unitary_mixture_step(H_AE, t/n) o prep
+    (_dilation_step), as a superoperator on the system; converges to
+    exp(t dissipator(a))."""
     if n_trotter < 1:
         raise ValueError("n_trotter must be at least 1")
-    a = np.asarray(a, dtype=complex)
-    M = unitary_mixture_step(dilated_hamiltonian(a), t / n_trotter)
-    return np.linalg.matrix_power(_reduce(M, a.shape[0]), n_trotter)
+    return np.linalg.matrix_power(_dilation_step(a, t / n_trotter), n_trotter)
 
 
 def dilation_error_vs_exact(a: np.ndarray, t: float,

@@ -26,7 +26,7 @@ class ResourceSet:
 
 @dataclass
 class LieClosureReport:
-    basis: list[np.ndarray]
+    basis: np.ndarray             # (dim_found, d, d) orthonormal stack
     dim_found: int
     depth_used: int
     is_hormander: bool
@@ -59,7 +59,7 @@ def lie_closure(S: ResourceSet) -> LieClosureReport:
         if len(grown) == len(basis):
             break
         basis, new, depth = grown, grown[len(basis):], depth + 1
-    return LieClosureReport(basis=list(basis), dim_found=len(basis),
+    return LieClosureReport(basis=basis, dim_found=len(basis),
                             depth_used=depth,
                             is_hormander=len(basis) == target)
 

@@ -27,6 +27,8 @@ from .linalg import (
 )
 
 NULL_TOL = 1e-9
+NOT_FINITE = ("generator superoperator is not finite: operators and rates "
+              "must be finite, with rate * a^*a finite")
 
 
 def _frozen(a) -> np.ndarray:
@@ -96,14 +98,7 @@ class Lindbladian:
     def superop(self) -> np.ndarray:
         """Read-only GKSL superoperator with Kossakowski matrix diag(rates)
         (+) bilinear, computed on first use."""
-        ops = [j.a for j in self.jumps]
-        rates = [j.rate for j in self.jumps]
-        g = np.diag(rates)
-        if self.bilinear is not None:
-            ops += self.bilinear.ops
-            g = np.pad(self.bilinear.kossakowski, (len(rates), 0))
-            g[:len(rates), :len(rates)] = np.diag(rates)
-        S = _gksl(self.hamiltonian, ops, g)
+        S = _gksl(self.hamiltonian, *_kossakowski(self))
         S.setflags(write=False)
         return S
 
@@ -114,6 +109,20 @@ class Lindbladian:
         R = _real_form(build(self))
         R.setflags(write=False)
         return R
+
+
+def _kossakowski(L: Lindbladian) -> tuple[np.ndarray, np.ndarray]:
+    """L's dissipative operators, the jumps' then bilinear.ops, as an
+    (m, d, d) stack, and their Kossakowski matrix g = diag(rates) (+)
+    bilinear.kossakowski."""
+    ops = [j.a for j in L.jumps]
+    rates = [j.rate for j in L.jumps]
+    g = np.diag(rates)
+    if L.bilinear is not None:
+        ops += L.bilinear.ops
+        g = np.pad(L.bilinear.kossakowski, (len(rates), 0))
+        g[:len(rates), :len(rates)] = np.diag(rates)
+    return np.asarray(ops, dtype=complex).reshape(-1, L.dim, L.dim), g
 
 
 # F_ij = W E_ij + conj(W) E_ji is Hermitian, F_ii = E_ii, and the F_ij form an
@@ -158,17 +167,22 @@ def _gksl(H: np.ndarray, ops: list[np.ndarray], g: np.ndarray) -> np.ndarray:
     A = np.asarray(ops, dtype=complex).reshape(-1, d, d)
     # an overflow is the error below, not a warning before it
     with np.errstate(over="ignore", invalid="ignore"):
-        # G = [a_1^* ... a_m^*] @ [b_1; ...; b_m] with b_k = sum_j g_jk a_j
-        G = dag(A.reshape(-1, d)) @ (g.T @ A.reshape(len(A), d * d)).reshape(-1, d)
+        G = _weighted_products(A, g, A)
         V = vectorize(A).T
         one = vectorize(np.eye(d))
         S = choi(np.outer(vectorize(-1j * H - G), one)
                  + np.outer(one, vectorize(dag(1j * H - G)).conj())
                  + 2 * V @ g @ dag(V))
     if not np.isfinite(S).all():
-        raise ValueError("generator superoperator is not finite: operators "
-                         "and rates must be finite, with rate * a^*a finite")
+        raise ValueError(NOT_FINITE)
     return S
+
+
+def _weighted_products(X: np.ndarray, g: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sum_jk g_jk X_k^* Y_j for (m, d, d) stacks X and Y, as one product
+    [X_1^* ... X_m^*] @ [B_1; ...; B_m] with B_k = sum_j g_jk Y_j."""
+    d = X.shape[-1]
+    return dag(X.reshape(-1, d)) @ (g.T @ Y.reshape(len(Y), d * d)).reshape(-1, d)
 
 
 def dissipator(a: np.ndarray) -> np.ndarray:
@@ -285,12 +299,20 @@ def replacer_lindbladian(sigma: np.ndarray) -> Lindbladian:
     Kraus operators of R_sigma are sqrt(l_i) |v_i><j|; with the factor-2
     dissipator each enters at rate 1/2.
     """
+    jumps = _replacer_jumps(sigma, 0.5)    # one at least: tr sigma = 1
+    return Lindbladian(len(jumps[0].a), jumps=jumps)
+
+
+def _replacer_jumps(sigma: np.ndarray, rate: float) -> list[JumpTerm]:
+    """The Kraus operators sqrt(l_i) |v_i><j| of R_sigma, for a sigma that
+    _check_state accepts, as jumps at one rate; at rate 1/2 they are
+    R_sigma - id."""
     sigma, w, V = _check_state(sigma, "sigma", vectors=True)
     d = sigma.shape[0]
     keep = w > 1e-15
     # K[i, j] = sqrt(l_i) |v_i><j|, i-major over the kept eigenvalues
     K = np.einsum("ai,jb->ijab", V[:, keep] * np.sqrt(w[keep]), np.eye(d))
-    return Lindbladian(d, jumps=[JumpTerm(k, 0.5) for k in K.reshape(-1, d, d)])
+    return [JumpTerm(k, rate) for k in K.reshape(-1, d, d)]
 
 
 def stationary_states(L: Lindbladian) -> list[np.ndarray]:
@@ -330,8 +352,12 @@ def stationary_states(L: Lindbladian) -> list[np.ndarray]:
 
 
 def spectral_gap(L: Lindbladian) -> float:
+    """The least -Re(lambda) over the eigenvalues of real_superop outside
+    its kernel, or 0 when all lie in it; the kernel's cut, NULL_TOL, scales
+    with max(1, max|lambda|), as in stationary_states."""
     ev = np.linalg.eigvals(L.real_superop)
-    nz = ev[np.abs(ev) > NULL_TOL]
+    mag = np.abs(ev)
+    nz = ev[mag > NULL_TOL * max(1.0, mag.max())]
     if nz.size == 0:
         return 0.0
     return float(np.min(-nz.real))
@@ -348,14 +374,24 @@ def unital_fixed_point_check(L: Lindbladian) -> bool:
 
 def gamma_form(L: Lindbladian, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient form Gamma(x, y) = L(x^*y) - L(x)^*y - x^*L(y) with L acting
-    in the Heisenberg picture: dag(build(L)), the adjoint under the trace
-    pairing <A,B> = tr(A^*B)."""
+    in the Heisenberg picture (the adjoint of build(L) under the trace
+    pairing <A,B> = tr(A^*B)), in its closed form
+    2 sum_jk g_jk [a_k, x]^*[a_j, y] over L's dissipative operators and
+    Kossakowski matrix g (_kossakowski; Carlen and Maas, 2017): the
+    Hamiltonian part cancels, and no superoperator is formed. A generator
+    that build refuses is refused with its error: one whose operators, g or
+    2 sum_jk g_jk a_k^*a_j are not finite."""
     require_dim(L.dim, x=x, y=y)
-    Sh = dag(build(L))
+    A, g = _kossakowski(L)
+    # an overflow is the error below, not a warning before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        G2 = 2 * _weighted_products(A, g, A)
+    if not (np.isfinite(A).all() and np.isfinite(g).all()
+            and np.isfinite(G2).all()):
+        raise ValueError(NOT_FINITE)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    return (apply_superop(Sh, dag(x) @ y) - dag(apply_superop(Sh, x)) @ y
-            - dag(x) @ apply_superop(Sh, y))
+    return 2 * _weighted_products(A @ x - x @ A, g, A @ y - y @ A)
 
 
 def gamma_span_criterion(a: np.ndarray, basis: list[np.ndarray]) -> bool:

@@ -60,9 +60,18 @@ def _positive(obj, name: str) -> int:
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
-    M = np.asarray(M, dtype=complex)
-    return {"dim": M.shape[0],
-            "entries": np.stack([M.real, M.imag], -1).reshape(-1, 2).tolist()}
+    return matrices_to_json([M])[0]
+
+
+def matrices_to_json(Ms) -> list[dict]:
+    """JSON objects of a list or (n, d, d) stack of d x d matrices, their
+    [re, im] pairs converted to Python floats in one tolist() call."""
+    Ms = np.asarray(Ms, dtype=complex)
+    if not len(Ms):
+        return []
+    n, d = Ms.shape[:2]
+    entries = np.stack([Ms.real, Ms.imag], -1).reshape(n, d * d, 2).tolist()
+    return [{"dim": d, "entries": e} for e in entries]
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -134,10 +143,10 @@ def _matrix_from_json(obj) -> np.ndarray:
 def lindbladian_to_json(L: Lindbladian) -> dict:
     out = {"dim": L.dim,
            "hamiltonian": matrix_to_json(L.hamiltonian),
-           "jumps": [{"a": matrix_to_json(j.a), "rate": float(j.rate)}
-                     for j in L.jumps]}
+           "jumps": [{"a": a, "rate": float(j.rate)} for a, j in
+                     zip(matrices_to_json([j.a for j in L.jumps]), L.jumps)]}
     if L.bilinear is not None:
-        out["bilinear"] = {"ops": [matrix_to_json(a) for a in L.bilinear.ops],
+        out["bilinear"] = {"ops": matrices_to_json(L.bilinear.ops),
                            "kossakowski": matrix_to_json(L.bilinear.kossakowski)}
     return out
 
@@ -215,9 +224,9 @@ def plan_from_json(obj) -> TransportPlan:
 
 def path_sample_to_json(path: PathSample) -> dict:
     out = {"times": [float(t) for t in path.times],
-           "states": [matrix_to_json(s) for s in path.states]}
+           "states": matrices_to_json(path.states)}
     if path.derivs is not None:
-        out["derivs"] = [matrix_to_json(x) for x in path.derivs]
+        out["derivs"] = matrices_to_json(path.derivs)
     return out
 
 

@@ -19,7 +19,7 @@ from .linalg import (
     trace_distance,
     vectorize,
 )
-from .lindblad import JumpTerm, Lindbladian, _evolve, apply, replacer_lindbladian
+from .lindblad import JumpTerm, Lindbladian, _evolve, _replacer_jumps, apply
 
 SUPPORT_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -226,8 +226,7 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
             raise ValueError("replacer step underflow: lambda_min(rho11) too "
                              "small relative to the in-support target")
         target = hermitize(rho + eps * y)
-        rep = replacer_lindbladian(target)
-        jumps.extend(JumpTerm(j.a, j.rate / eps) for j in rep.jumps)
+        jumps.extend(_replacer_jumps(target, 0.5 / eps))
     L = Lindbladian(d, hamiltonian=hermitize(H), jumps=jumps)
     x = hermitize(np.asarray(x, dtype=complex))
     residual = float(np.linalg.norm(apply(L, rho) - x))

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from lindreach import cli, serialize as ser
 from lindreach.cli import build_parser, main
+from lindreach.hormander import ResourceSet, lie_closure
 from lindreach.linalg import dag, hermitize
 from lindreach.lindblad import (BilinearTerm, JumpTerm, Lindbladian,
                                replacer_lindbladian)
@@ -274,6 +275,35 @@ def test_matrices_from_json_matches_numpy_bit_for_bit(data, entries, d, n):
     if n:
         floats = all(type(x) is float for x in scalars)
         assert (ser._stack(objs) is not None) == floats
+
+
+def _matrix_to_json_one_by_one(M):
+    """The per-matrix encoding that matrices_to_json replaced: one tolist()
+    per matrix; kept as its reference."""
+    M = np.asarray(M, dtype=complex)
+    return {"dim": M.shape[0],
+            "entries": np.stack([M.real, M.imag], -1).reshape(-1, 2).tolist()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(1, 4), n=st.sampled_from([0, 1, 2, 7]))
+def test_matrices_to_json_matches_one_by_one_byte_for_byte(data, d, n):
+    """One conversion for a whole list gives the JSON text of one per
+    matrix, byte for byte: signed zeros, subnormals and the largest floats
+    included, for an empty list, a list of arrays and a stack; so does the
+    (0, d, d) basis of a closure with nothing to bracket."""
+    pair = st.lists(_finite | _tiny, min_size=2, max_size=2)
+    Ms = [np.array(data.draw(st.lists(pair, min_size=d * d, max_size=d * d)),
+                   dtype=float).reshape(d, d, 2) @ [1, 1j] for _ in range(n)]
+    for M in Ms:
+        M.real[0, 0] = M.imag[-1, -1] = -0.0
+    want = json.dumps([_matrix_to_json_one_by_one(M) for M in Ms])
+    assert json.dumps(ser.matrices_to_json(Ms)) == want
+    assert json.dumps(ser.matrices_to_json(np.array(Ms).reshape(n, d, d))) == want
+    assert [json.dumps(ser.matrix_to_json(M)) for M in Ms] == [
+        json.dumps(_matrix_to_json_one_by_one(M)) for M in Ms]
+    basis = lie_closure(ResourceSet(d, [np.eye(d)])).basis
+    assert basis.shape == (0, d, d) and ser.matrices_to_json(basis) == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -3,6 +3,8 @@ import pytest
 
 from lindreach import dilation
 from lindreach.dilation import (
+    _dilation_step,
+    _reduce,
     dilated_hamiltonian,
     dilation_error_vs_exact,
     mixture_vs_semigroup_error,
@@ -36,6 +38,17 @@ def test_dilated_hamiltonian_blocks():
     # environment-block structure [[0, a], [a^*, 0]] after reordering:
     # entries couple |j>|0> with a|j>|1>
     assert np.isclose(H[1, 0], 0.0)  # no coupling inside the same E sector
+
+
+def test_dilated_hamiltonian_is_the_kron_form_exactly_hermitian(rng):
+    """The two strided blocks are a (x) |1><0| + a^* (x) |0><1|, and the
+    matrix equals its adjoint bit for bit."""
+    e10 = np.array([[0, 0], [1, 0]], dtype=complex)
+    for d in (1, 2, 3, 5):
+        a = random_complex(rng, d)
+        H = dilated_hamiltonian(a)
+        assert np.array_equal(H, tensor(a, e10) + tensor(dag(a), dag(e10)))
+        assert np.array_equal(H, dag(H))
 
 
 def test_prep_channel(rng):
@@ -96,6 +109,17 @@ def test_trotter_dilation_matches_prep_trace_reference(rng):
             ref = np.linalg.matrix_power(step, n)
             S = simulate_dissipator_via_dilation(a, t, n)
             assert np.max(np.abs(S - ref)) <= 1e-12
+
+
+def test_kraus_step_matches_reduced_dilated_channel(rng):
+    """One Trotter step from the four d x d Kraus blocks is, within 1e-14,
+    the partial trace of the (2d)^2 x (2d)^2 unitary mixture it replaces."""
+    for d in (2, 3, 4, 5):
+        for _ in range(4):
+            a = random_complex(rng, d)
+            t, n = rng.uniform(0.1, 2.0), int(rng.integers(1, 300))
+            ref = _reduce(unitary_mixture_step(dilated_hamiltonian(a), t / n), d)
+            assert np.max(np.abs(_dilation_step(a, t / n) - ref)) <= 1e-14
 
 
 def test_mixture_error_slope():

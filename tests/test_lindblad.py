@@ -364,6 +364,18 @@ def test_spectral_gap_zero_for_trivial():
     assert spectral_gap(Lindbladian(2)) == 0.0
 
 
+def test_spectral_gap_kernel_cut_scales_with_the_spectrum():
+    """NULL_TOL cuts the kernel relative to max(1, max|lambda|): a jump at
+    rate 1e6 has 1e6 times its gap at rate 1, about 8.17e5 for this one,
+    and not its kernel's rounding."""
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    gap = spectral_gap(Lindbladian(4, jumps=[JumpTerm(a, 1e6)]))
+    unit = spectral_gap(Lindbladian(4, jumps=[JumpTerm(a, 1.0)]))
+    assert abs(gap - 8.17e5) <= 1e3
+    assert abs(gap - 1e6 * unit) <= 1e-12 * gap
+
+
 def test_build_commutes_with_unitary_conjugation(rng):
     # a -> U^* a U and H -> U^* H U conjugate the superoperator by Ad(U^*)
     L = Lindbladian(2, jumps=[JumpTerm(dag(X) @ LOWER @ X, 1.0)])
@@ -455,7 +467,8 @@ def test_non_finite_superoperator_names_the_generator(rng):
     """A generator whose superoperator is not finite is refused where the
     superoperator is built, with an error that names its operators and
     rates, not t, and no warning before it: a finite jump whose a^*a
-    overflows, a NaN jump, or a NaN Kossakowski matrix. The reference
+    overflows, a NaN jump, or a NaN Kossakowski matrix. gamma_form, which
+    forms no superoperator, refuses them with the same error. The reference
     builders dissipator and bilinear_dissipator refuse the same operators.
     (A finite generator still names t when exp(tL) overflows:
     test_channel_superop_names_bad_t.)"""
@@ -469,7 +482,8 @@ def test_non_finite_superoperator_names_the_generator(rng):
               Lindbladian(2, bilinear=term)):
         uses += [lambda L=L: build(L),
                  lambda L=L: propagate(L, np.eye(2) / 2, 1e-300),
-                 lambda L=L: alignment(L, eta, sigma, 2.0)]
+                 lambda L=L: alignment(L, eta, sigma, 2.0),
+                 lambda L=L: gamma_form(L, eta, sigma)]
     for use in uses:
         with pytest.raises(ValueError, match="^generator superoperator is "
                            "not finite: operators and rates"), \
@@ -630,6 +644,33 @@ def test_gamma_scalar_shift_invariance(rng):
     Lshift = Lindbladian(3, jumps=[JumpTerm(a + lam * np.eye(3), 1.0)])
     x, y = random_complex(rng, 3), random_complex(rng, 3)
     assert np.max(np.abs(gamma_form(La, x, y) - gamma_form(Lshift, x, y))) <= 1e-10
+
+
+def superop_gamma(L, x, y):
+    """gamma_form through the Heisenberg-picture superoperator dag(build(L)),
+    as it was computed before the closed form; kept as its reference."""
+    Sh = dag(build(L))
+    return (apply_superop(Sh, dag(x) @ y) - dag(apply_superop(Sh, x)) @ y
+            - dag(x) @ apply_superop(Sh, y))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), n_jumps=st.integers(0, 3), n_ops=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gamma_form_matches_superoperator_route(d, n_jumps, n_ops, seed):
+    """The closed form 2 sum_jk g_jk [a_k, x]^*[a_j, y] is the gradient form
+    of the superoperator within 1e-13 of max|Gamma|, for a Hamiltonian, 0-3
+    jumps and a bilinear term whose complex Kossakowski matrix tells g_jk
+    from g_kj."""
+    rng = np.random.default_rng(seed)
+    B = random_complex(rng, n_ops)
+    term = BilinearTerm([random_complex(rng, d) for _ in range(n_ops)], B @ dag(B))
+    jumps = [JumpTerm(random_complex(rng, d), rng.uniform(0.1, 2.0))
+             for _ in range(n_jumps)]
+    L = Lindbladian(d, random_hermitian(rng, d), jumps, term)
+    x, y = random_complex(rng, d), random_complex(rng, d)
+    ref = superop_gamma(L, x, y)
+    assert np.max(np.abs(gamma_form(L, x, y) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_gamma_span_criterion(rng):
