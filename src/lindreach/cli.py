@@ -20,7 +20,6 @@ from .tangent import SUPPORT_TOL, in_tangent_cone, lift, lift_path
 from .transport import (_require_k, execute_plan, plan_diagonal_transport,
                         plan_states)
 from .dilation import dilation_error_vs_exact
-from .serialize import SchemaError
 
 
 class ValidationError(ValueError):
@@ -352,7 +351,7 @@ def _main(argv: list[str] | None) -> int:
         return 0
     except ValidationError as exc:
         return _error(exc.code, str(exc), exc.context)
-    except (SchemaError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _error("validation_error", str(exc))
     except MemoryError as exc:
         # an input too large to compute with; numpy names the allocation

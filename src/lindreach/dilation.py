@@ -111,7 +111,10 @@ def dilation_error_vs_exact(a: np.ndarray, t: float,
                             counts: list[int]) -> list[float]:
     """Choi trace-norm distance of the Trotterized dilation from the closed
     form exp(t dissipator(a)), one per Trotter count; the closed form is
-    formed once."""
+    formed once. An error is the difference of two O(1) channels, one an
+    n-fold product, so rounding of order 1e-14 lands in it: at n = 256 only
+    about 10 significant digits mean anything (up to 4.6e-11 relative off
+    30-digit mpmath values on 165 errors)."""
     # the dilations first: they reject a bad t before exp(t D) is formed
     approx = [simulate_dissipator_via_dilation(a, t, n) for n in counts]
     if not all(np.all(np.isfinite(M)) for M in approx):

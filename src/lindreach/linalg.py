@@ -91,9 +91,10 @@ def _require_psd(w: np.ndarray, eig_tol: float) -> None:
 def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL, vectors: bool = False
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Test that rho is a density matrix: finite, square, Hermitian, trace,
-    spectrum, in that order. Return (rho, w, V): rho as a complex array, the
-    ascending eigenvalues of hermitize(rho) that the spectrum test takes the
-    least of, and with vectors their eigenvectors from the same eigh, else None."""
+    spectrum, in that order. Return (H, w, V): H = hermitize(rho), the
+    exactly Hermitian matrix the spectrum test judged, the ascending
+    eigenvalues of H that the spectrum test takes the least of, and with
+    vectors their eigenvectors from the same eigh, else None."""
     rho = np.asarray(rho, dtype=complex)
     _require_finite(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -106,7 +107,7 @@ def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL, vectors: bool = Fal
         H = hermitize(rho)
     w, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
     _require_psd(w, eig_tol)
-    return rho, w, V
+    return H, w, V
 
 
 def _check_state(rho, name: str, d: int | None = None, vectors: bool = False
@@ -114,7 +115,7 @@ def _check_state(rho, name: str, d: int | None = None, vectors: bool = False
     """The one check of a caller-supplied state: require_dim when the
     operation fixes d, then check_density's tests, whose errors are prefixed
     with "name: ", so every error names the state. Return check_density's
-    (rho, w, V)."""
+    (H, w, V): from here on the state is exactly Hermitian."""
     if d is not None:
         require_dim(d, **{name: rho})
     try:
@@ -126,9 +127,11 @@ def _check_state(rho, name: str, d: int | None = None, vectors: bool = False
 def _check_built(x: np.ndarray) -> np.ndarray:
     """check_density's finiteness, trace and spectrum tests at BUILT_EIG_TOL,
     with its messages, for a state a step built: a population vector, its own
-    spectrum, or a matrix built exactly Hermitian (by hermitize or
-    lindblad._herm_matrix) with entries below half the largest float, which
-    hermitize leaves bit for bit, so the Hermiticity test cannot fail."""
+    spectrum, or an exactly Hermitian matrix, on which the Hermiticity test
+    cannot fail. Every state is exactly Hermitian from its check on
+    (check_density returns hermitize(rho)), and every step that builds one
+    from such a state keeps it so, but a unitary product, which
+    transport.apply_step hermitizes."""
     _require_finite(x)
     vector = x.ndim == 1
     _require_unit_trace(x.sum() if vector else x.diagonal().real.sum(), BUILT_EIG_TOL)
@@ -278,7 +281,12 @@ def _pnorm(s: np.ndarray, p: float) -> float | np.ndarray:
         if math.isinf(p):
             return n
         return n * float(((s / n if n > 0 else s) ** p).sum()) ** (1.0 / p)
-    n = s.max(-1, initial=0.0)
+    if s.shape[-1] <= 36:
+        # numpy's max along a short last axis is several times slower than
+        # on a copy with that axis first; a max is exact in any order
+        n = np.ascontiguousarray(s.T).max(0, initial=0.0).T
+    else:
+        n = s.max(-1, initial=0.0)
     if not np.isinf(p):
         r = s / np.where(n > 0, n, 1.0)[..., None]     # 0 / 1 for a zero vector
         n = n * (r ** p).sum(-1) ** (1.0 / p)

@@ -255,14 +255,7 @@ def _evolve(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
 
 def propagate(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
     """exp(t L) applied to rho, revalidated as a density matrix."""
-    return _propagate_checked(L, _check_state(rho, "rho", L.dim)[0], t)
-
-
-def _propagate_checked(L: Lindbladian, rho: np.ndarray, t: float) -> np.ndarray:
-    """propagate for a rho already checked as a density matrix of L's
-    dimension; the state it builds is exactly Hermitian, so its check skips
-    the Hermiticity test (_check_built)."""
-    return _check_built(_evolve(L, rho, t))
+    return _check_built(_evolve(L, _check_state(rho, "rho", L.dim)[0], t))
 
 
 def _require_index(d: int, *indices: int) -> None:

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EIG_TOL, _check_state, _pnorm, apply_superop, dag,
-                     hermitize, is_diagonal, require_dim, require_nonnegative,
-                     require_positive)
-from .lindblad import (JumpTerm, Lindbladian, _lower, _propagate_checked,
-                       _require_index, apply, build)
+from .linalg import (EIG_TOL, _check_built, _check_state, _pnorm,
+                     apply_superop, dag, hermitize, is_diagonal, require_dim,
+                     require_nonnegative, require_positive)
+from .lindblad import (JumpTerm, Lindbladian, _evolve, _lower, _require_index,
+                       apply, build)
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
@@ -167,7 +167,7 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         # one _weight of eta - sigma per state: its W aligns every
         # generator, and its p-distance decides reached and scales the
         # stall test
-        W, dist = _weight(hermitize(eta - sigma), p)
+        W, dist = _weight(eta - sigma, p)
         reached = dist <= target_tol
         if reached:
             break
@@ -181,8 +181,7 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
         if not _descends(val, dist, p):
             stall = (eta, float(val))
             break
-        # eta was checked when it was produced
-        eta = _propagate_checked(K.generators[idx], eta, rate * dt)
+        eta = _check_built(_evolve(K.generators[idx], eta, rate * dt))
         states.append(eta)
         schedule.append((i * dt, (i + 1) * dt, idx, rate))
     return ReachReport(reached=reached, final_state=eta,
@@ -283,7 +282,7 @@ def _sphere_samples(sigma: np.ndarray, epsilon: float, p: float,
             X.reshape(len(idx), d * d)[:, ::d + 1] = x
         else:
             X = X[idx]
-        eta = hermitize(sigma + scale[:, None, None] * X)
+        eta = sigma + scale[:, None, None] * X
         if not decided:
             psd = np.flatnonzero(np.linalg.eigvalsh(eta).min(axis=1) >= -EIG_TOL)[:need]
             idx, scale, eta = idx[psd], scale[psd], eta[psd]
@@ -342,13 +341,13 @@ def replacer_overshoot(rho: np.ndarray, sigma: np.ndarray, eps: float) -> dict:
     sigma = _check_state(sigma, "sigma", len(rho))[0]
     require_positive(eps=eps)
     sigma_t = sigma + eps * (sigma - rho)
-    if np.linalg.eigvalsh(hermitize(sigma_t)).min() < -1e-12:
+    if np.linalg.eigvalsh(sigma_t).min() < -1e-12:
         raise ValueError("overshoot target is not positive semidefinite; "
                          "decrease eps")
     s = math.log(1.0 + 1.0 / eps)
     ts = np.linspace(0.0, s, 64)
     u = np.exp(-ts)[:, None, None]
-    states = hermitize(u * rho + (1 - u) * sigma_t)
+    states = u * rho + (1 - u) * sigma_t
     return {"trajectory": PathSample(ts, states), "hit_time": s}
 
 
@@ -364,7 +363,7 @@ def tan_schedule(rho: np.ndarray, sigma: np.ndarray, n_steps: int) -> dict:
     # the state is sigma and the generator norm 0
     t = ts[:-1]
     u = np.exp(-np.tan(t))
-    states = hermitize(u[:, None, None] * rho + (1 - u)[:, None, None] * sigma)
+    states = u[:, None, None] * rho + (1 - u)[:, None, None] * sigma
     # generator scale of the reparameterized replacer flow
     gen_norms = 1.0 / np.cos(t) ** 2 * u * np.linalg.norm(rho - sigma)
     return {"trajectory": PathSample(ts, np.concatenate([states, sigma[None]])),

@@ -32,6 +32,7 @@ class SupportDecomposition:
     basis: np.ndarray             # unitary eigenbasis of rho, support first
     rank: int                     # eigenvalues above the support cut
     p: np.ndarray                 # eigenvalues of rho, descending
+    rho: np.ndarray               # rho as checked, exactly Hermitian
 
 
 @dataclass
@@ -70,9 +71,9 @@ class PathSample:
 def support_projection(rho: np.ndarray, tol: float = SUPPORT_TOL) -> SupportDecomposition:
     """Validate rho and eigendecompose it once; the support is the span of
     the eigenvectors whose eigenvalue exceeds tol."""
-    _, w, V = _check_state(rho, "rho", vectors=True)
+    rho, w, V = _check_state(rho, "rho", vectors=True)
     p, V = w[::-1], V[:, ::-1]
-    return SupportDecomposition(basis=V, rank=int(np.sum(p > tol)), p=p)
+    return SupportDecomposition(basis=V, rank=int(np.sum(p > tol)), p=p, rho=rho)
 
 
 def _in_cone(dec: SupportDecomposition, xb: np.ndarray, tol: float) -> bool:
@@ -188,8 +189,7 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
     in-support remainder.
     """
     dec = support_projection(rho, tol=tol)
-    rho = np.asarray(rho, dtype=complex)
-    r, d, V = dec.rank, len(dec.p), dec.basis
+    rho, r, d, V = dec.rho, dec.rank, len(dec.p), dec.basis
     p = dec.p[:r]                     # descending, so p[0] is the largest
     xb = _adapted(dec, x, tol)
     if not _in_cone(dec, xb, max(tol, PATH_TOL)):
@@ -225,7 +225,7 @@ def lift(rho: np.ndarray, x: np.ndarray, tol: float = SUPPORT_TOL,
         if eps < 1e-12:
             raise ValueError("replacer step underflow: lambda_min(rho11) too "
                              "small relative to the in-support target")
-        target = hermitize(rho + eps * y)
+        target = rho + eps * y
         jumps.extend(_replacer_jumps(target, 0.5 / eps))
     L = Lindbladian(d, hamiltonian=hermitize(H), jumps=jumps)
     x = hermitize(np.asarray(x, dtype=complex))

@@ -288,7 +288,9 @@ def full_state_transport(rho: np.ndarray, sigma: np.ndarray) -> TransportPlan:
 
 def apply_step(x: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
     """One plan step applied in closed form to a density matrix, or by
-    apply_step_diag to a 1-D population vector (damps and transpositions)."""
+    apply_step_diag to a 1-D population vector (damps and transpositions).
+    A unitary product is hermitized: it is the one step that does not keep
+    an exactly Hermitian state exactly Hermitian."""
     d = 2 ** k
     if len(x) != d:
         raise ValueError(f"state dimension {len(x)} is not 2^k = {d}")
@@ -298,7 +300,7 @@ def apply_step(x: np.ndarray, step: PlanStep, k: int) -> np.ndarray:
         return apply_step_diag(x, step, k)
     if isinstance(step, ApplyUnitary):
         require_dim(len(x), U=step.U)
-        return step.U @ x @ dag(step.U)
+        return hermitize(step.U @ x @ dag(step.U))
     if isinstance(step, Transposition):
         perm = np.arange(len(x))
         perm[step.i], perm[step.j] = step.j, step.i
@@ -320,34 +322,26 @@ def _checked_states(plan: TransportPlan, rho: np.ndarray) -> Iterator[np.ndarray
     """rho, then the state after each step: its d x d matrix, or its
     population vector while it is exactly diagonal.
 
-    Each state is checked once: damps and unitaries are hermitized and
-    checked with check_density's tests but the Hermiticity test, which
-    hermitize's output cannot fail, a diagonal state on its populations,
-    which are its spectrum (both _check_built), and a transposition permutes
-    entries that were already checked.
+    Each state is checked once, and is exactly Hermitian (see _check_built):
+    the state after a damp or unitary by check_density's tests but the
+    Hermiticity test, a diagonal state on its populations, which are its
+    spectrum (both _check_built); a transposition permutes entries that were
+    already checked.
     """
     rho = _check_state(rho, "rho", plan.dim)[0]
     yield rho
-    # the input is the only state that may be inexactly Hermitian, and a
-    # transposition is not followed by hermitize
-    if plan.steps and isinstance(plan.steps[0], Transposition):
-        rho = hermitize(rho)
     x = _populations_if_diagonal(rho)
     for step in plan.steps:
         if x.ndim == 1 and isinstance(step, ApplyUnitary):
             x = _as_matrix(x)
         x = apply_step(x, step, plan.k)
-        if isinstance(step, Transposition):
-            pass
-        elif x.ndim == 1:
-            x = _check_built(x)
-        else:
-            x = _populations_if_diagonal(_check_built(hermitize(x)))
+        if not isinstance(step, Transposition):
+            x = _populations_if_diagonal(_check_built(x))
         yield x
 
 
-def _populations_if_diagonal(rho: np.ndarray) -> np.ndarray:
-    return rho.diagonal().real if is_diagonal(rho) else rho
+def _populations_if_diagonal(x: np.ndarray) -> np.ndarray:
+    return x.diagonal().real if x.ndim == 2 and is_diagonal(x) else x
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:

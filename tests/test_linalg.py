@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
     BUILT_EIG_TOL,
+    EIG_TOL,
     _check_built,
     _check_state,
     _pnorm,
@@ -32,13 +33,18 @@ from lindreach.linalg import (
     vectorize,
 )
 from lindreach import linalg
-from lindreach.lindblad import (_herm_coords, _herm_matrix, chain_lindbladian,
-                               channel_superop, propagate, replacer_lindbladian)
-from lindreach.reach import ResourceSetK, porcupine_check, reach_drive
-from lindreach.transport import execute_plan, plan_diagonal_transport, plan_states
+from lindreach.lindblad import (JumpTerm, Lindbladian, _herm_coords,
+                               _herm_matrix, chain_lindbladian, channel_superop,
+                               propagate, replacer_lindbladian)
+from lindreach.reach import (ResourceSetK, lowering_jump, porcupine_check,
+                             reach_drive, replacer_overshoot, tan_schedule)
+from lindreach.transport import (TransportPlan, Transposition, execute_plan,
+                                 full_state_transport, plan_diagonal_transport,
+                                 plan_states)
 from lindreach.hormander import haar_unitary
 
-from conftest import random_complex, random_density, svd_schatten
+from conftest import (random_complex, random_density, random_hermitian,
+                      svd_schatten)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -474,15 +480,15 @@ def test_population_check_parity_without_warnings(data, d, fault, seed):
 
 
 def test_eigh_check_takes_the_spectrum_test_from_its_eigh(rng):
-    """check_density with vectors returns eigh(hermitize(rho)), and its
-    spectrum test is that of check_density without vectors on the same least
-    eigenvalue, to rounding: only the printed eigenvalue may differ in its
-    last digits."""
+    """check_density returns H = hermitize(rho), and with vectors eigh(H), and
+    its spectrum test is that of check_density without vectors on the same
+    least eigenvalue, to rounding: only the printed eigenvalue may differ in
+    its last digits."""
     for d in (1, 2, 4, 7):
         rho = random_density(rng, d, rank=max(d - 2, 1))
         got, w, V = check_density(rho, vectors=True)
-        w_ref, V_ref = np.linalg.eigh(hermitize(check_density(rho)[0]))
-        assert np.array_equal(got, rho)
+        w_ref, V_ref = np.linalg.eigh(check_density(rho)[0])
+        assert np.array_equal(got, hermitize(rho))
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
         assert check_density(rho)[2] is None
     bad = np.diag([1.0 + 3e-8, -3e-8]).astype(complex)
@@ -500,6 +506,51 @@ def test_eigh_check_takes_the_spectrum_test_from_its_eigh(rng):
                     warnings.catch_warnings():
                 warnings.simplefilter("error")
                 check_density(case, vectors=vectors)
+
+
+def _exactly_hermitian(A) -> bool:
+    return np.array_equal(A, dag(A))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 2), size=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_state_is_exactly_hermitian_from_its_check_on(k, size, seed):
+    """Densities made inexactly Hermitian by an anti-Hermitian term inside
+    check_density's Hermiticity tolerance: the checked state is
+    hermitize(rho), and every state built from it, by a propagation, a reach
+    step, a plan step (a leading transposition, unitaries and damps) or a
+    replacer mixture, is exactly Hermitian. propagate gives the same bits
+    for rho and for hermitize(rho)."""
+    rng = np.random.default_rng(seed)
+    d = 2 ** k
+
+    def perturbed():
+        # lambda_min >= 1/(2d), so the overshoot target below is a state
+        rho = (random_density(rng, d) + np.eye(d) / d) / 2
+        A = random_complex(rng, d)
+        A = A - dag(A)
+        # rho - rho^* = 2 c A, within the tolerance EIG_TOL for d <= 100
+        return rho + size * EIG_TOL / (2 * np.max(np.abs(A))) * A
+
+    rho, sigma = perturbed(), perturbed()
+    checked = _check_state(rho, "rho")[0]
+    assert _exactly_hermitian(checked)
+    assert np.array_equal(checked, hermitize(rho))
+    L = Lindbladian(d, hamiltonian=random_hermitian(rng, d),
+                    jumps=[JumpTerm(random_complex(rng, d), 0.3)])
+    out = propagate(L, rho, 0.2)
+    assert _exactly_hermitian(out)
+    assert np.array_equal(out, propagate(L, hermitize(rho), 0.2))
+    K = ResourceSetK([lowering_jump(0, 1, d), replacer_lindbladian(sigma), L])
+    rep = reach_drive(K, rho, sigma, dt=0.05, t_max=0.5)
+    assert all(_exactly_hermitian(x) for x in rep.trajectory.states)
+    full = full_state_transport(rho, sigma)
+    plan = TransportPlan(k, [Transposition(0, d - 1), *full.steps])
+    assert all(_exactly_hermitian(x) for x in plan_states(plan, rho))
+    for path in (replacer_overshoot(rho, sigma, 0.05)["trajectory"],
+                 tan_schedule(rho, sigma, 8)["trajectory"]):
+        assert _exactly_hermitian(path.states)
 
 
 def _message(f, *args, **kwargs):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lindreach.linalg import (
     SPAN_TOL,
+    _check_built,
     apply_superop,
     check_density,
     dag,
@@ -29,7 +30,6 @@ from lindreach.lindblad import (
     _herm_coords,
     _herm_matrix,
     _evolve,
-    _propagate_checked,
     apply,
     bilinear_dissipator,
     build,
@@ -565,9 +565,9 @@ def test_herm_coordinates(data, d, log_scale, seed):
 def test_propagated_state_is_rejected_as_check_density_rejects_it(rng, fault,
                                                                    message):
     """A propagated state that is not a density matrix (here from an input
-    that skipped its check) raises check_density's exception and message:
-    the state is exactly Hermitian, so its check runs check_density's other
-    tests on it unchanged."""
+    that skipped its check) raises check_density's exception and message in
+    propagate's own built-state check: the state is exactly Hermitian, so
+    that check runs check_density's other tests on it unchanged."""
     L = Lindbladian(3, hamiltonian=random_hermitian(rng, 3),
                     jumps=[JumpTerm(random_complex(rng, 3), 0.3)])
     rho = random_density(rng, 3)
@@ -582,7 +582,7 @@ def test_propagated_state_is_rejected_as_check_density_rejects_it(rng, fault,
         with pytest.raises(ValueError) as ref:
             check_density(_evolve(L, rho, t), eig_tol=1e-8)
         with pytest.raises(ValueError) as got:
-            _propagate_checked(L, rho, t)
+            _check_built(_evolve(L, rho, t))
         assert str(got.value) == str(ref.value)
         assert message in str(got.value)
 

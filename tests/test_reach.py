@@ -384,8 +384,8 @@ def test_reach_drive_within_eq_tol_of_sigma_reports(rng):
     """rho0 within EQ_TOL of sigma but farther than target_tol: the shared
     weight defines the alignment, so reach_drive reports instead of raising.
     A replacer contracts at rate 1, far below STALL_TOL at this distance, so
-    the descent stalls at once, and the certificate holds the alignment that
-    was computed."""
+    the descent stalls at once, and the certificate holds the checked rho0,
+    hermitize(rho0), and the alignment that was computed there."""
     sigma = random_density(rng, 3)
     rho0 = sigma + np.diag([3e-13, -3e-13, 0.0])
     K = ResourceSetK([replacer_lindbladian(sigma)])
@@ -395,9 +395,9 @@ def test_reach_drive_within_eq_tol_of_sigma_reports(rng):
     assert not rep.reached and not rep.t_max_exceeded
     assert rep.generator_schedule == []
     eta, value = rep.stall_certificate
-    assert np.array_equal(eta, rho0)
-    W, _ = _weight(hermitize(rho0 - sigma), 2.0)
-    assert value == alignment(K.generators[0], rho0, sigma, 2.0, weight=W)
+    assert np.array_equal(eta, hermitize(rho0))
+    W, _ = _weight(eta - hermitize(sigma), 2.0)
+    assert value == alignment(K.generators[0], eta, sigma, 2.0, weight=W)
 
 
 def test_example_noise_reach():

@@ -244,6 +244,25 @@ def test_step_diagonal_matches_full_step(rng, k):
                 assert np.array_equal(full, apply_step_diag(p, step, k))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_damp_and_transposition_keep_exact_hermiticity(rng, k):
+    """A damp scales entry ij as (x_ij s_i) s_j with s in {1, sqrt(a)},
+    which rounds as (x_ji s_j) s_i does, since the two factors are equal or
+    one of them is 1, then adds (1 - a) times the Hermitian block x[hi, hi];
+    a transposition permutes entries. So both leave an exactly Hermitian
+    state exactly Hermitian: here on every register at a = 0, a random a and
+    a = 1."""
+    d = 2 ** k
+    for _ in range(10):
+        rho = hermitize(random_density(rng, d))
+        for register in range(k):
+            for a in (0.0, rng.uniform(), 1.0):
+                y = apply_step(rho, AmplitudeDamp(register, a), k)
+                assert np.array_equal(y, dag(y))
+        y = apply_step(rho, Transposition(0, d - 1), k)
+        assert np.array_equal(y, dag(y))
+
+
 def _strided_damp(p, register, a, k):
     """The damp on a population vector through a strided view of its
     register axis, which the index-pair rule replaced; kept as its
