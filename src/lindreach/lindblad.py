@@ -15,7 +15,6 @@ from .linalg import (
     _check_built,
     _check_state,
     apply_superop,
-    choi,
     dag,
     extend_basis,
     is_hermitian,
@@ -151,38 +150,66 @@ def _real_form(S: np.ndarray) -> np.ndarray:
     return R.reshape(d * d, d * d)
 
 
-def _gksl(H: np.ndarray, ops: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+def _gksl(H: np.ndarray, ops: np.ndarray | list[np.ndarray],
+          g: np.ndarray) -> np.ndarray:
     """Superoperator of
-    rho -> -i[H, rho] + sum_jk g_jk (2 a_j rho a_k^* - a_k^*a_j rho - rho a_k^*a_j).
+    rho -> -i[H, rho] + sum_jk g_jk (2 a_j rho a_k^* - a_k^*a_j rho - rho a_k^*a_j),
+    and one per generator for leading axes: (..., d, d) H, (..., n, d, d)
+    operators and (..., n, n) g give (..., d^2, d^2). A set of generators
+    is one batched pass (_superops); a generator alone is the batch with no
+    leading axis.
 
     With G = sum_jk g_jk a_k^*a_j this is rho -> K rho + rho M + 2 sum_jk
-    g_jk a_j rho a_k^* for K = -iH - G and M = iH - G (M = K^* when g is
-    Hermitian). As choi(rho -> a rho b^*) = vec(a) vec(b)^* and choi is its
-    own inverse, it is the choi of vec(K) vec(I)^* + vec(I) vec(M^*)^*
-    + 2 V g V^*, where V has the columns vec(a_j). A non-finite one is
-    refused here, where every GKSL superoperator is formed.
+    g_jk a_j rho a_k^* for K = -iH - G and M = iH - G (M = K^* only when g
+    is Hermitian, which bilinear_dissipator's is not). Column-stacked,
+    S[a + b d, c + e d] = delta_be K_ac + delta_ac M_eb
+    + 2 sum_jk g_jk (a_j)_ac conj((a_k)_be), formed on the (..., b, a, e, c)
+    view: the last term is 2 V g V^* (V has the columns vec(a_j)) read with
+    its axes c and b swapped. A non-finite one is refused here, where every
+    GKSL superoperator is formed.
     """
     H = np.asarray(H, dtype=complex)
-    d = H.shape[0]
-    A = np.asarray(ops, dtype=complex).reshape(-1, d, d)
+    d = H.shape[-1]
+    A = np.asarray(ops, dtype=complex).reshape(*H.shape[:-2], -1, d, d)
+    eye = np.eye(d)
     # an overflow is the error below, not a warning before it
     with np.errstate(over="ignore", invalid="ignore"):
         G = _weighted_products(A, g, A)
-        V = vectorize(A).T
-        one = vectorize(np.eye(d))
-        S = choi(np.outer(vectorize(-1j * H - G), one)
-                 + np.outer(one, vectorize(dag(1j * H - G)).conj())
-                 + 2 * V @ g @ dag(V))
+        K = -1j * H - G
+        M = 1j * H - G
+        V = vectorize(A).swapaxes(-1, -2)
+        T = (2 * V @ g @ dag(V)).reshape(*H.shape[:-2], d, d, d, d)
+        S = (eye[:, None, :, None] * K[..., None, :, None, :]
+             + eye[None, :, None, :] * M.swapaxes(-1, -2)[..., :, None, :, None]
+             + T.swapaxes(-4, -1))
     if not np.isfinite(S).all():
         raise ValueError(NOT_FINITE)
-    return S
+    return S.reshape(*H.shape[:-2], d * d, d * d)
+
+
+def _superops(generators: list[Lindbladian]) -> np.ndarray:
+    """The (m, d^2, d^2) superoperators of m generators of one dimension,
+    from one _gksl pass, with each generator's operators and Kossakowski
+    matrix (_kossakowski) zero padded to the largest operator count. The
+    padding moves the products' rounding, so a slice can differ from
+    build(L) in its last bits; it is not cached on L."""
+    parts = [_kossakowski(L) for L in generators]
+    n = max(len(A) for A, _ in parts)
+    d = generators[0].dim
+    A = np.zeros((len(parts), n, d, d), dtype=complex)
+    g = np.zeros((len(parts), n, n), dtype=complex)
+    for i, (Ai, gi) in enumerate(parts):
+        A[i, :len(Ai)] = Ai
+        g[i, :len(Ai), :len(Ai)] = gi
+    return _gksl(np.stack([L.hamiltonian for L in generators]), A, g)
 
 
 def _weighted_products(X: np.ndarray, g: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """sum_jk g_jk X_k^* Y_j for (m, d, d) stacks X and Y, as one product
-    [X_1^* ... X_m^*] @ [B_1; ...; B_m] with B_k = sum_j g_jk Y_j."""
-    d = X.shape[-1]
-    return dag(X.reshape(-1, d)) @ (g.T @ Y.reshape(len(Y), d * d)).reshape(-1, d)
+    """sum_jk g_jk X_k^* Y_j for (..., m, d, d) stacks X and Y, as one
+    product [X_1^* ... X_m^*] @ [B_1; ...; B_m] with B_k = sum_j g_jk Y_j."""
+    *lead, m, d, _ = X.shape
+    B = g.swapaxes(-1, -2) @ Y.reshape(*lead, m, d * d)
+    return dag(X.reshape(*lead, m * d, d)) @ B.reshape(*lead, m * d, d)
 
 
 def dissipator(a: np.ndarray) -> np.ndarray:

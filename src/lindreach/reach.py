@@ -14,7 +14,7 @@ from .linalg import (EIG_TOL, _check_built, _check_state, _pnorm,
                      apply_superop, dag, hermitize, is_diagonal, require_dim,
                      require_nonnegative, require_positive)
 from .lindblad import (JumpTerm, Lindbladian, _evolve, _lower, _require_index,
-                       apply, build)
+                       _superops, apply)
 from .tangent import PathSample
 
 STALL_TOL = 1e-10
@@ -93,13 +93,19 @@ def _spectral_weight(w: np.ndarray, V: np.ndarray | None, p: float) -> np.ndarra
     return (V * f[..., None, :]) @ dag(V)
 
 
-def _checked_delta(eta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """eta - sigma made Hermitian; an eta within EQ_TOL of sigma is an
-    error."""
-    delta = hermitize(np.asarray(eta, dtype=complex) - np.asarray(sigma, dtype=complex))
+def _apart(delta: np.ndarray) -> np.ndarray:
+    """delta = eta - sigma, or a stack of them; an eta within EQ_TOL of
+    sigma is an error."""
     if np.any(np.max(np.abs(delta), axis=(-2, -1)) < EQ_TOL):
         raise ValueError("eta equals sigma within tolerance")
     return delta
+
+
+def _checked_delta(eta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """eta - sigma made Hermitian, for an eta that no check has made so;
+    an eta within EQ_TOL of sigma is an error."""
+    return _apart(hermitize(np.asarray(eta, dtype=complex)
+                            - np.asarray(sigma, dtype=complex)))
 
 
 def _rate(Leta: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -136,6 +142,16 @@ def _descends(value: float, dist: float, p: float) -> bool:
         raise ValueError(f"p = {p} is too large for the distance {dist}: "
                          f"{dist}^(p-1) is not a normal float")
     return value / scale < -STALL_TOL
+
+
+def _first_least(vals: list[float]) -> int:
+    """np.argmin's choice over a list of floats, without converting it to an
+    array: the first NaN if there is one (an overflow in apply can make
+    one), else the first least value."""
+    for i, v in enumerate(vals):
+        if v != v:
+            return i
+    return vals.index(min(vals))
 
 
 def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
@@ -176,7 +192,7 @@ def reach_drive(K: ResourceSetK, rho0: np.ndarray, sigma: np.ndarray,
             exceeded = True
             break
         vals = [alignment(L, eta, sigma, p, weight=W) for L in K.generators]
-        idx = int(np.argmin(vals))
+        idx = _first_least(vals)
         val = rate * vals[idx]
         if not _descends(val, dist, p):
             stall = (eta, float(val))
@@ -307,6 +323,12 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
     obstruction_evidence is true when no generator descends (the test of a
     reach stall, at distance epsilon) at any sampled sphere point, so no
     admissible generator points inward anywhere on the sphere.
+
+    The generators' superoperators come from one batched build per check
+    (lindblad._superops), which neither reads nor fills their cached
+    superop. sigma and every sample are exactly Hermitian, so delta = eta -
+    sigma is taken as it is, and at p = 2 the weight is delta itself, with
+    no norm formed.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive; a vacuous report is invalid")
@@ -324,10 +346,10 @@ def porcupine_check(K: ResourceSetK, sigma: np.ndarray, epsilon: float,
         raise ValueError("too few sphere points intersect the state space: "
                          f"{len(samples)} of {drawn} draws kept, {need} needed")
     # L(eta) for every (generator, sample) pair in one stacked product
-    Leta = apply_superop(np.stack([build(L) for L in K.generators]), samples)
-    delta = _checked_delta(samples, sigma)
+    Leta = apply_superop(_superops(K.generators), samples)
+    delta = _apart(samples - sigma)
     if W is None:
-        W, _ = _weight(delta, p)
+        W = delta if p == 2 else _weight(delta, p)[0]
     best = float(_rate(Leta, W).min())
     return PorcupineReport(epsilon=epsilon, p=p, samples=len(samples),
                            min_alignment_over_samples=best,

@@ -46,7 +46,7 @@ from lindreach.lindblad import (
 )
 from lindreach import lindblad
 from lindreach.hormander import haar_unitary
-from lindreach.reach import alignment
+from lindreach.reach import ResourceSetK, alignment, porcupine_check
 
 from conftest import random_complex, random_density, random_hermitian
 
@@ -169,6 +169,78 @@ def test_generator_is_immutable_and_builds_once(d, n_jumps, n_ops, seed):
             setattr(obj, name, None)
     assert all(M.flags.writeable and np.array_equal(M, M0)
                for M, M0 in zip(inputs, copies))
+
+
+GENERATOR_KINDS = ["none", "hamiltonian", "jump", "jumps", "bilinear", "pair"]
+
+
+def random_generator(kind, rng, d):
+    """One generator of the kind as (H, ops, g, L), L its Lindbladian; the
+    kind "pair" is bilinear_dissipator's non-Hermitian g, which no
+    Lindbladian holds (L is None)."""
+    if kind == "pair":
+        ops = np.stack([random_complex(rng, d), random_complex(rng, d)])
+        return np.zeros((d, d)), ops, np.array([[0.0, 1.0], [0.0, 0.0]]), None
+    n = {"none": 0, "hamiltonian": 0, "jump": 1, "bilinear": int(rng.integers(3)),
+         "jumps": int(rng.integers(2, d * d + 2))}[kind]
+    bilinear = None
+    if kind == "bilinear":
+        B = random_complex(rng, int(rng.integers(1, 4)))
+        bilinear = BilinearTerm([random_complex(rng, d) for _ in B], B @ dag(B))
+    L = Lindbladian(d, hamiltonian=None if kind == "none" else random_hermitian(rng, d),
+                    jumps=[JumpTerm(random_complex(rng, d), rng.random())
+                           for _ in range(n)],
+                    bilinear=bilinear)
+    return (L.hamiltonian, *lindblad._kossakowski(L), L)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 5),
+       kinds=st.lists(st.sampled_from(GENERATOR_KINDS), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_build_matches_each_generator(d, kinds, seed):
+    """One _gksl pass over a set, its operators and Kossakowski matrices zero
+    padded to the largest count, gives each generator's GKSL map within
+    1e-12 of its scale, and its own build within 1e-15 of it; a set of one
+    is its build bit for bit. Building a set of Lindbladians
+    (_superops) neither reads nor fills their cached superoperators."""
+    rng = np.random.default_rng(seed)
+    gens = [random_generator(kind, rng, d) for kind in kinds]
+    n = max(len(ops) for _, ops, _, _ in gens)
+    A = np.zeros((len(gens), n, d, d), dtype=complex)
+    g = np.zeros((len(gens), n, n), dtype=complex)
+    for i, (_, ops, gi, _) in enumerate(gens):
+        A[i, :len(ops)] = ops
+        g[i, :len(ops), :len(ops)] = gi
+    batches = [(_gksl(np.stack([H for H, *_ in gens]), A, g), gens)]
+    lindbladians = [G for G in gens if G[3] is not None]
+    if lindbladians:
+        batches.append((lindblad._superops([G[3] for G in lindbladians]),
+                        lindbladians))
+        assert not any("superop" in vars(G[3]) for G in lindbladians)
+    for S, batch in batches:
+        assert S.shape == (len(batch), d * d, d * d)
+        for s, (H, ops, gi, L) in zip(S, batch):
+            def action(rho, H=H, ops=ops, gi=gi):
+                out = -1j * (H @ rho - rho @ H)
+                for j, a in enumerate(ops):
+                    for k, b in enumerate(ops):
+                        out = out + gi[j, k] * pair_dissipator(a, b, rho)
+                return out
+
+            # a bound on every entry: the rounding is relative to it, as a
+            # map can cancel to 0 (any jump at d = 1)
+            scale = (np.max(np.abs(H)) + 4 * d * np.abs(gi).sum()
+                     * np.max(np.abs(ops), initial=0) ** 2)
+            ref = superop_from_action(action, d)
+            assert np.max(np.abs(s - ref)) <= 1e-12 * scale
+            own = bilinear_dissipator(*ops) if L is None else build(L)
+            assert np.max(np.abs(s - own)) <= 1e-15 * scale
+            if len(batch) == 1:
+                assert s.tobytes() == own.tobytes()
+            if L is not None:
+                assert build(L) is own and not own.flags.writeable
+                assert lindblad._superops([L])[0].tobytes() == own.tobytes()
 
 
 def test_kossakowski_psd_required():
@@ -469,7 +541,9 @@ def test_non_finite_superoperator_names_the_generator(rng):
     rates, not t, and no warning before it: a finite jump whose a^*a
     overflows, a NaN jump, or a NaN Kossakowski matrix. gamma_form, which
     forms no superoperator, refuses them with the same error. The reference
-    builders dissipator and bilinear_dissipator refuse the same operators.
+    builders dissipator and bilinear_dissipator refuse the same operators,
+    and porcupine_check refuses a set that holds one of them among good
+    generators, though it builds the set in one batched pass.
     (A finite generator still names t when exp(tL) overflows:
     test_channel_superop_names_bad_t.)"""
     huge = JumpTerm(np.full((2, 2), 1e200), 1.0)
@@ -484,6 +558,10 @@ def test_non_finite_superoperator_names_the_generator(rng):
                  lambda L=L: propagate(L, np.eye(2) / 2, 1e-300),
                  lambda L=L: alignment(L, eta, sigma, 2.0),
                  lambda L=L: gamma_form(L, eta, sigma)]
+        good = [chain_lindbladian([0.6, 0.4]), Lindbladian(2, hamiltonian=X),
+                Lindbladian(2, jumps=[JumpTerm(LOWER, 1.0)] * 3)]
+        uses += [lambda L=L: porcupine_check(ResourceSetK(good[:1] + [L] + good[1:]),
+                                             np.eye(2) / 2, 0.05, n_samples=20)]
     for use in uses:
         with pytest.raises(ValueError, match="^generator superoperator is "
                            "not finite: operators and rates"), \

@@ -276,6 +276,36 @@ def test_reach_drive_counts_round_t_max_over_dt_steps():
     assert wrong == []
 
 
+NAN, INF = math.nan, math.inf
+SCRIPTED_VALUES = [[0.5], [NAN], [1.0, NAN, 0.0], [2.0, 1.0, NAN, NAN, 0.0],
+                   [NAN, -INF], [-1.0, 0.0, -1.0], [3.0, -2.0, -2.0, 5.0],
+                   [0.0, -0.0], [-0.0, 0.0], [INF, INF], [INF, -INF, -INF],
+                   [1e-300, 5e-324, 0.0, 5e-324]]
+
+
+@pytest.mark.parametrize("vals", SCRIPTED_VALUES, ids=str)
+def test_first_least_keeps_numpy_argmin_rule(vals):
+    """reach_drive's choice over a Python list is np.argmin's: the first NaN
+    if there is one, else the first least value (ties, signed zeros)."""
+    assert reach._first_least(list(vals)) == int(np.argmin(vals))
+
+
+def test_reach_drive_chooses_by_the_argmin_rule(monkeypatch):
+    """Scripted alignments: a tie goes to the first generator of least
+    value, and a NaN alignment (apply can overflow on a finite superoperator
+    with entries near 1e308) is chosen over every number and stalls the
+    run, since NaN descends by no margin."""
+    script = iter([-1.0, -2.0, -2.0, -3.0, -3.0, 0.0, 0.0, NAN, -5.0])
+    monkeypatch.setattr(reach, "alignment", lambda *args, **kwargs: next(script))
+    d = 2
+    K = ResourceSetK([lowering_jump(0, 1, d), lowering_jump(1, 0, d),
+                      Lindbladian(d, hamiltonian=np.diag([1.0, -1.0]))])
+    rep = reach_drive(K, np.eye(d) / d, np.diag([0.9, 0.1]), dt=0.01, t_max=1.0)
+    assert [index for *_, index, _ in rep.generator_schedule] == [1, 0]
+    assert math.isnan(rep.stall_certificate[1])
+    assert next(script, None) is None
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(2, 4), p=st.sampled_from([1.5, 2.0, 3.0]),
        dt=st.sampled_from([0.05, 0.1, 0.3, 0.7]),
